@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from fractions import Fraction
 
@@ -175,8 +176,10 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
         raise ValueError(
             "only the rank-one special linear group acting on the plane is "
             f"built in, got group={group!r} ambient={ambient}")
-    if arity < 0 or samples < 1 or step <= 0:
-        raise ValueError("arity must be >= 0, samples >= 1, step > 0")
+    if arity < 0 or samples < 1:
+        raise ValueError("arity must be >= 0, samples >= 1")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     squares = [getzler_checks.dg_square_check(k, samples=samples, step=step,
                                               seed=seed)
                for k in range(arity + 1)]

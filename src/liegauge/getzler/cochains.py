@@ -34,17 +34,15 @@ __all__ = [
 
 
 class EquivariantCochain:
-    """Arity-k cochain with a pure evaluator; degree_bounds is advisory
-    metadata (max Omega-degree, max x-degree) when known."""
+    """Arity-k cochain: a pure evaluator from k-tuples of group elements
+    to PolyForm values over the action's dimensions."""
 
-    def __init__(self, action: LinearAction, arity: int, evaluator,
-                 degree_bounds: tuple[int, int] | None = None):
+    def __init__(self, action: LinearAction, arity: int, evaluator):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         self.action = action
         self.arity = arity
         self._evaluator = evaluator
-        self.degree_bounds = degree_bounds
 
     def __call__(self, gs) -> PolyForm:
         gs = tuple(gs)
@@ -56,8 +54,7 @@ class EquivariantCochain:
 
     def scale(self, c: float) -> "EquivariantCochain":
         return EquivariantCochain(
-            self.action, self.arity, lambda gs: self(gs).scale(c),
-            self.degree_bounds)
+            self.action, self.arity, lambda gs: self(gs).scale(c))
 
     def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         if self.arity != other.arity:
@@ -73,7 +70,7 @@ class EquivariantCochain:
 
 def zero_cochain(action: LinearAction, arity: int) -> EquivariantCochain:
     form = PolyForm.zero(action.g_dim, action.m)
-    return EquivariantCochain(action, arity, lambda gs: form, (0, 0))
+    return EquivariantCochain(action, arity, lambda gs: form)
 
 
 def constant_cochain(action: LinearAction, form: PolyForm
@@ -140,12 +137,12 @@ def random_homogeneous_polyform(rng, g_dim: int, m: int, omega_deg: int,
     return PolyForm(g_dim, m, terms)
 
 
-def _normalized_cochain(action: LinearAction, arity: int, form: PolyForm,
-                        bounds) -> EquivariantCochain:
+def _normalized_cochain(action: LinearAction, arity: int, form: PolyForm
+                        ) -> EquivariantCochain:
     if arity == 0:
-        return EquivariantCochain(action, 0, lambda gs: form, bounds)
+        return EquivariantCochain(action, 0, lambda gs: form)
     return EquivariantCochain(
-        action, arity, lambda gs: form.scale(vanish_factor(gs)), bounds)
+        action, arity, lambda gs: form.scale(vanish_factor(gs)))
 
 
 def random_cochain(action: LinearAction, rng, arity: int,
@@ -153,7 +150,7 @@ def random_cochain(action: LinearAction, rng, arity: int,
     """Normalized random cochain: a frozen random form scaled by the
     vanish-at-identity factor of the arguments."""
     form = random_polyform(rng, action.g_dim, action.m, max_omega, max_x)
-    return _normalized_cochain(action, arity, form, (max_omega, max_x))
+    return _normalized_cochain(action, arity, form)
 
 
 def random_homogeneous_cochain(action: LinearAction, rng, arity: int,
@@ -163,7 +160,7 @@ def random_homogeneous_cochain(action: LinearAction, rng, arity: int,
     need a well-defined total degree (the Leibniz sign, degree shifts)."""
     form = random_homogeneous_polyform(
         rng, action.g_dim, action.m, omega_deg, dx_deg, max_x)
-    return _normalized_cochain(action, arity, form, (omega_deg, max_x))
+    return _normalized_cochain(action, arity, form)
 
 
 class CochainFamily:

@@ -46,29 +46,44 @@ def _parity(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
+def _d_value(value: PolyForm, sign: float) -> PolyForm:
+    return value.exterior_d().scale(sign)
+
+
+def _iota_value(action: LinearAction, value: PolyForm,
+                sign: float) -> PolyForm:
+    unit_rows = np.eye(action.g_dim)
+    total = PolyForm.zero(action.g_dim, action.m)
+    for a in range(action.g_dim):
+        contracted = value.contract_linear_field(action.field_matrix(a))
+        total = total + contracted.multiply_omega_linear(unit_rows[a])
+    return total.scale(sign)
+
+
 def op_d(c: EquivariantCochain) -> EquivariantCochain:
     """Exterior derivative on the value, with the arity sign (-1)^k."""
     sign = _parity(c.arity)
     return EquivariantCochain(
-        c.action, c.arity, lambda gs: c(gs).exterior_d().scale(sign))
+        c.action, c.arity, lambda gs: _d_value(c(gs), sign))
 
 
 def op_iota(c: EquivariantCochain) -> EquivariantCochain:
     """Contraction with the fundamental field of the symbolic argument,
     Omega-weighted per basis direction, with the arity sign (-1)^k."""
-    action = c.action
     sign = _parity(c.arity)
-    unit_rows = np.eye(action.g_dim)
+    return EquivariantCochain(
+        c.action, c.arity, lambda gs: _iota_value(c.action, c(gs), sign))
+
+
+def _geometric_pair(c: EquivariantCochain) -> EquivariantCochain:
+    """op_d(c) + op_iota(c), evaluating c once per argument tuple."""
+    sign = _parity(c.arity)
 
     def evaluate(gs):
         value = c(gs)
-        total = PolyForm.zero(action.g_dim, action.m)
-        for a in range(action.g_dim):
-            contracted = value.contract_linear_field(action.field_matrix(a))
-            total = total + contracted.multiply_omega_linear(unit_rows[a])
-        return total.scale(sign)
+        return _d_value(value, sign) + _iota_value(c.action, value, sign)
 
-    return EquivariantCochain(action, c.arity, evaluate)
+    return EquivariantCochain(c.action, c.arity, evaluate)
 
 
 def op_dbar(c: EquivariantCochain) -> EquivariantCochain:
@@ -135,7 +150,7 @@ def total_differential(x, step: float = 1e-3) -> CochainFamily:
     for arity in family.arities():
         c = family.component(arity)
         out = out + CochainFamily.of(op_dbar(c))
-        out = out + CochainFamily.of(op_d(c) + op_iota(c))
+        out = out + CochainFamily.of(_geometric_pair(c))
         if arity >= 1:
             out = out + CochainFamily.of(op_ibar(c, step))
     return out

@@ -12,13 +12,24 @@ comes from float multiplication and addition, never from truncation.
 
 The grading used throughout: a term's polynomial degree is
 2*|alpha| + |S|; the x-exponents do not contribute.
+
+Terms are validated once, in the public constructor: exponent lengths
+match the dimensions and each dx index set is strictly increasing and in
+range.  Every operation below builds its result from keys and float
+coefficients of already-valid forms, so results skip that check and only
+drop zero coefficients.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["PolyForm"]
 
 
+# a pure function of two index sets, at most 4^m distinct pairs; the bound
+# keeps the memo small for large ambient dimensions
+@lru_cache(maxsize=4096)
 def _merge_dx(left: tuple, right: tuple):
     """Sign and result of dx_left wedge dx_right; None when they overlap."""
     if set(left) & set(right):
@@ -55,6 +66,36 @@ def _expand_linear_power(acc: dict, row, nvars: int) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def _expand_power(exp: tuple, rows, nvars: int) -> dict:
+    """Expansion of prod_i (sum_j rows[i][j] y_j)^exp[i] in the y-monomials,
+    exponent tuple -> coefficient."""
+    acc = {(0,) * nvars: 1.0}
+    for i, e in enumerate(exp):
+        for _ in range(e):
+            acc = _expand_linear_power(acc, rows[i], nvars)
+    return acc
+
+
+def _expand_wedge(dx: tuple, B, m: int) -> dict:
+    """Expansion of the wedge over i in dx of sum_j B[i][j] dx_j, increasing
+    index set -> coefficient with the wedge signs."""
+    acc: dict[tuple, float] = {(): 1.0}
+    for i in dx:
+        nxt: dict[tuple, float] = {}
+        for partial, f in acc.items():
+            for j in range(m):
+                bij = float(B[i][j])
+                if bij == 0.0:
+                    continue
+                merged = _merge_dx(partial, (j,))
+                if merged is None:
+                    continue
+                sign, new_dx = merged
+                nxt[new_dx] = nxt.get(new_dx, 0.0) + f * bij * sign
+        acc = nxt
+    return acc
+
+
 class PolyForm:
     __slots__ = ("g_dim", "m", "terms")
 
@@ -66,7 +107,8 @@ class PolyForm:
             omega, x, dx = key
             if len(omega) != g_dim or len(x) != m:
                 raise ValueError("term exponents do not match the dimensions")
-            if list(dx) != sorted(set(dx)) or any(i >= m for i in dx):
+            if (list(dx) != sorted(set(dx))
+                    or any(i < 0 or i >= m for i in dx)):
                 raise ValueError(f"bad differential index set {dx}")
             if coeff != 0.0:
                 clean[(tuple(omega), tuple(x), tuple(dx))] = float(coeff)
@@ -93,7 +135,13 @@ class PolyForm:
     # -- linear structure ---------------------------------------------------
 
     def _like(self, terms: dict) -> "PolyForm":
-        return PolyForm(self.g_dim, self.m, terms)
+        """A form over the same dimensions from canonical terms (tuple keys
+        of valid shape, float coefficients); only zeros are dropped."""
+        out = PolyForm.__new__(PolyForm)
+        out.g_dim = self.g_dim
+        out.m = self.m
+        out.terms = {k: c for k, c in terms.items() if c != 0.0}
+        return out
 
     def _check_compatible(self, other: "PolyForm") -> None:
         if (self.g_dim, self.m) != (other.g_dim, other.m):
@@ -110,6 +158,7 @@ class PolyForm:
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "PolyForm":
+        c = float(c)
         return self._like({k: v * c for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -224,12 +273,11 @@ class PolyForm:
     def substitute_omega(self, M) -> "PolyForm":
         """Replace each generator: Omega^a -> sum_b M[a][b] Omega^b."""
         out: dict = {}
-        zero_exp = (0,) * self.g_dim
+        expansions: dict = {}
         for (omega, x, dx), c in self.terms.items():
-            acc = {zero_exp: 1.0}
-            for a, e in enumerate(omega):
-                for _ in range(e):
-                    acc = _expand_linear_power(acc, M[a], self.g_dim)
+            acc = expansions.get(omega)
+            if acc is None:
+                acc = expansions[omega] = _expand_power(omega, M, self.g_dim)
             for new_omega, factor in acc.items():
                 key = (new_omega, x, dx)
                 out[key] = out.get(key, 0.0) + c * factor
@@ -239,26 +287,15 @@ class PolyForm:
         """Pull back along the linear map x -> B x: substitute the monomials
         and expand each dx_i into sum_j B[i][j] dx_j with wedge signs."""
         out: dict = {}
-        zero_exp = (0,) * self.m
+        x_expansions: dict = {}
+        dx_expansions: dict = {}
         for (omega, x, dx), c in self.terms.items():
-            xacc = {zero_exp: 1.0}
-            for i, e in enumerate(x):
-                for _ in range(e):
-                    xacc = _expand_linear_power(xacc, B[i], self.m)
-            dxacc: dict[tuple, float] = {(): 1.0}
-            for i in dx:
-                nxt: dict[tuple, float] = {}
-                for partial, f in dxacc.items():
-                    for j in range(self.m):
-                        bij = float(B[i][j])
-                        if bij == 0.0:
-                            continue
-                        merged = _merge_dx(partial, (j,))
-                        if merged is None:
-                            continue
-                        sign, new_dx = merged
-                        nxt[new_dx] = nxt.get(new_dx, 0.0) + f * bij * sign
-                dxacc = nxt
+            xacc = x_expansions.get(x)
+            if xacc is None:
+                xacc = x_expansions[x] = _expand_power(x, B, self.m)
+            dxacc = dx_expansions.get(dx)
+            if dxacc is None:
+                dxacc = dx_expansions[dx] = _expand_wedge(dx, B, self.m)
             for new_x, xf in xacc.items():
                 for new_dx, df in dxacc.items():
                     key = (omega, new_x, new_dx)

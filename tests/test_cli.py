@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line front end and its reports."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -181,6 +183,11 @@ class TestGetzlerCheckCommand:
         assert cli.main(["getzler-check", "--group", "so3"]) == 2
         assert cli.main(["getzler-check", "--samples", "0"]) == 2
         capsys.readouterr()
+        for step in ("nan", "inf", "-inf", "0"):
+            start = time.perf_counter()
+            assert cli.main(["getzler-check", "--step", step]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert "step" in capsys.readouterr().err
 
 
 # -- output determinism ---------------------------------------------------------
@@ -195,6 +202,10 @@ class TestOutputContract:
         assert cli.main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+        # bytes of a reference build: a change in the order of float sums
+        # anywhere in the getzler layer changes them
+        assert hashlib.sha256(first.encode()).hexdigest() == (
+            "84f432b936c38b34f06d176077134c1522c1bbb87dfec89324db2dbaf4cd3c33")
         parsed = json.loads(first)
         assert set(parsed) == {"command", "inputs_digest", "results",
                                "verdict", "warnings"}

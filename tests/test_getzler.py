@@ -157,6 +157,26 @@ class TestPolyForm:
         with pytest.raises(ValueError):
             PolyForm.term(1, 1, 1.0) + PolyForm.term(2, 1, 1.0)
 
+    @pytest.mark.parametrize("key", [
+        ((1,), (0, 0), ()),           # omega exponents longer than g_dim
+        ((0, 0), (0,), ()),           # x exponents shorter than m
+        ((0, 0), (0, 0, 0), ()),      # x exponents longer than m
+        ((0, 0), (0, 0), (1, 0)),     # dx indices unsorted
+        ((0, 0), (0, 0), (1, 1)),     # dx index repeated
+        ((0, 0), (0, 0), (2,)),       # dx index beyond m
+        ((0, 0), (0, 0), (-1,)),      # negative dx index
+    ])
+    def test_constructor_rejects_malformed_terms(self, key):
+        with pytest.raises(ValueError):
+            PolyForm(2, 2, {key: 1.0})
+
+    def test_constructor_drops_zeros_and_stores_floats(self):
+        form = PolyForm(2, 2, {((0, 0), (0, 0), ()): 0.0,
+                               ((1, 0), (0, 1), (0,)): -0.0,
+                               ((0, 1), (1, 0), (0, 1)): 2})
+        assert form.terms == {((0, 1), (1, 0), (0, 1)): 2.0}
+        assert type(form.terms[((0, 1), (1, 0), (0, 1))]) is float
+
 
 # -- the linear action and its exact plumbing --------------------------------
 
@@ -445,6 +465,15 @@ class TestTotalDifferential:
         assert report["ok"]
         assert report["geometric_zero"]
         assert report["bar_zero"]
+
+    def test_geometric_component_matches_the_public_operators_bitwise(self):
+        c = random_cochain(SL2, random.Random(51), 1)
+        geometric = total_differential(c).component(1)
+        reference = op_d(c) + op_iota(c)
+        sampler = GroupSampler(SL2, seed=10)
+        for _ in range(3):
+            gs = sampler.draw_tuple(1)
+            assert geometric(gs) == reference(gs)
 
     def test_square_residual_matches_direct_recomputation(self):
         c = random_cochain(SL2, random.Random(50), 0)
