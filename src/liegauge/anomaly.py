@@ -22,8 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .conventions import warning
-from .exact import Matrix, as_scalar
-from .liealg import MatrixLieAlgebra, bracket, structure_constants
+from .exact import Matrix
+from .liealg import (
+    MatrixLieAlgebra,
+    ad_invariance_failure,
+    bracket,
+    structure_constants,
+)
 from .wzw import evaluate, quadratic_residual
 
 __all__ = [
@@ -83,9 +88,10 @@ def _check_homomorphism(side: str, images, c) -> None:
     dim = len(images)
     for a in range(dim):
         for b in range(a + 1, dim):
-            expected = images[0].scale(c[a][b][0])
-            for k in range(1, dim):
-                expected = expected + images[k].scale(c[a][b][k])
+            expected = Matrix.zero(images[a].rows, images[a].cols)
+            for k, x in enumerate(c[a][b]):
+                if x:
+                    expected = expected + images[k].scale(x)
             residual = bracket(images[a], images[b]) - expected
             if not residual.is_zero():
                 raise ValueError(
@@ -150,18 +156,10 @@ def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
     Q = Matrix(dim, dim, entries)
     if Q != Q.transpose():
         raise ValueError("anomaly form failed to be symmetric")
-    c = structure_constants(emb.domain)
-    zero = as_scalar(0)
-    for k in range(dim):
-        for a in range(dim):
-            for b in range(dim):
-                s = zero
-                for m in range(dim):
-                    s = s + c[k][a][m] * Q[m, b] + c[k][b][m] * Q[a, m]
-                if s != 0:
-                    raise ValueError(
-                        "anomaly form failed ad-invariance at basis "
-                        f"triple ({k}, {a}, {b})")
+    failure = ad_invariance_failure(structure_constants(emb.domain), Q)
+    if failure is not None:
+        raise ValueError(
+            f"anomaly form failed ad-invariance at basis triple {failure}")
     return AnomalyReport(Q=Q, anomaly_free=Q.is_zero(), invariance_checked=True)
 
 

@@ -25,8 +25,11 @@ from fractions import Fraction
 
 from .anomaly import verdict as anomaly_verdict
 from .conventions import warning
-from .getzler import checks as getzler_checks
-from .liealg import invariant_polynomial_dimension
+from .liealg import (
+    SYM_CEILING,
+    invariant_polynomial_dimension,
+    symmetric_power_dimension,
+)
 from .lgio import classical_from_label, load_embedding
 from .relcoh import cartan_complement, is_symmetric_pair, relative_ce_cohomology
 from .report import RunReport, inputs_digest
@@ -133,6 +136,12 @@ def cmd_invariants(algebra_label: str, max_degree: int) -> RunReport:
     if max_degree < 0:
         raise ValueError("max degree must be nonnegative")
     algebra = classical_from_label(algebra_label)
+    # Sym^d grows with d, so the top degree decides before any work is done
+    nmono = symmetric_power_dimension(algebra.dim, max_degree)
+    if nmono > SYM_CEILING:
+        raise ValueError(
+            f"max degree {max_degree}: Sym^{max_degree} dimension {nmono} "
+            f"exceeds ceiling {SYM_CEILING}")
     dims = [invariant_polynomial_dimension(algebra, d)
             for d in range(max_degree + 1)]
     digest = inputs_digest({
@@ -172,6 +181,9 @@ def cmd_series(n: int, truncate: int) -> RunReport:
 def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
                       samples: int = 100, step: float = 1e-3,
                       seed: int = 0) -> RunReport:
+    # numpy and scipy load only for this command
+    from .getzler import checks as getzler_checks
+
     if group != "sl2" or ambient != 2:
         raise ValueError(
             "only the rank-one special linear group acting on the plane is "

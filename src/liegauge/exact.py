@@ -1,9 +1,14 @@
 """Exact scalar arithmetic and dense exact linear algebra.
 
-Scalars are either `fractions.Fraction` (rationals) or `GaussianRational`
-(elements of Q(i), stored as a pair of Fractions).  Everything downstream
-that must be exact (structure constants, Killing forms, anomaly matrices,
-kernel computations) runs on top of this module; no floats enter here.
+Scalars are rationals or `GaussianRational` (elements of Q(i), stored as
+a pair of Fractions).  A rational with denominator 1 is a Python `int`,
+any other is a `fractions.Fraction`; almost every entry of the classical
+bases and their structure data is a small integer, and integer arithmetic
+is several times faster than Fraction arithmetic.  Division goes through
+`divide`, which returns an exact Fraction where `int / int` would return a
+float.  Everything downstream that must be exact (structure constants,
+Killing forms, anomaly matrices, kernel computations) runs on top of this
+module; no floats enter here.
 
 Row reduction uses the first nonzero entry in each column as the pivot,
 scanning rows top to bottom, so results are deterministic and reproducible
@@ -120,20 +125,32 @@ class GaussianRational:
 
 I = GaussianRational(0, 1)
 
-Scalar = Union[Fraction, GaussianRational]
-ScalarLike = Union[int, Fraction, GaussianRational]
+Scalar = Union[int, Fraction, GaussianRational]
 
 
-def as_scalar(x: ScalarLike) -> Scalar:
-    """Coerce an int/Fraction/GaussianRational to an exact scalar."""
-    if isinstance(x, (Fraction, GaussianRational)):
+def as_scalar(x: Scalar) -> Scalar:
+    """Coerce an int/Fraction/GaussianRational to an exact scalar; an
+    integral Fraction becomes an int."""
+    if type(x) is int:
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, GaussianRational):
+        return x
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def conj(x: ScalarLike) -> Scalar:
+def divide(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a / b; an integral rational quotient is an int."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_scalar(a / b)
+
+
+def conj(x: Scalar) -> Scalar:
     x = as_scalar(x)
     if isinstance(x, GaussianRational):
         return x.conjugate()
@@ -145,7 +162,7 @@ def rational_from_string(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
-def scalar_to_json(x: ScalarLike):
+def scalar_to_json(x: Scalar):
     """Inverse-parse a scalar into the file-format literal."""
     x = as_scalar(x)
     if isinstance(x, GaussianRational):
@@ -169,8 +186,8 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "_e")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
-        e = tuple(as_scalar(x) for x in entries)
+    def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
+        e = tuple(map(as_scalar, entries))
         if len(e) != rows * cols:
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "rows", rows)
@@ -183,7 +200,7 @@ class Matrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
+    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
@@ -191,7 +208,7 @@ class Matrix:
         return cls(r, c, [x for row in rows for x in row])
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[ScalarLike]]) -> "Matrix":
+    def from_columns(cls, cols: Sequence[Sequence[Scalar]]) -> "Matrix":
         c = len(cols)
         r = len(cols[0]) if c else 0
         return cls(r, c, [cols[j][i] for i in range(r) for j in range(c)])
@@ -239,7 +256,7 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, [-a for a in self._e])
 
-    def scale(self, c: ScalarLike) -> "Matrix":
+    def scale(self, c: Scalar) -> "Matrix":
         c = as_scalar(c)
         return Matrix(self.rows, self.cols, [c * a for a in self._e])
 
@@ -254,7 +271,7 @@ class Matrix:
         for i in range(n):
             arow = a[i * k:(i + 1) * k]
             for j in range(m):
-                s = Fraction(0)
+                s = 0
                 for t in range(k):
                     x = arow[t]
                     if x:
@@ -265,12 +282,12 @@ class Matrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def matvec(self, v: Sequence[ScalarLike]) -> tuple:
+    def matvec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("length mismatch")
         out = []
         for i in range(self.rows):
-            s = Fraction(0)
+            s = 0
             base = i * self.cols
             for t, x in enumerate(v):
                 if x:
@@ -289,7 +306,7 @@ class Matrix:
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        s = Fraction(0)
+        s = 0
         for i in range(self.rows):
             s = s + self._e[i * self.cols + i]
         return s
@@ -338,7 +355,7 @@ class Matrix:
             rows[r], rows[sel] = rows[sel], rows[r]
             inv = rows[r][j]
             if inv != 1:
-                rows[r] = [x / inv for x in rows[r]]
+                rows[r] = [divide(x, inv) for x in rows[r]]
             for i in range(self.rows):
                 if i != r and rows[i][j]:
                     f = rows[i][j]
@@ -363,14 +380,14 @@ class Matrix:
         free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
         for j in free:
-            v = [Fraction(0)] * self.cols
-            v[j] = Fraction(1)
+            v = [0] * self.cols
+            v[j] = 1
             for r, pj in enumerate(pivots):
                 v[pj] = -R[r, j]
             basis.append(tuple(v))
         return basis
 
-    def solve(self, b: Sequence[ScalarLike]):
+    def solve(self, b: Sequence[Scalar]):
         """One solution x of self @ x = b, or None if inconsistent.
 
         Free variables are set to zero (deterministic particular solution).
@@ -384,7 +401,7 @@ class Matrix:
         R, pivots = aug.rref()
         if pivots and pivots[-1] == self.cols:
             return None
-        x = [Fraction(0)] * self.cols
+        x = [0] * self.cols
         for r, pj in enumerate(pivots):
             x[pj] = R[r, self.cols]
         return tuple(x)
@@ -406,7 +423,7 @@ def apply_operator(op, v: Sequence[Scalar], dim: int) -> tuple:
     """Apply a Matrix or sparse triple list to a vector of length dim."""
     if isinstance(op, Matrix):
         return op.matvec(v)
-    out = [Fraction(0)] * dim
+    out = [0] * dim
     for i, j, val in op:
         x = v[j]
         if x:
@@ -423,8 +440,7 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
     eliminations cheap.  Returns basis vectors (tuples of length dim).
     """
     basis: list[tuple] = [
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim))
-        for j in range(dim)
+        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
     ]
     for op in ops:
         if not basis:
@@ -434,7 +450,7 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
         coeffs = A.kernel_basis()
         new_basis = []
         for cv in coeffs:
-            w = [Fraction(0)] * dim
+            w = [0] * dim
             for c, bvec in zip(cv, basis):
                 if c:
                     for i, x in enumerate(bvec):

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .exact import GaussianRational, I, Matrix, Scalar, joint_kernel
+from .exact import I, Matrix, Scalar, divide, joint_kernel
+
+SYM_CEILING = 5000
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,39 @@ class MatrixLieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def expansion_solver(self) -> "ExpansionSolver":
+        """Expands matrices in this basis; built once per algebra."""
+        return ExpansionSolver(self.basis)
+
+    @cached_property
+    def structure_constants(self) -> tuple:
+        """The algebra's structure constants, computed once per algebra;
+        see the module-level `structure_constants`."""
+        solver = self.expansion_solver
+        dim = self.dim
+        c = []
+        for a in range(dim):
+            row = []
+            for b in range(dim):
+                if b < a:
+                    # antisymmetry by construction; recomputing would be
+                    # wasted work
+                    row.append(tuple(-x for x in c[b][a]))
+                    continue
+                if b == a:
+                    row.append((0,) * dim)
+                    continue
+                try:
+                    row.append(solver.expand(
+                        bracket(self.basis[a], self.basis[b])))
+                except ValueError:
+                    raise ValueError(
+                        f"{self.name}: bracket of basis pair ({a}, {b}) "
+                        "is outside the span; not a Lie subalgebra") from None
+            c.append(tuple(row))
+        return tuple(c)
 
 
 def bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -131,29 +166,9 @@ def structure_constants(alg: MatrixLieAlgebra):
     """Structure constants c[a][b] = coefficients of [e_a, e_b] in the basis.
 
     Raises ValueError naming the offending pair when the basis is not
-    closed under the bracket.
+    closed under the bracket.  Computed once per algebra object.
     """
-    solver = ExpansionSolver(alg.basis)
-    dim = alg.dim
-    c = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            if b < a:
-                # antisymmetry by construction; recomputing would be wasted work
-                row.append(tuple(-x for x in c[b][a]))
-                continue
-            if b == a:
-                row.append(tuple(Fraction(0) for _ in range(dim)))
-                continue
-            try:
-                row.append(solver.expand(bracket(alg.basis[a], alg.basis[b])))
-            except ValueError:
-                raise ValueError(
-                    f"{alg.name}: bracket of basis pair ({a}, {b}) "
-                    "is outside the span; not a Lie subalgebra") from None
-        c.append(tuple(row))
-    return tuple(c)
+    return alg.structure_constants
 
 
 def verify_antisymmetry(c) -> bool:
@@ -172,7 +187,7 @@ def verify_jacobi(c) -> bool:
                 cbc = c[b][cc]
                 cca = c[cc][a]
                 for l in range(dim):
-                    s = Fraction(0)
+                    s = 0
                     for m in range(dim):
                         s = (s + cab[m] * c[m][cc][l]
                              + cbc[m] * c[m][a][l]
@@ -192,18 +207,17 @@ def adjoint_matrix(c, a: int) -> Matrix:
 def killing_form(alg: MatrixLieAlgebra, c=None) -> Matrix:
     """B_ab = trace(ad e_a . ad e_b), computed from structure constants.
 
-    This is the definition; comparisons against multiples of the matrix
-    trace form live in tests, not here.
+    With (ad e_a)[m, l] = c[a][l][m] the trace is the sum over l, m of
+    c[a][l][m] c[b][m][l].  This is the definition; comparisons against
+    multiples of the matrix trace form live in tests, not here.
     """
     if c is None:
         c = structure_constants(alg)
     dim = alg.dim
-    ads = [adjoint_matrix(c, a) for a in range(dim)]
-    entries = []
-    for a in range(dim):
-        for b in range(dim):
-            entries.append((ads[a] * ads[b]).trace())
-    return Matrix(dim, dim, entries)
+    nonzero = [[(l, m, x) for l in range(dim) for m, x in enumerate(c[a][l])
+                if x] for a in range(dim)]
+    return Matrix(dim, dim, [sum(x * c[b][m][l] for l, m, x in nonzero[a])
+                             for a in range(dim) for b in range(dim)])
 
 
 def trace_form(alg: MatrixLieAlgebra) -> Matrix:
@@ -213,18 +227,29 @@ def trace_form(alg: MatrixLieAlgebra) -> Matrix:
                              for a in range(dim) for b in range(dim)])
 
 
-def is_ad_invariant(c, q: Matrix) -> bool:
-    """Check Q([x,a],b) + Q(a,[x,b]) == 0 on all basis triples."""
+def ad_invariance_failure(c, q: Matrix):
+    """The first basis triple (x, a, b), in lexicographic order, with
+    Q([x,a],b) + Q(a,[x,b]) != 0, or None when q is ad-invariant.
+
+    Only the nonzero structure constants are visited.
+    """
     dim = len(c)
+    qe = q.entries()
     for x in range(dim):
+        nonzero = [[(k, v) for k, v in enumerate(c[x][a]) if v]
+                   for a in range(dim)]
         for a in range(dim):
             for b in range(dim):
-                s = Fraction(0)
-                for k in range(dim):
-                    s = s + c[x][a][k] * q[k, b] + c[x][b][k] * q[a, k]
+                s = (sum(v * qe[k * dim + b] for k, v in nonzero[a])
+                     + sum(v * qe[a * dim + k] for k, v in nonzero[b]))
                 if s:
-                    return False
-    return True
+                    return (x, a, b)
+    return None
+
+
+def is_ad_invariant(c, q: Matrix) -> bool:
+    """Check Q([x,a],b) + Q(a,[x,b]) == 0 on all basis triples."""
+    return ad_invariance_failure(c, q) is None
 
 
 # -- symmetric powers of the dual -------------------------------------------
@@ -276,7 +301,7 @@ def symmetric_power_dimension(dim: int, degree: int) -> int:
 
 
 def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int,
-                                   ceiling: int = 5000) -> int:
+                                   ceiling: int = SYM_CEILING) -> int:
     """dim of degree-d invariants in the symmetric algebra of the dual.
 
     Invariance means annihilation by every basis derivation, i.e. this is
@@ -315,12 +340,12 @@ def invariant_symmetric_forms(alg: MatrixLieAlgebra) -> list[Matrix]:
     kernel = joint_kernel(len(monomials), ops)
     forms = []
     for vec in kernel:
-        q = [[Fraction(0)] * dim for _ in range(dim)]
+        q = [[0] * dim for _ in range(dim)]
         for (i, j), coeff in zip(monomials, vec):
             if i == j:
                 q[i][i] = coeff
             else:
-                half = coeff / 2
+                half = divide(coeff, 2)
                 q[i][j] = half
                 q[j][i] = half
         qm = Matrix.from_rows(q)

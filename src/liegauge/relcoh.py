@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
-from .exact import Matrix, joint_kernel
+from .exact import Matrix, Scalar, joint_kernel
 from .liealg import ExpansionSolver, MatrixLieAlgebra, bracket, killing_form
 
 __all__ = [
@@ -56,11 +56,23 @@ class ReductivePair:
     def p_dim(self) -> int:
         return len(self.p_basis)
 
+    @cached_property
     def split_solver(self) -> ExpansionSolver:
-        """Expands ambient elements in the (subalgebra, complement) basis."""
+        """Expands ambient elements in the (subalgebra, complement) basis;
+        built once per pair."""
         parts = (tuple(self.k.basis) if self.k is not None else ()) \
             + self.p_basis
         return ExpansionSolver(parts)
+
+    @cached_property
+    def complement_action(self) -> tuple[Matrix, ...]:
+        """`_complement_action`, computed once per pair."""
+        return tuple(_complement_action(self))
+
+    @cached_property
+    def projected_constants(self):
+        """`_projected_constants`, computed once per pair."""
+        return _projected_constants(self)
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
@@ -75,12 +87,12 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
         return ReductivePair(g=g, k=None, p_basis=tuple(g.basis))
     if k.matrix_size != g.matrix_size:
         raise ValueError("subalgebra matrices must match the ambient size")
-    solver = ExpansionSolver(g.basis)
+    solver = g.expansion_solver
     try:
         k_coords = [solver.expand(x) for x in k.basis]
     except ValueError:
         raise ValueError("subalgebra basis does not lie in the span") from None
-    sub_solver = ExpansionSolver(k.basis)
+    sub_solver = k.expansion_solver
     for i in range(k.dim):
         for j in range(i + 1, k.dim):
             try:
@@ -90,11 +102,10 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
                     f"not a subalgebra: bracket of elements {i} and {j} "
                     "leaves the span") from None
     B = killing_form(g)
-    pairing_rows = [[sum((kc[r] * B[r, s] for r in range(g.dim)), Fraction(0))
+    pairing_rows = [[sum(kc[r] * B[r, s] for r in range(g.dim))
                      for s in range(g.dim)] for kc in k_coords]
     restricted = Matrix(k.dim, k.dim, [
-        sum((pairing_rows[i][s] * k_coords[j][s] for s in range(g.dim)),
-            Fraction(0))
+        sum(pairing_rows[i][s] * k_coords[j][s] for s in range(g.dim))
         for i in range(k.dim) for j in range(k.dim)])
     radical = k.dim - restricted.rank()
     if radical:
@@ -110,7 +121,7 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
     if stacked.rank() != g.dim:
         raise ValueError("subalgebra plus complement do not span")
     pair = ReductivePair(g=g, k=k, p_basis=p_basis)
-    split = pair.split_solver()
+    split = pair.split_solver
     for kappa in k.basis:
         for p in p_basis:
             coords = split.expand(bracket(kappa, p))
@@ -132,7 +143,7 @@ def _complement_action(pair: ReductivePair) -> list[Matrix]:
     bracket(kappa, p_i) = sum_j R[j, i] p_j."""
     if pair.k is None:
         return []
-    split = pair.split_solver()
+    split = pair.split_solver
     kd = pair.k_dim
     mats = []
     for kappa in pair.k.basis:
@@ -145,9 +156,9 @@ def _complement_action(pair: ReductivePair) -> list[Matrix]:
 def _projected_constants(pair: ReductivePair):
     """cbar[i][j] = complement component of bracket(p_i, p_j) in complement
     coordinates; the subalgebra component is projected away."""
-    split = pair.split_solver()
+    split = pair.split_solver
     kd, m = pair.k_dim, pair.p_dim
-    zero = tuple(Fraction(0) for _ in range(m))
+    zero = (0,) * m
     cbar = [[zero] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -160,7 +171,7 @@ def _projected_constants(pair: ReductivePair):
 
 def is_symmetric_pair(pair: ReductivePair) -> bool:
     """True when every complement bracket lands inside the subalgebra."""
-    cbar = _projected_constants(pair)
+    cbar = pair.projected_constants
     return all(not any(c) for row in cbar for c in row)
 
 
@@ -209,7 +220,7 @@ def invariant_wedge_basis(pair: ReductivePair, q: int,
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     index_of = {S: i for i, S in enumerate(subsets)}
     ops = [_derivation_triples(R, subsets, index_of)
-           for R in _complement_action(pair)]
+           for R in pair.complement_action]
     return joint_kernel(len(subsets), ops)
 
 
@@ -222,7 +233,7 @@ def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
     """Relative differential from q-wedges to (q+1)-wedges:
     (d phi)(x_0..x_q) = sum_{i<j} (-1)^{i+j} phi(proj[x_i, x_j], others)."""
     index_of = {S: i for i, S in enumerate(subsets_q)}
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Scalar] = {}
     for row, T in enumerate(subsets_q1):
         for i in range(len(T)):
             for j in range(i + 1, len(T)):
@@ -236,9 +247,9 @@ def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
                     below = sum(1 for u in rest if u < l)
                     sign = -pair_sign if below % 2 else pair_sign
                     key = (row, index_of[S])
-                    entries[key] = entries.get(key, Fraction(0)) + val * sign
+                    entries[key] = entries.get(key, 0) + val * sign
     rows, cols = len(subsets_q1), len(subsets_q)
-    flat = [Fraction(0)] * (rows * cols)
+    flat = [0] * (rows * cols)
     for (r, c), v in entries.items():
         flat[r * cols + c] = v
     return Matrix(rows, cols, flat)
@@ -254,8 +265,8 @@ def relative_ce_cohomology(pair: ReductivePair,
     trusting it.
     """
     m = pair.p_dim
-    cbar = _projected_constants(pair)
-    symmetric = all(not any(c) for row in cbar for c in row)
+    cbar = pair.projected_constants
+    symmetric = is_symmetric_pair(pair)
     invariants = [invariant_wedge_basis(pair, q, ceiling)
                   for q in range(m + 1)]
     subset_lists = [_subsets(m, q) for q in range(m + 1)]

@@ -148,6 +148,17 @@ class TestInvariantsCommand:
                          "--max-degree", "-1"]) == 2
         capsys.readouterr()
 
+    def test_max_degree_over_the_ceiling_fails_up_front(self, capsys):
+        # Sym^5 of sl4's dual has 11628 monomials, over the 5000 ceiling;
+        # degrees 0-4 alone would take most of a minute
+        start = time.perf_counter()
+        assert cli.main(["invariants", "--algebra", "sl4",
+                         "--max-degree", "5"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "max degree 5" in err
+        assert "ceiling 5000" in err
+
 
 class TestSeriesCommand:
     def test_rank_four_family_matches_target(self):
@@ -209,6 +220,24 @@ class TestOutputContract:
         parsed = json.loads(first)
         assert set(parsed) == {"command", "inputs_digest", "results",
                                "verdict", "warnings"}
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["anomaly", f"{FIXTURES}/adjoint_sl3.json"], 0,
+         "cf17a95197abee2ee6134fd21934d4e883c91fac60f0452982a2c16ae16c7549"),
+        (["anomaly", f"{FIXTURES}/left_only_sl3.json"], 1,
+         "5a7745c6e4cc0ba611165fc0bef254065c44ce692318eab56a711ba9eacae81f"),
+        (["relcoh", "--pair", "sl3/so3"], 0,
+         "f94dc9e792a6f23107bb77d63a8e53c1f646552c02e3f87ac3a4478be0438fe9"),
+        (["invariants", "--algebra", "sl2", "--max-degree", "4"], 0,
+         "c6c12efe33591141e52facf482c7775f4848616c53089dbe1c95369638fd1152"),
+    ])
+    def test_exact_reports_keep_their_bytes(self, capsys, argv, code,
+                                            digest):
+        # bytes of a reference build; the anomaly digest hashes the
+        # fixture's content, not its path
+        assert cli.main(argv + ["--output", "structured"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_structured_output_round_trips(self, capsys):
         assert cli.main(["relcoh", "--pair", "sl2/so2",

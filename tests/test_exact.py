@@ -265,3 +265,76 @@ def test_joint_kernel_sparse_operator():
 def test_as_scalar_rejects_floats():
     with pytest.raises(TypeError):
         as_scalar(0.5)
+
+
+# -- no float ever enters the exact layer ---------------------------------
+
+
+def exact_leaves(value):
+    """Every scalar inside matrices and nested tuples/lists of results."""
+    if isinstance(value, Matrix):
+        yield from value.entries()
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from exact_leaves(item)
+    else:
+        yield value
+
+
+def test_exact_results_hold_no_floats():
+    from pathlib import Path
+
+    from liegauge.anomaly import anomaly_form, verdict
+    from liegauge.liealg import (
+        invariant_polynomial_dimension,
+        invariant_symmetric_forms,
+        killing_form,
+        make_classical,
+        structure_constants,
+    )
+    from liegauge.lgio import classical_from_label, load_embedding
+    from liegauge.relcoh import (
+        cartan_complement,
+        invariant_wedge_basis,
+        relative_ce_cohomology,
+    )
+
+    results = []
+    # the README exact commands: anomaly, relcoh, invariants
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for name in ("adjoint_sl3", "left_only_sl3", "left_only_sl2",
+                 "block_dup_sl2_in_sl4"):
+        emb = load_embedding(fixtures / f"{name}.json")
+        report = verdict(emb).report
+        results += [report.Q, report.normalization, anomaly_form(emb).Q]
+    for g, k in (("sl3", "so3"), ("sl2", "so2"), ("su2", None)):
+        pair = cartan_complement(classical_from_label(g),
+                                 classical_from_label(k) if k else None)
+        results += [pair.p_basis, pair.complement_action,
+                    pair.projected_constants, relative_ce_cohomology(pair)]
+        results += [invariant_wedge_basis(pair, q)
+                    for q in range(pair.p_dim + 1)]
+    sl2 = make_classical("sl", 2)
+    results.append([invariant_polynomial_dimension(sl2, d)
+                    for d in range(5)])
+    # the exact primitives, on rational and Gaussian algebras
+    for fam, n in (("sl", 3), ("so", 4), ("su", 2), ("gl", 2)):
+        alg = make_classical(fam, n)
+        results += [structure_constants(alg), killing_form(alg),
+                    invariant_symmetric_forms(alg)]
+    m = Matrix.from_rows([[2, 4, 1], [1, 3, 0], [0, 1, 5]])
+    results += [m.inverse(), m.rref()[0], Matrix.from_rows(
+        [[3, 1, 2], [6, 2, 4]]).kernel_basis()]
+    results.append(joint_kernel(3, [[(0, 0, 2), (0, 1, 3)], m]))
+    results.append(joint_kernel(3, [[(0, 0, 2), (0, 1, 3)]]))
+
+    leaves = list(exact_leaves(results))
+    assert any(isinstance(x, Fraction) for x in leaves)
+    assert any(isinstance(x, GaussianRational) for x in leaves)
+    for x in leaves:
+        assert type(x) in (int, Fraction, GaussianRational), repr(x)
+        if isinstance(x, GaussianRational):
+            assert type(x.re) is Fraction and type(x.im) is Fraction
+    # integral rationals are stored as int
+    for x in exact_leaves([r for r in results if isinstance(r, Matrix)]):
+        assert not (isinstance(x, Fraction) and x.denominator == 1), x

@@ -176,7 +176,7 @@ def test_killing_so_n_proportional_to_trace_form(n):
     alg = make_classical("so", n)
     B, T = killing_form(alg), trace_form(alg)
     assert T[0, 0] != 0
-    factor = B[0, 0] / T[0, 0]
+    factor = Fraction(B[0, 0], T[0, 0])
     assert B == T.scale(factor)
     assert B.rank() == alg.dim  # semisimple: nondegenerate
 
@@ -210,7 +210,7 @@ def test_invariant_forms_sl2_span_killing():
     q = forms[0]
     B = killing_form(make_classical("sl", 2))
     assert q[0, 0] != 0
-    assert B == q.scale(B[0, 0] / q[0, 0])
+    assert B == q.scale(Fraction(B[0, 0], q[0, 0]))
 
 
 def test_invariant_forms_simple_algebras_are_lines():
