@@ -18,6 +18,7 @@ identical inputs; the default text form is line oriented.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -232,7 +233,10 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
                      _verdict(ok, warnings), warnings)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no per-call
+    state and parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "structured"),
                         default="text",

@@ -1,18 +1,22 @@
-"""Exact scalar arithmetic and dense exact linear algebra.
+"""Exact scalar arithmetic and exact linear algebra.
 
 Scalars are rationals or `GaussianRational` (elements of Q(i), stored as
-a pair of Fractions).  A rational with denominator 1 is a Python `int`,
-any other is a `fractions.Fraction`; almost every entry of the classical
-bases and their structure data is a small integer, and integer arithmetic
-is several times faster than Fraction arithmetic.  Division goes through
-`divide`, which returns an exact Fraction where `int / int` would return a
-float.  Everything downstream that must be exact (structure constants,
-Killing forms, anomaly matrices, kernel computations) runs on top of this
-module; no floats enter here.
+a pair of rational parts).  A rational with denominator 1 is a Python
+`int`, any other is a `fractions.Fraction`, and the parts of a
+`GaussianRational` follow the same int-first rule; almost every entry of
+the classical bases and their structure data is a small integer, and
+integer arithmetic is several times faster than Fraction arithmetic.
+Division goes through `divide`, which returns an exact Fraction where
+`int / int` would return a float.  Everything downstream that must be
+exact (structure constants, Killing forms, anomaly matrices, kernel
+computations) runs on top of this module; no floats enter here.
 
-Row reduction uses the first nonzero entry in each column as the pivot,
-scanning rows top to bottom, so results are deterministic and reproducible
-across runs and platforms.
+Matrices are stored densely, but elimination works on sparse rows (a
+`{column: value}` dict of the nonzero entries), so pivot scaling and row
+updates touch only nonzero entries; the operators of `joint_kernel` are
+indexed by column for the same reason.  Row reduction uses the first
+nonzero entry in each column as the pivot, scanning rows top to bottom,
+so results are deterministic and reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -21,19 +25,32 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 
+def _rational(x) -> Union[int, Fraction]:
+    """An exact rational, int-first: an integral Fraction becomes an int."""
+    if type(x) is int:
+        return x
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
 class GaussianRational:
     """A Gaussian rational a + b*i with exact rational parts.
 
-    Interoperates with int and Fraction (coerced to imaginary part 0).
-    Instances are immutable and hashable; a value with zero imaginary part
-    hashes like its rational part so mixed-keyed dicts behave.
+    Each part is an `int` or a non-integral `Fraction`; anything else
+    (a float, a string) is a TypeError.  Interoperates with int and
+    Fraction (coerced to imaginary part 0).  Instances are immutable and
+    hashable; a value with zero imaginary part hashes like its rational
+    part so mixed-keyed dicts behave.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _rational(re))
+        object.__setattr__(self, "im", _rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -84,8 +101,8 @@ class GaussianRational:
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
+            divide(self.re * o.re + self.im * o.im, n),
+            divide(self.im * o.re - self.re * o.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -131,15 +148,9 @@ Scalar = Union[int, Fraction, GaussianRational]
 def as_scalar(x: Scalar) -> Scalar:
     """Coerce an int/Fraction/GaussianRational to an exact scalar; an
     integral Fraction becomes an int."""
-    if type(x) is int:
+    if type(x) is int or type(x) is GaussianRational:
         return x
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, GaussianRational):
-        return x
-    raise TypeError(f"not an exact scalar: {x!r}")
+    return _rational(x)
 
 
 def divide(a: Scalar, b: Scalar) -> Scalar:
@@ -193,6 +204,16 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_e", e)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """Trusted constructor: `entries` is a tuple of rows * cols scalars
+        already normalized by `as_scalar` (a zero may be the int 0)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_e", entries)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -285,13 +306,14 @@ class Matrix:
     def matvec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("length mismatch")
+        nonzero = [(t, x) for t, x in enumerate(v) if x]
+        e, n = self._e, self.cols
         out = []
         for i in range(self.rows):
             s = 0
-            base = i * self.cols
-            for t, x in enumerate(v):
-                if x:
-                    s = s + self._e[base + t] * x
+            base = i * n
+            for t, x in nonzero:
+                s = s + e[base + t] * x
             out.append(s)
         return tuple(out)
 
@@ -339,32 +361,51 @@ class Matrix:
 
         Returns (R, pivot_columns).  Pivot choice: scan columns left to
         right; in each column take the first row (top to bottom, among rows
-        not yet used) with a nonzero entry.
+        not yet used) with a nonzero entry.  Rows are eliminated as sparse
+        `{column: value}` dicts, so only nonzero entries are visited.
         """
-        rows = [list(self.row(i)) for i in range(self.rows)]
+        nr, nc, e = self.rows, self.cols, self._e
+        if not nr:
+            return self, []
+        rows = [{j: x for j, x in enumerate(e[i * nc:(i + 1) * nc]) if x}
+                for i in range(nr)]
         pivots: list[int] = []
         r = 0
-        for j in range(self.cols):
+        for j in range(nc):
             sel = None
-            for i in range(r, self.rows):
-                if rows[i][j]:
+            for i in range(r, nr):
+                if j in rows[i]:
                     sel = i
                     break
             if sel is None:
                 continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = rows[r][j]
+            prow = rows[sel]
+            rows[sel] = rows[r]
+            inv = prow[j]
             if inv != 1:
-                rows[r] = [divide(x, inv) for x in rows[r]]
-            for i in range(self.rows):
-                if i != r and rows[i][j]:
-                    f = rows[i][j]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                prow = {k: divide(x, inv) for k, x in prow.items()}
+            prow[j] = 1
+            rows[r] = prow
+            for i, row in enumerate(rows):
+                f = row.get(j)
+                if f is None or i == r:
+                    continue
+                for k, b in prow.items():
+                    v = row.get(k, 0) - f * b
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
             pivots.append(j)
             r += 1
-            if r == self.rows:
+            if r == nr:
                 break
-        return Matrix.from_rows(rows) if rows else self, pivots
+        flat = [0] * (nr * nc)
+        for i, row in enumerate(rows):
+            base = i * nc
+            for k, x in row.items():
+                flat[base + k] = as_scalar(x)
+        return Matrix._of(nr, nc, tuple(flat)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -413,22 +454,37 @@ class Matrix:
         R, pivots = self.hstack(Matrix.identity(n)).rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(n, n, [R[i, n + j] for i in range(n) for j in range(n)])
+        return Matrix._of(n, n, tuple(R[i, n + j] for i in range(n)
+                                      for j in range(n)))
 
 
 SparseOp = list  # [(i, j, value)] triples; rows index output, cols input
 
 
-def apply_operator(op, v: Sequence[Scalar], dim: int) -> tuple:
-    """Apply a Matrix or sparse triple list to a vector of length dim."""
+def _columns(op, dim: int) -> list[list]:
+    """The nonzero entries of a Matrix or triple-list operator, grouped by
+    input column: column j holds (i, value) pairs, repeated triples summed
+    and each value normalized once."""
     if isinstance(op, Matrix):
-        return op.matvec(v)
-    out = [0] * dim
+        n = op.cols
+        op = [(t // n, t % n, x) for t, x in enumerate(op.entries()) if x]
+    by_col: list[dict] = [{} for _ in range(dim)]
     for i, j, val in op:
-        x = v[j]
-        if x:
-            out[i] = out[i] + val * x
-    return tuple(out)
+        col = by_col[j]
+        col[i] = col.get(i, 0) + val
+    return [[(i, as_scalar(x)) for i, x in col.items() if x]
+            for col in by_col]
+
+
+def _combination(terms) -> dict:
+    """The sum of c * v over (c, v) pairs of a scalar and a sparse vector
+    given as (index, value) pairs, as an `{index: value}` dict with zeros
+    dropped and values normalized."""
+    out: dict = {}
+    for c, vec in terms:
+        for i, x in vec:
+            out[i] = out.get(i, 0) + c * x
+    return {i: as_scalar(x) for i, x in out.items() if x}
 
 
 def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
@@ -437,25 +493,24 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
     Each op is a Matrix (dim x dim) or a sparse [(i, j, value)] triple list.
     Works by iterative restriction: the running kernel basis is refined one
     operator at a time, so early operators with small kernels keep later
-    eliminations cheap.  Returns basis vectors (tuples of length dim).
+    eliminations cheap.  The basis is kept sparse and each operator is
+    indexed by column once, so an image costs the nonzeros of the basis
+    vector times those of the columns it meets.  Returns basis vectors
+    (tuples of length dim).
     """
-    basis: list[tuple] = [
-        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
-    ]
+    basis: list[dict] = [{j: 1} for j in range(dim)]
     for op in ops:
         if not basis:
             return []
-        image_cols = [apply_operator(op, v, dim) for v in basis]
-        A = Matrix.from_columns(image_cols) if image_cols else Matrix.zero(dim, 0)
-        coeffs = A.kernel_basis()
-        new_basis = []
-        for cv in coeffs:
-            w = [0] * dim
-            for c, bvec in zip(cv, basis):
-                if c:
-                    for i, x in enumerate(bvec):
-                        if x:
-                            w[i] = w[i] + c * x
-            new_basis.append(tuple(w))
-        basis = new_basis
-    return basis
+        cols = _columns(op, dim)
+        images = [_combination((x, cols[j]) for j, x in v.items())
+                  for v in basis]
+        k = len(basis)
+        flat = [0] * (dim * k)
+        for c, image in enumerate(images):
+            for i, x in image.items():
+                flat[i * k + c] = x
+        coeffs = Matrix._of(dim, k, tuple(flat)).kernel_basis()
+        basis = [_combination((c, v.items()) for c, v in zip(cv, basis) if c)
+                 for cv in coeffs]
+    return [tuple(v.get(i, 0) for i in range(dim)) for v in basis]

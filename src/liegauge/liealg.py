@@ -279,19 +279,22 @@ def coadjoint_derivation(c, a: int, monomials, index) -> list:
     so xi_v maps to -sum_j c[a][j][v] xi_j; it extends to monomials by the
     Leibniz rule.  Returns [(row, col, val)] triples over the monomial basis.
     """
+    ca = c[a]
     dim = len(c)
+    images = [[(j, -ca[j][v]) for j in range(dim) if ca[j][v]]
+              for v in range(dim)]
     triples = []
     for col, mono in enumerate(monomials):
         seen = {}
         for v in mono:
             seen[v] = seen.get(v, 0) + 1
         for v, mult in seen.items():
+            if not images[v]:
+                continue
             pos = mono.index(v)
-            for j in range(dim):
-                coeff = -c[a][j][v]
-                if not coeff:
-                    continue
-                target = tuple(sorted(mono[:pos] + (j,) + mono[pos + 1:]))
+            rest = mono[:pos] + mono[pos + 1:]
+            for j, coeff in images[v]:
+                target = tuple(sorted(rest + (j,)))
                 triples.append((index[target], col, mult * coeff))
     return triples
 

@@ -262,9 +262,13 @@ def relative_ce_cohomology(pair: ReductivePair,
     The differential is built in full and applied to the invariant
     cochains; when the pair is symmetric the restricted maps are asserted
     to be zero, which re-derives the standard vanishing instead of
-    trusting it.
+    trusting it.  The wedge ceiling is checked for every degree before
+    any work; C(m, q) grows up to q = m // 2, so the first degree over the
+    ceiling, if any, is found there.
     """
     m = pair.p_dim
+    for q in range(m // 2 + 1):
+        _check_ceiling(m, q, ceiling)
     cbar = pair.projected_constants
     symmetric = is_symmetric_pair(pair)
     invariants = [invariant_wedge_basis(pair, q, ceiling)

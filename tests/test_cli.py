@@ -136,6 +136,16 @@ class TestRelcohCommand:
         assert cli.main(["relcoh", "--pair", "sp4/so3"]) == 2
         capsys.readouterr()
 
+    def test_wedge_ceiling_fails_up_front(self, capsys):
+        # sl5's plain complex needs C(24, 5) = 42504 subsets in degree 5,
+        # over the 20000 ceiling; degree 4 alone used to take seconds
+        start = time.perf_counter()
+        assert cli.main(["relcoh", "--pair", "sl5"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "wedge degree 5" in err
+        assert "ceiling 20000" in err
+
 
 class TestInvariantsCommand:
     def test_rank_one_dimensions(self):
@@ -260,3 +270,12 @@ class TestOutputContract:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        # a failed parse leaves the shared parser as it was
+        assert cli.main(["invariants", "--algebra", "sl2"]) == 2
+        assert cli.main(["invariants", "--algebra", "sl2",
+                         "--max-degree", "2", "--output", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][
+            "dimension_line"] == "1 0 1"

@@ -267,6 +267,178 @@ def test_as_scalar_rejects_floats():
         as_scalar(0.5)
 
 
+def test_gaussian_parts_must_be_exact():
+    for bad in (0.1, "1/2", None, 1j):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1, bad)
+    # exact parts are int-first: an integral Fraction becomes an int
+    x = GaussianRational(Fraction(6, 3), Fraction(1, 2))
+    assert type(x.re) is int and x.re == 2 and x.im == Fraction(1, 2)
+    assert type((GaussianRational(3, 1) / GaussianRational(3, 1)).re) is int
+    assert repr(GaussianRational(Fraction(4, 2), -1)) == "(2-1i)"
+
+
+# -- sparse elimination against the dense reference --------------------------
+#
+# The reference below is the dense Gauss-Jordan elimination and dense
+# iterative joint kernel that `Matrix.rref` and `joint_kernel` replaced,
+# kept here as an oracle: it works on full lists of lists and shares no
+# code with the sparse implementation.
+
+
+def _ref_div(x, y):
+    if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
+        return x / y
+    return Fraction(x) / y
+
+
+def ref_rref(rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][j]
+        rows[r] = [_ref_div(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_kernel(rows, ncols):
+    R, pivots = ref_rref(rows, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[j] = 1
+        for r, pj in enumerate(pivots):
+            v[pj] = -R[r][j]
+        basis.append(v)
+    return basis
+
+
+def ref_joint_kernel(dim, ops):
+    basis = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
+    for op in ops:
+        if not basis:
+            return []
+        if isinstance(op, Matrix):
+            dense = op.to_lists()
+        else:
+            dense = [[0] * dim for _ in range(dim)]
+            for i, j, val in op:
+                dense[i][j] = dense[i][j] + val
+        images = [[sum(dense[i][j] * v[j] for j in range(dim))
+                   for i in range(dim)] for v in basis]
+        coeffs = ref_kernel([[img[i] for img in images] for i in range(dim)],
+                            len(basis))
+        basis = [[sum(c * v[i] for c, v in zip(cv, basis))
+                  for i in range(dim)] for cv in coeffs]
+    return basis
+
+
+def assert_normalized(x):
+    assert type(x) in (int, Fraction, GaussianRational), repr(x)
+    parts = (x.re, x.im) if type(x) is GaussianRational else (x,)
+    for p in parts:
+        assert type(p) is int or (type(p) is Fraction and p.denominator != 1), \
+            repr(x)
+
+
+def random_sparse_scalar(rng, gaussian, density):
+    if rng.random() > density:
+        return 0
+    x = rng.choice((1, -1, 2, -3)) if rng.random() < 0.4 \
+        else random_fraction(rng)
+    if gaussian and rng.random() < 0.5:
+        return GaussianRational(x, random_fraction(rng))
+    return x
+
+
+def random_sparse_rows(rng, nrows, ncols, gaussian):
+    density = rng.choice((0.1, 0.25, 0.5))
+    rows = [[random_sparse_scalar(rng, gaussian, density)
+             for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.4:          # a zero row
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if ncols and rng.random() < 0.4:          # a zero column
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if nrows >= 2 and rng.random() < 0.5:     # rank deficiency
+        a, b = rng.sample(range(nrows), 2)
+        f = rng.choice((2, Fraction(-1, 3)))
+        rows[b] = [f * x + y for x, y in zip(rows[a], rows[b])] \
+            if rng.random() < 0.5 else [f * x for x in rows[a]]
+    return rows
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_sparse_rref_matches_dense_reference(gaussian):
+    rng = random.Random(4242 + gaussian)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        rows = random_sparse_rows(rng, nrows, ncols, gaussian)
+        R, pivots = Matrix.from_rows(rows).rref()
+        want_R, want_pivots = ref_rref(rows, ncols)
+        assert pivots == want_pivots
+        assert R.to_lists() == want_R
+        for x in R.entries():
+            assert_normalized(x)
+
+
+def _random_ops(rng, dim, gaussian):
+    ops = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            ops.append(Matrix.from_rows(
+                random_sparse_rows(rng, dim, dim, gaussian)))
+            continue
+        triples = [(rng.randrange(dim), rng.randrange(dim),
+                    random_sparse_scalar(rng, gaussian, 1.0))
+                   for _ in range(rng.randint(0, 2 * dim))]
+        if triples and rng.random() < 0.3:     # repeated (i, j) entries
+            triples.append(triples[0])
+        ops.append(triples)
+    return ops
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_sparse_joint_kernel_matches_dense_reference(gaussian):
+    rng = random.Random(77 + gaussian)
+    cases = []
+    for trial in range(60):
+        dim = rng.randint(1, 7)
+        ops = _random_ops(rng, dim, gaussian)
+        if trial % 5 == 0:
+            ops.insert(0, Matrix.zero(dim, dim))
+        cases.append((dim, ops))
+    # restriction sums fractions to the integer -1 in the kernel vector
+    cases.append((5, [Matrix.from_rows([[0, Fraction(1, 2), -1, 0, 0],
+                                        [0, Fraction(-2, 3), -2, -3, 0]]
+                                       + [[0] * 5] * 3),
+                      [(4, 4, 1), (4, 2, 2)]]))
+    for dim, ops in cases:
+        got = joint_kernel(dim, ops)
+        want = ref_joint_kernel(dim, ops)
+        assert [list(v) for v in got] == want
+        for v in got:
+            assert len(v) == dim
+            for x in v:
+                assert_normalized(x)
+
+
 # -- no float ever enters the exact layer ---------------------------------
 
 
@@ -334,7 +506,9 @@ def test_exact_results_hold_no_floats():
     for x in leaves:
         assert type(x) in (int, Fraction, GaussianRational), repr(x)
         if isinstance(x, GaussianRational):
-            assert type(x.re) is Fraction and type(x.im) is Fraction
+            assert all(type(p) is int
+                       or (type(p) is Fraction and p.denominator != 1)
+                       for p in (x.re, x.im)), repr(x)
     # integral rationals are stored as int
     for x in exact_leaves([r for r in results if isinstance(r, Matrix)]):
         assert not (isinstance(x, Fraction) and x.denominator == 1), x
