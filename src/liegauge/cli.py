@@ -21,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -182,7 +183,11 @@ def cmd_series(n: int, truncate: int) -> RunReport:
 def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
                       samples: int = 100, step: float = 1e-3,
                       seed: int = 0) -> RunReport:
-    # numpy and scipy load only for this command
+    # numpy and scipy load only for this command.  Its tiny matmuls and
+    # expm calls only lose time to extra BLAS threads, so pin one thread
+    # before they load, keeping any value already set.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     from .getzler import checks as getzler_checks
 
     if group != "sl2" or ambient != 2:

@@ -48,6 +48,8 @@ class LinearAction:
         self.m = m
         self.g_dim = len(mats)
         self.basis = tuple(mats)
+        self._fields = tuple((FIELD_SIGN * b).tolist() for b in mats)
+        self._eye = np.eye(m)
         self._dual = self._dual_frame()
 
     # -- constructors ------------------------------------------------------
@@ -68,6 +70,8 @@ class LinearAction:
         action.m = 0
         action.g_dim = g_dim
         action.basis = tuple(np.zeros((0, 0)) for _ in range(g_dim))
+        action._fields = tuple([] for _ in range(g_dim))
+        action._eye = np.eye(0)
         action._dual = None
         return action
 
@@ -114,7 +118,7 @@ class LinearAction:
         return np.eye(self.m)
 
     def is_identity(self, h) -> bool:
-        return np.array_equal(np.asarray(h), np.eye(self.m))
+        return np.array_equal(np.asarray(h), self._eye)
 
     def inverse(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -150,10 +154,10 @@ class LinearAction:
         ad = self.ad_matrix(hinv)
         return form.substitute_omega(ad).pullback_linear(hinv)
 
-    def field_matrix(self, a: int) -> np.ndarray:
-        """Matrix V of the fundamental vector field x -> V x for basis
-        direction a; carries the documented orientation sign."""
-        return FIELD_SIGN * self.basis[a]
+    def field_matrix(self, a: int) -> list[list[float]]:
+        """Rows of the matrix V of the fundamental vector field x -> V x
+        for basis direction a; carries the documented orientation sign."""
+        return self._fields[a]
 
 
 class GroupSampler:

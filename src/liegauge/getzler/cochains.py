@@ -15,6 +15,9 @@ one cochain per arity, missing arities meaning zero.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .action import LinearAction
@@ -56,16 +59,20 @@ class EquivariantCochain:
         return EquivariantCochain(
             self.action, self.arity, lambda gs: self(gs).scale(c))
 
-    def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
+    def _pointwise(self, other: "EquivariantCochain", op
+                   ) -> "EquivariantCochain":
         if self.arity != other.arity:
             raise ValueError("cannot add cochains of different arity")
         if self.action is not other.action:
             raise ValueError("cochains belong to different actions")
         return EquivariantCochain(
-            self.action, self.arity, lambda gs: self(gs) + other(gs))
+            self.action, self.arity, lambda gs: op(self(gs), other(gs)))
+
+    def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other: "EquivariantCochain") -> "EquivariantCochain":
-        return self + other.scale(-1.0)
+        return self._pointwise(other, operator.sub)
 
 
 def zero_cochain(action: LinearAction, arity: int) -> EquivariantCochain:
@@ -87,13 +94,20 @@ def unit_cochain(action: LinearAction) -> EquivariantCochain:
         action, PolyForm.constant(action.g_dim, action.m, 1.0))
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def vanish_factor(gs) -> float:
     """Product of squared Frobenius distances to the identity, one factor
     per argument; exactly zero when any argument is the identity."""
     out = 1.0
     for g in gs:
         g = np.asarray(g, dtype=float)
-        d = g - np.eye(g.shape[0])
+        d = g - _identity(g.shape[0])
         out *= float(np.sum(d * d))
     return out
 

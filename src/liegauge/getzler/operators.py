@@ -46,17 +46,21 @@ def _parity(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
+def _signed_sum(total: PolyForm, term: PolyForm, k: int) -> PolyForm:
+    """total + (-1)^k term; subtracting is bitwise adding term * -1.0."""
+    return total - term if k % 2 else total + term
+
+
 def _d_value(value: PolyForm, sign: float) -> PolyForm:
     return value.exterior_d().scale(sign)
 
 
 def _iota_value(action: LinearAction, value: PolyForm,
                 sign: float) -> PolyForm:
-    unit_rows = np.eye(action.g_dim)
     total = PolyForm.zero(action.g_dim, action.m)
     for a in range(action.g_dim):
         contracted = value.contract_linear_field(action.field_matrix(a))
-        total = total + contracted.multiply_omega_linear(unit_rows[a])
+        total = total + contracted.multiply_omega(a)
     return total.scale(sign)
 
 
@@ -95,8 +99,8 @@ def op_dbar(c: EquivariantCochain) -> EquivariantCochain:
         total = action.group_action(gs[0], c(gs[1:]))
         for i in range(1, k + 1):
             merged = gs[:i - 1] + (gs[i - 1] @ gs[i],) + gs[i + 1:]
-            total = total + c(merged).scale(_parity(i))
-        return total + c(gs[:k]).scale(_parity(k + 1))
+            total = _signed_sum(total, c(merged), i)
+        return _signed_sum(total, c(gs[:k]), k + 1)
 
     return EquivariantCochain(action, k + 1, evaluate)
 
@@ -118,7 +122,6 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
     else:
         exps = [(expm(step * A), expm(-step * A)) for A in action.basis]
     half = 1.0 / (2.0 * step)
-    unit_rows = np.eye(action.g_dim)
 
     def evaluate(gs):
         total = PolyForm.zero(action.g_dim, action.m)
@@ -129,15 +132,15 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
                 for g in leading[1:]:
                     h = h @ g
                 ad_rows = action.ad_matrix(action.inverse(h))
-            else:
-                ad_rows = unit_rows
-            sign = _parity(i)
             for b in range(action.g_dim):
                 plus, minus = exps[b]
                 diff = (c(gs[:i] + (plus,) + gs[i:])
                         - c(gs[:i] + (minus,) + gs[i:])).scale(half)
-                total = total + diff.multiply_omega_linear(
-                    ad_rows[b]).scale(sign)
+                # with no leading arguments the transport is the identity,
+                # and the product with a unit row is the shift by Omega^b
+                term = (diff.multiply_omega_linear(ad_rows[b]) if leading
+                        else diff.multiply_omega(b))
+                total = _signed_sum(total, term, i)
         return total
 
     return EquivariantCochain(action, k - 1, evaluate)

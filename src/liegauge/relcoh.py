@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 WEDGE_CEILING = 20000
+# largest dense differential, C(m, q) * C(m, q + 1) entries, that
+# relative_ce_cohomology builds; every complement with m <= 10 fits
+DIFFERENTIAL_CEILING = 100000
 
 
 @dataclass(frozen=True)
@@ -264,11 +267,18 @@ def relative_ce_cohomology(pair: ReductivePair,
     to be zero, which re-derives the standard vanishing instead of
     trusting it.  The wedge ceiling is checked for every degree before
     any work; C(m, q) grows up to q = m // 2, so the first degree over the
-    ceiling, if any, is found there.
+    ceiling, if any, is found there.  Then each dense differential is
+    checked against DIFFERENTIAL_CEILING.
     """
     m = pair.p_dim
     for q in range(m // 2 + 1):
         _check_ceiling(m, q, ceiling)
+    for q in range(m):
+        entries = math.comb(m, q) * math.comb(m, q + 1)
+        if entries > DIFFERENTIAL_CEILING:
+            raise ValueError(
+                f"differential from wedge degree {q} needs {entries} "
+                f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
     cbar = pair.projected_constants
     symmetric = is_symmetric_pair(pair)
     invariants = [invariant_wedge_basis(pair, q, ceiling)

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from liegauge import cli
 from liegauge.report import RunReport, canonical_json, inputs_digest
 
 FIXTURES = "fixtures"
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -146,6 +151,17 @@ class TestRelcohCommand:
         assert "wedge degree 5" in err
         assert "ceiling 20000" in err
 
+    def test_differential_ceiling_fails_up_front(self, capsys):
+        # sl4's plain complex passes the wedge ceiling (C(15, 7) = 6435),
+        # but its dense differential from degree 3 has C(15, 3) * C(15, 4)
+        # = 621075 entries; building them used to exhaust memory
+        start = time.perf_counter()
+        assert cli.main(["relcoh", "--pair", "sl4"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "wedge degree 3" in err
+        assert "ceiling 100000" in err
+
 
 class TestInvariantsCommand:
     def test_rank_one_dimensions(self):
@@ -230,6 +246,51 @@ class TestOutputContract:
         parsed = json.loads(first)
         assert set(parsed) == {"command", "inputs_digest", "results",
                                "verdict", "warnings"}
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["--arity", "2", "--samples", "10"], 0,
+         "0de9d2228fecb849e2736a9d324fdcc19b5c12c4717f9a50c8472b94bf2fece7"),
+        # a known failure: its bytes and its exit code are pinned too
+        (["--arity", "0", "--samples", "3", "--seed", "20"], 1,
+         "193b06ee249c74917445013f3e8acea4644b70b6043db14940d3cf126164658e"),
+    ])
+    def test_getzler_reports_keep_their_bytes(self, capsys, argv, code,
+                                              digest):
+        assert cli.main(["getzler-check", *argv,
+                         "--output", "structured"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_getzler_check_pins_blas_threads(self):
+        # in a fresh interpreter with the thread variables unset, the
+        # command sets them to 1 before numpy loads; a value already set
+        # is kept, and the report bytes are the same either way
+        script = ("import os, sys\n"
+                  "from liegauge import cli\n"
+                  "assert 'numpy' not in sys.modules\n"
+                  "code = cli.main(['getzler-check', '--arity', '0',\n"
+                  "                 '--samples', '2', '--output',\n"
+                  "                 'structured'])\n"
+                  f"print(*(os.environ[v] for v in {BLAS_VARS!r}))\n"
+                  "sys.exit(code)\n")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run(extra):
+            done = subprocess.run([sys.executable, "-c", script],
+                                  env={**env, **extra}, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            report, threads = done.stdout.splitlines()
+            return report, threads
+
+        pinned, threads = run({})
+        assert threads == "1 1 1"
+        unpinned, threads = run({v: "2" for v in BLAS_VARS})
+        assert threads == "2 2 2"
+        assert pinned == unpinned
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["anomaly", f"{FIXTURES}/adjoint_sl3.json"], 0,

@@ -40,7 +40,7 @@ from liegauge.getzler.operators import (
     total_differential,
 )
 from liegauge.getzler import checks
-from liegauge.getzler.polyform import PolyForm
+from liegauge.getzler.polyform import EXPONENT_LIMIT, PolyForm
 from liegauge.liealg import make_classical
 
 SL2 = LinearAction.sl2()
@@ -176,6 +176,313 @@ class TestPolyForm:
                                ((0, 1), (1, 0), (0, 1)): 2})
         assert form.terms == {((0, 1), (1, 0), (0, 1)): 2.0}
         assert type(form.terms[((0, 1), (1, 0), (0, 1))]) is float
+
+
+    @pytest.mark.parametrize("key, bad", [
+        (((-1, 0), (0, 0), ()), "-1"),
+        (((0, 0), (0, -2), ()), "-2"),
+        (((EXPONENT_LIMIT, 0), (0, 0), ()), str(EXPONENT_LIMIT)),
+        (((0, 0), (0, EXPONENT_LIMIT + 5), (0,)), str(EXPONENT_LIMIT + 5)),
+    ])
+    def test_constructor_rejects_exponents_out_of_range(self, key, bad):
+        with pytest.raises(ValueError, match=f"exponent {bad} outside"):
+            PolyForm(2, 2, {key: 1.0})
+
+    def test_constructor_accepts_the_largest_exponent(self):
+        top = EXPONENT_LIMIT - 1
+        form = PolyForm.term(2, 2, 1.0, omega_exp=(top, 0), x_exp=(0, top))
+        assert form.terms == {((top, 0), (0, top), ()): 1.0}
+
+    def test_exponent_overflow_raises_instead_of_carrying(self):
+        top = EXPONENT_LIMIT - 1
+        high_omega = PolyForm.term(2, 2, 1.0, omega_exp=(top, 0), dx=(0,))
+        high_x = PolyForm.term(2, 2, 1.0, x_exp=(top, 1), dx=(1,))
+        one_omega = PolyForm.term(2, 2, 1.0, omega_exp=(1, 0))
+        # row 1 sends dx1 to x0 and x1 to x0, onto the top exponent
+        onto_x0 = [[1.0, 0.0], [1.0, 0.0]]
+        raising = [
+            lambda: high_omega.wedge(one_omega),
+            lambda: high_omega.multiply_omega(0),
+            lambda: high_omega.multiply_omega_linear([1.0, 0.0]),
+            lambda: high_x.contract_linear_field(onto_x0),
+            lambda: high_x.pullback_linear(onto_x0),
+            lambda: PolyForm.term(2, 0, 1.0, omega_exp=(top, 1))
+            .substitute_omega(onto_x0),
+        ]
+        for op in raising:
+            with pytest.raises(ValueError, match="exponent reached"):
+                op()
+        # below the limit the same operations go through
+        swap = [[0.0, 1.0], [1.0, 0.0]]
+        assert not high_omega.multiply_omega(1).is_zero()
+        assert not high_x.contract_linear_field(np.eye(2)).is_zero()
+        assert not high_x.pullback_linear(swap).is_zero()
+
+
+# -- bitwise reference: the tuple-keyed PolyForm --------------------------------
+
+
+def _merge_dx(left: tuple, right: tuple):
+    if set(left) & set(right):
+        return None
+    sign = 1
+    for i in left:
+        sign *= -1 if sum(1 for j in right if j < i) % 2 else 1
+    return sign, tuple(sorted(left + right))
+
+
+def _insert_dx(i: int, dx: tuple):
+    if i in dx:
+        return None
+    below = sum(1 for j in dx if j < i)
+    return (-1 if below % 2 else 1), tuple(sorted(dx + (i,)))
+
+
+def _bump(exp: tuple, i: int, by: int = 1) -> tuple:
+    return exp[:i] + (exp[i] + by,) + exp[i + 1:]
+
+
+def _expand_linear_power(acc: dict, row, nvars: int) -> dict:
+    out: dict = {}
+    for exp, c in acc.items():
+        for j in range(nvars):
+            cj = float(row[j])
+            if cj == 0.0:
+                continue
+            key = _bump(exp, j)
+            out[key] = out.get(key, 0.0) + c * cj
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
+def _expand_power(exp: tuple, rows, nvars: int) -> dict:
+    acc = {(0,) * nvars: 1.0}
+    for i, e in enumerate(exp):
+        for _ in range(e):
+            acc = _expand_linear_power(acc, rows[i], nvars)
+    return acc
+
+
+def _expand_wedge(dx: tuple, B, m: int) -> dict:
+    acc: dict[tuple, float] = {(): 1.0}
+    for i in dx:
+        nxt: dict[tuple, float] = {}
+        for partial, f in acc.items():
+            for j in range(m):
+                bij = float(B[i][j])
+                if bij == 0.0:
+                    continue
+                merged = _merge_dx(partial, (j,))
+                if merged is None:
+                    continue
+                sign, new_dx = merged
+                nxt[new_dx] = nxt.get(new_dx, 0.0) + f * bij * sign
+        acc = nxt
+    return acc
+
+
+class TupleForm:
+    """The tuple-keyed PolyForm operations the packed keys replaced, kept
+    as an oracle: every float operation, and the insertion order of every
+    dict, must come out the same."""
+
+    def __init__(self, g_dim, m, terms):
+        self.g_dim, self.m, self.terms = g_dim, m, dict(terms)
+
+    def _like(self, terms):
+        return TupleForm(self.g_dim, self.m,
+                         {k: c for k, c in terms.items() if c != 0.0})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0.0) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, c):
+        c = float(c)
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def twist(self, l):
+        if l % 2 == 0:
+            return self
+        out = {}
+        for key, c in self.terms.items():
+            omega, _, dx = key
+            deg = 2 * sum(omega) + len(dx)
+            out[key] = -c if deg % 2 else c
+        return self._like(out)
+
+    def wedge(self, other):
+        out: dict = {}
+        for (o1, x1, s1), c1 in self.terms.items():
+            for (o2, x2, s2), c2 in other.terms.items():
+                merged = _merge_dx(s1, s2)
+                if merged is None:
+                    continue
+                sign, dx = merged
+                omega = tuple(a + b for a, b in zip(o1, o2))
+                x = tuple(a + b for a, b in zip(x1, x2))
+                key = (omega, x, dx)
+                out[key] = out.get(key, 0.0) + sign * c1 * c2
+        return self._like(out)
+
+    def multiply_omega_linear(self, coeffs):
+        out: dict = {}
+        for (omega, x, dx), c in self.terms.items():
+            for a in range(self.g_dim):
+                ca = float(coeffs[a])
+                if ca == 0.0:
+                    continue
+                key = (_bump(omega, a), x, dx)
+                out[key] = out.get(key, 0.0) + c * ca
+        return self._like(out)
+
+    def exterior_d(self):
+        out: dict = {}
+        for (omega, x, dx), c in self.terms.items():
+            for i in range(self.m):
+                if x[i] == 0:
+                    continue
+                inserted = _insert_dx(i, dx)
+                if inserted is None:
+                    continue
+                sign, new_dx = inserted
+                key = (omega, _bump(x, i, -1), new_dx)
+                out[key] = out.get(key, 0.0) + c * x[i] * sign
+        return self._like(out)
+
+    def contract_linear_field(self, V):
+        out: dict = {}
+        for (omega, x, dx), c in self.terms.items():
+            for t, i in enumerate(dx):
+                rest = dx[:t] + dx[t + 1:]
+                slot_sign = -1 if t % 2 else 1
+                for j in range(self.m):
+                    vij = float(V[i][j])
+                    if vij == 0.0:
+                        continue
+                    key = (omega, _bump(x, j), rest)
+                    out[key] = out.get(key, 0.0) + c * vij * slot_sign
+        return self._like(out)
+
+    def substitute_omega(self, M):
+        out: dict = {}
+        expansions: dict = {}
+        for (omega, x, dx), c in self.terms.items():
+            acc = expansions.get(omega)
+            if acc is None:
+                acc = expansions[omega] = _expand_power(omega, M, self.g_dim)
+            for new_omega, factor in acc.items():
+                key = (new_omega, x, dx)
+                out[key] = out.get(key, 0.0) + c * factor
+        return self._like(out)
+
+    def pullback_linear(self, B):
+        out: dict = {}
+        x_expansions: dict = {}
+        dx_expansions: dict = {}
+        for (omega, x, dx), c in self.terms.items():
+            xacc = x_expansions.get(x)
+            if xacc is None:
+                xacc = x_expansions[x] = _expand_power(x, B, self.m)
+            dxacc = dx_expansions.get(dx)
+            if dxacc is None:
+                dxacc = dx_expansions[dx] = _expand_wedge(dx, B, self.m)
+            for new_x, xf in xacc.items():
+                for new_dx, df in dxacc.items():
+                    key = (omega, new_x, new_dx)
+                    out[key] = out.get(key, 0.0) + c * xf * df
+        return self._like(out)
+
+
+def _bits(terms: dict) -> list:
+    """Keys, order and float bits of a term dict."""
+    return [(key, float.hex(c)) for key, c in terms.items()]
+
+
+def _reference_forms(rng, g_dim, m):
+    """Tuple-keyed term dicts: empty, every dx, seeded random ones with
+    either random or dyadic coefficients (so products cancel), and a
+    random one with its negation."""
+    dxs = [tuple(i for i in range(m) if mask >> i & 1)
+           for mask in range(1 << m)]
+
+    def exps(n, top):
+        out = [0] * n
+        for _ in range(rng.randint(0, top)):
+            if n:
+                out[rng.randrange(n)] += 1
+        return tuple(out)
+
+    def coeff(dyadic):
+        if dyadic:
+            return rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+        return rng.uniform(-1.0, 1.0)
+
+    forms = [{}, {(exps(g_dim, 1), exps(m, 2), dx): coeff(False)
+                  for dx in dxs}]
+    for n in range(1, 7):
+        dyadic = n % 2 == 0
+        terms = {}
+        for _ in range(n):
+            key = (exps(g_dim, 2), exps(m, 2), rng.choice(dxs))
+            terms[key] = terms.get(key, 0.0) + coeff(dyadic)
+        forms.append({k: c for k, c in terms.items() if c != 0.0})
+    forms.append({k: -c for k, c in forms[-1].items()})
+    return forms
+
+
+def _reference_matrices(rng, n):
+    """The all-ones matrix and a +-1 matrix, whose expansions cancel
+    exactly, then seeded random ones with zero and dyadic entries."""
+    ones = [[1.0] * n for _ in range(n)]
+    signs = [[1.0 if j <= i else -1.0 for j in range(n)] for i in range(n)]
+    return [ones, signs] + [
+        [[rng.choice((0.0, 0.0, 1.0, -1.0, 0.5, 2.0, rng.uniform(-2, 2)))
+          for _ in range(n)] for _ in range(n)] for _ in range(3)]
+
+
+@pytest.mark.parametrize("g_dim", [1, 3])
+@pytest.mark.parametrize("m", [0, 2, 3])
+def test_packed_keys_match_the_tuple_reference_bitwise(g_dim, m):
+    rng = random.Random(1000 * g_dim + m)
+    dicts = _reference_forms(rng, g_dim, m)
+    pairs = []
+    for terms in dicts:
+        form = PolyForm(g_dim, m, terms)
+        assert _bits(form.terms) == _bits(terms)
+        pairs.append((form, TupleForm(g_dim, m, terms)))
+
+    def same(ours, ref):
+        assert _bits(ours.terms) == _bits(ref.terms)
+        assert all(type(c) is float for c in ours.terms.values())
+
+    for form, ref in pairs:
+        same(form.exterior_d(), ref.exterior_d())
+        for l in (0, 1):
+            same(form.twist(l), ref.twist(l))
+        for c in (1.0, -1.0, 0.375, 0.0):
+            same(form.scale(c), ref.scale(c))
+        for a in range(g_dim):
+            unit = [1.0 if b == a else 0.0 for b in range(g_dim)]
+            same(form.multiply_omega(a), ref.multiply_omega_linear(unit))
+        for M in _reference_matrices(rng, g_dim):
+            same(form.multiply_omega_linear(M[0]),
+                 ref.multiply_omega_linear(M[0]))
+            same(form.substitute_omega(M), ref.substitute_omega(M))
+        for B in _reference_matrices(rng, m):
+            same(form.contract_linear_field(B), ref.contract_linear_field(B))
+            same(form.pullback_linear(B), ref.pullback_linear(B))
+    for form1, ref1 in pairs:
+        for form2, ref2 in pairs:
+            same(form1 + form2, ref1 + ref2)
+            same(form1 - form2, ref1 - ref2)
+            same(form1.wedge(form2), ref1.wedge(ref2))
+    # the negated pair cancels to the empty form in both
+    assert (pairs[-1][0] + pairs[-2][0]).is_zero()
 
 
 # -- the linear action and its exact plumbing --------------------------------
