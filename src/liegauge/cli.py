@@ -108,11 +108,9 @@ def cmd_wzw_verify() -> RunReport:
 
 
 def _parse_pair(label: str):
-    parts = label.split("/")
-    if len(parts) == 1:
-        return parts[0].strip(), None
-    if len(parts) == 2:
-        return parts[0].strip(), parts[1].strip()
+    parts = [part.strip() for part in label.split("/")]
+    if len(parts) <= 2 and all(parts):
+        return parts[0], parts[1] if len(parts) == 2 else None
     raise ValueError(
         f"pair must look like 'sl3/so3' or a single algebra, got {label!r}")
 

@@ -182,10 +182,12 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(v) -> Scalar:
+    """Parse a file-format scalar: a "p/q" string, a JSON integer (kept an
+    int) or a two-element [re, im] list; a JSON boolean is not a number."""
     if isinstance(v, str):
         return rational_from_string(v)
-    if isinstance(v, int):
-        return Fraction(v)
+    if type(v) is int:
+        return v
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return GaussianRational(rational_from_string(str(v[0])),
                                 rational_from_string(str(v[1])))
@@ -427,25 +429,6 @@ class Matrix:
                 v[pj] = -R[r, j]
             basis.append(tuple(v))
         return basis
-
-    def solve(self, b: Sequence[Scalar]):
-        """One solution x of self @ x = b, or None if inconsistent.
-
-        Free variables are set to zero (deterministic particular solution).
-        """
-        bs = [as_scalar(x) for x in b]
-        if len(bs) != self.rows:
-            raise ValueError("length mismatch")
-        aug = Matrix(self.rows, self.cols + 1,
-                     [x for i in range(self.rows)
-                      for x in (*self.row(i), bs[i])])
-        R, pivots = aug.rref()
-        if pivots and pivots[-1] == self.cols:
-            return None
-        x = [0] * self.cols
-        for r, pj in enumerate(pivots):
-            x[pj] = R[r, self.cols]
-        return tuple(x)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

@@ -97,10 +97,11 @@ class LinearAction:
         cols = [[Fraction(float(b[i, j])) for i in range(self.m)
                  for j in range(self.m)] for b in self.basis]
         F = Matrix.from_columns(cols)
-        gram = F.transpose() * F
-        if gram.rank() != self.g_dim:
-            raise ValueError("basis matrices are linearly dependent")
-        P = gram.inverse() * F.transpose()
+        Ft = F.transpose()
+        try:
+            P = (Ft * F).inverse() * Ft
+        except ValueError:
+            raise ValueError("basis matrices are linearly dependent") from None
         return np.array([[float(P[a, k]) for k in range(self.m * self.m)]
                          for a in range(self.g_dim)])
 

@@ -13,7 +13,8 @@ and an embedding file is
     {"domain": <algebra object or classical label like "sl3">,
      "target_size": N, "T_L": [matrix, ...], "T_R": [matrix, ...]}
 
-with an optional boolean "special_linear_target" (default true).  Parse
+with an optional JSON boolean "special_linear_target" (default true); both
+sizes are positive JSON integers, and a JSON boolean is never a number.  Parse
 errors raise ValueError with the offending field named, which the CLI maps
 to exit code 2.
 """
@@ -86,7 +87,7 @@ def algebra_from_json(obj) -> MatrixLieAlgebra:
         if key not in obj:
             raise ValueError(f"algebra: missing key {key!r}")
     n = obj["matrix_size"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("algebra: matrix_size must be a positive integer")
     scalar = obj.get("scalar", "rational")
     if scalar not in ("rational", "gaussian"):
@@ -128,8 +129,12 @@ def embedding_from_json(obj) -> GaugeEmbedding:
         if key not in obj:
             raise ValueError(f"embedding: missing key {key!r}")
     domain = domain_from_json(obj["domain"])
+    special = obj.get("special_linear_target", True)
+    if not isinstance(special, bool):
+        raise ValueError(
+            "embedding: special_linear_target must be a JSON boolean")
     n = obj["target_size"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("embedding: target_size must be a positive integer")
     sides = {}
     for side in ("T_L", "T_R"):
@@ -144,7 +149,7 @@ def embedding_from_json(obj) -> GaugeEmbedding:
         target_size=n,
         T_L=sides["T_L"],
         T_R=sides["T_R"],
-        special_linear_target=bool(obj.get("special_linear_target", True)),
+        special_linear_target=special,
     )
 
 

@@ -137,11 +137,9 @@ class ExpansionSolver:
     def __init__(self, basis: Sequence[Matrix]):
         if not basis:
             self.dim = 0
-            self.size2 = 0
             return
         n2 = basis[0].rows * basis[0].cols
         self.dim = len(basis)
-        self.size2 = n2
         flat = Matrix.from_columns([b.entries() for b in basis])
         aug = flat.hstack(Matrix.identity(n2))
         R, pivots = aug.rref()
@@ -299,6 +297,15 @@ def coadjoint_derivation(c, a: int, monomials, index) -> list:
     return triples
 
 
+def _derivation_ops(alg: MatrixLieAlgebra, degree: int):
+    """Structure constants, Sym^degree monomials and basis derivations."""
+    c = structure_constants(alg)
+    monomials = _monomials(alg.dim, degree)
+    index = {m: i for i, m in enumerate(monomials)}
+    return c, monomials, [coadjoint_derivation(c, a, monomials, index)
+                          for a in range(alg.dim)]
+
+
 def symmetric_power_dimension(dim: int, degree: int) -> int:
     return math.comb(dim + degree - 1, degree)
 
@@ -319,11 +326,7 @@ def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int,
     if nmono > ceiling:
         raise ValueError(
             f"Sym^{degree} dimension {nmono} exceeds ceiling {ceiling}")
-    c = structure_constants(alg)
-    monomials = _monomials(alg.dim, degree)
-    index = {m: i for i, m in enumerate(monomials)}
-    ops = [coadjoint_derivation(c, a, monomials, index)
-           for a in range(alg.dim)]
+    _, _, ops = _derivation_ops(alg, degree)
     return len(joint_kernel(nmono, ops))
 
 
@@ -335,11 +338,8 @@ def invariant_symmetric_forms(alg: MatrixLieAlgebra) -> list[Matrix]:
     Q(x, y) = the polynomial's polarization.  Every returned form is
     re-checked against the invariance identity.
     """
-    c = structure_constants(alg)
+    c, monomials, ops = _derivation_ops(alg, 2)
     dim = alg.dim
-    monomials = _monomials(dim, 2)
-    index = {m: i for i, m in enumerate(monomials)}
-    ops = [coadjoint_derivation(c, a, monomials, index) for a in range(dim)]
     kernel = joint_kernel(len(monomials), ops)
     forms = []
     for vec in kernel:

@@ -5,7 +5,8 @@ orthogonal complement is a stable summand and the cochains are the
 subalgebra-invariant alternating forms on it.  The differential uses only
 the complement component of brackets; for symmetric pairs it vanishes and
 the Betti numbers reduce to invariant-wedge dimensions, a fact this module
-re-proves on each run rather than assuming.
+re-proves on each run rather than assuming.  Stability of the complement
+is verified in `ReductivePair.complement_action`.
 
 Everything here is exact.  The wedge spaces are indexed by sorted index
 subsets and the subalgebra acts through sparse derivation operators, so the
@@ -43,8 +44,8 @@ class ReductivePair:
     """Algebra, stable subalgebra, and a computed stable complement.
 
     Build through cartan_complement, which verifies that the subalgebra is
-    closed under the bracket, that the complement is stable under it, and
-    that the two span the algebra directly.
+    closed, that the two span the algebra directly and, by computing
+    `complement_action`, that the complement is stable.
     """
 
     g: MatrixLieAlgebra
@@ -69,13 +70,37 @@ class ReductivePair:
 
     @cached_property
     def complement_action(self) -> tuple[Matrix, ...]:
-        """`_complement_action`, computed once per pair."""
-        return tuple(_complement_action(self))
+        """One matrix R per subalgebra basis element, with
+        bracket(kappa, p_i) = sum_j R[j, i] p_j; each bracket is expanded
+        once, and a nonzero subalgebra part fails stability (ValueError)."""
+        if self.k is None:
+            return ()
+        split, kd = self.split_solver, self.k_dim
+        mats = []
+        for kappa in self.k.basis:
+            cols = [split.expand(bracket(kappa, p)) for p in self.p_basis]
+            if any(any(c[:kd]) for c in cols):
+                raise ValueError(
+                    "complement is not stable under the subalgebra")
+            mats.append(Matrix.from_columns([c[kd:] for c in cols]))
+        return tuple(mats)
 
     @cached_property
     def projected_constants(self):
-        """`_projected_constants`, computed once per pair."""
-        return _projected_constants(self)
+        """cbar[i][j] = complement component of bracket(p_i, p_j) in
+        complement coordinates; the subalgebra component is projected
+        away."""
+        split, kd, m = self.split_solver, self.k_dim, self.p_dim
+        zero = (0,) * m
+        cbar = [[zero] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                coords = split.expand(
+                    bracket(self.p_basis[i], self.p_basis[j]))
+                vals = tuple(coords[kd:])
+                cbar[i][j] = vals
+                cbar[j][i] = tuple(-v for v in vals)
+        return cbar
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
@@ -95,15 +120,10 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
         k_coords = [solver.expand(x) for x in k.basis]
     except ValueError:
         raise ValueError("subalgebra basis does not lie in the span") from None
-    sub_solver = k.expansion_solver
-    for i in range(k.dim):
-        for j in range(i + 1, k.dim):
-            try:
-                sub_solver.expand(bracket(k.basis[i], k.basis[j]))
-            except ValueError:
-                raise ValueError(
-                    f"not a subalgebra: bracket of elements {i} and {j} "
-                    "leaves the span") from None
+    try:
+        k.structure_constants
+    except ValueError as exc:
+        raise ValueError(f"not a subalgebra: {exc}") from None
     B = killing_form(g)
     pairing_rows = [[sum(kc[r] * B[r, s] for r in range(g.dim))
                      for s in range(g.dim)] for kc in k_coords]
@@ -116,60 +136,13 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
             "restricted Killing form is degenerate "
             f"(radical dimension {radical})")
     p_coords = Matrix.from_rows(pairing_rows).kernel_basis()
-    p_basis = tuple(_combine(g.basis, v) for v in p_coords)
-    if len(p_basis) + k.dim != g.dim:
-        raise ValueError("complement dimension is off; basis not direct")
-    stacked = Matrix.from_columns([list(c) for c in k_coords]
-                                  + [list(v) for v in p_coords])
-    if stacked.rank() != g.dim:
-        raise ValueError("subalgebra plus complement do not span")
-    pair = ReductivePair(g=g, k=k, p_basis=p_basis)
-    split = pair.split_solver
-    for kappa in k.basis:
-        for p in p_basis:
-            coords = split.expand(bracket(kappa, p))
-            if any(coords[:k.dim]):
-                raise ValueError(
-                    "complement is not stable under the subalgebra")
+    # p = sum_r v[r] g.basis[r]: the flattened basis times the coordinates
+    n = g.matrix_size
+    flat = Matrix.from_columns([b.entries() for b in g.basis])
+    pair = ReductivePair(g=g, k=k, p_basis=tuple(
+        Matrix(n, n, flat.matvec(v)) for v in p_coords))
+    pair.complement_action  # verifies stability
     return pair
-
-
-def _combine(basis, coords) -> Matrix:
-    out = basis[0].scale(coords[0])
-    for b, c in zip(basis[1:], coords[1:]):
-        out = out + b.scale(c)
-    return out
-
-
-def _complement_action(pair: ReductivePair) -> list[Matrix]:
-    """One matrix R per subalgebra basis element, with
-    bracket(kappa, p_i) = sum_j R[j, i] p_j."""
-    if pair.k is None:
-        return []
-    split = pair.split_solver
-    kd = pair.k_dim
-    mats = []
-    for kappa in pair.k.basis:
-        cols = [list(split.expand(bracket(kappa, p))[kd:])
-                for p in pair.p_basis]
-        mats.append(Matrix.from_columns(cols))
-    return mats
-
-
-def _projected_constants(pair: ReductivePair):
-    """cbar[i][j] = complement component of bracket(p_i, p_j) in complement
-    coordinates; the subalgebra component is projected away."""
-    split = pair.split_solver
-    kd, m = pair.k_dim, pair.p_dim
-    zero = (0,) * m
-    cbar = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            coords = split.expand(bracket(pair.p_basis[i], pair.p_basis[j]))
-            vals = tuple(coords[kd:])
-            cbar[i][j] = vals
-            cbar[j][i] = tuple(-v for v in vals)
-    return cbar
 
 
 def is_symmetric_pair(pair: ReductivePair) -> bool:

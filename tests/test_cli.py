@@ -14,6 +14,9 @@ from liegauge import cli
 from liegauge.report import RunReport, canonical_json, inputs_digest
 
 FIXTURES = "fixtures"
+# the sl2 basis (h, e, f) as file-format matrices
+SL2_IMAGES = [[["1", "0"], ["0", "-1"]], [["0", "1"], ["0", "0"]],
+              [["0", "0"], ["1", "0"]]]
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -105,6 +108,27 @@ class TestAnomalyCommand:
         assert cli.main(["anomaly", "no/such/file.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field, change", [
+        # a string, which bool() would read as true
+        ("special_linear_target", {"special_linear_target": "false"}),
+        ("target_size", {"target_size": True}),
+        ("matrix_size", {"domain": {"name": "sl2", "matrix_size": True,
+                                    "basis": SL2_IMAGES}}),
+        # a JSON true is not the scalar 1
+        ("T_L[0]", {"T_L": [[[True, "0"], ["0", "-1"]]] + SL2_IMAGES[1:]}),
+    ])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, field,
+                                          change):
+        path = tmp_path / "embedding.json"
+        path.write_text(json.dumps({
+            "domain": "sl2", "target_size": 2,
+            "T_L": SL2_IMAGES, "T_R": SL2_IMAGES, **change}))
+        start = time.perf_counter()
+        assert cli.main(["anomaly", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
+
 
 # -- symbolic suite subcommand -------------------------------------------------
 
@@ -140,6 +164,13 @@ class TestRelcohCommand:
         assert cli.main(["relcoh", "--pair", "a/b/c"]) == 2
         assert cli.main(["relcoh", "--pair", "sp4/so3"]) == 2
         capsys.readouterr()
+        # an empty side of the "/" is an error, not the plain complex
+        for label in ("sl3/", "/so3", " sl3 / "):
+            start = time.perf_counter()
+            assert cli.main(["relcoh", "--pair", label]) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert "pair must look like" in err and repr(label) in err
 
     def test_wedge_ceiling_fails_up_front(self, capsys):
         # sl5's plain complex needs C(24, 5) = 42504 subsets in degree 5,

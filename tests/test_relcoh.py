@@ -85,6 +85,27 @@ def test_symmetric_pair_detection():
     assert not is_symmetric_pair(cartan_complement(SL2, None))
 
 
+def test_each_bracket_is_expanded_once(monkeypatch):
+    # sl3/so3 with the ambient structure constants warm: 3 expansions place
+    # so3 in sl3, 3 give so3's own structure constants (its closure check),
+    # 3 * 5 give the action on the complement together with its stability
+    # check, and C(5, 2) = 10 the projected complement brackets
+    from liegauge.liealg import ExpansionSolver
+    g, k = make_classical("sl", 3), make_classical("so", 3)
+    g.structure_constants
+    calls = []
+    expand = ExpansionSolver.expand
+
+    def counting(self, m):
+        calls.append(m)
+        return expand(self, m)
+
+    monkeypatch.setattr(ExpansionSolver, "expand", counting)
+    pair = cartan_complement(g, k)
+    assert relative_ce_cohomology(pair) == (1, 0, 0, 0, 0, 1)
+    assert len(calls) == 3 + 3 + 3 * 5 + 10
+
+
 # -- independent wedge-action oracle ---------------------------------------------
 
 
@@ -125,12 +146,12 @@ def dense_wedge_action(R, m, q):
 
 def module_action_matrices(pair, q):
     """Recover the module's sparse action as dense matrices by probing."""
-    from liegauge.relcoh import _complement_action, _derivation_triples, _subsets
+    from liegauge.relcoh import _derivation_triples, _subsets
     subsets = _subsets(pair.p_dim, q)
     index_of = {s: i for i, s in enumerate(subsets)}
     n = len(subsets)
     out = []
-    for R in _complement_action(pair):
+    for R in pair.complement_action:
         flat = [Fraction(0)] * (n * n)
         for i, j, v in _derivation_triples(R, subsets, index_of):
             flat[i * n + j] += v
@@ -140,9 +161,8 @@ def module_action_matrices(pair, q):
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_sparse_action_matches_dense_oracle(q):
-    from liegauge.relcoh import _complement_action
     pair = cartan_complement(SL3, SO3)
-    actions = _complement_action(pair)
+    actions = pair.complement_action
     dense = [dense_wedge_action(R, pair.p_dim, q) for R in actions]
     assert module_action_matrices(pair, q) == dense
 
@@ -150,9 +170,8 @@ def test_sparse_action_matches_dense_oracle(q):
 def test_complement_action_is_a_representation():
     # the action matrices must reproduce the subalgebra's own brackets:
     # [R_a, R_b] = sum_c c_ab^c R_c
-    from liegauge.relcoh import _complement_action
     pair = cartan_complement(SL3, SO3)
-    R = _complement_action(pair)
+    R = pair.complement_action
     c = structure_constants(SO3)
     for a in range(3):
         for b in range(3):
@@ -236,10 +255,10 @@ def test_betti_sl2_plain():
 
 def test_full_differential_squares_to_zero_plain_ce():
     # d.d = 0 on the whole wedge complex, not just invariants
-    from liegauge.relcoh import _differential_matrix, _projected_constants, _subsets
+    from liegauge.relcoh import _differential_matrix, _subsets
     for alg in (SL2, make_classical("su", 2), SO3):
         pair = cartan_complement(alg, None)
-        cbar = _projected_constants(pair)
+        cbar = pair.projected_constants
         m = pair.p_dim
         for q in range(m - 1):
             d1 = _differential_matrix(cbar, _subsets(m, q), _subsets(m, q + 1))
@@ -252,11 +271,11 @@ def test_relative_differential_squares_on_nonsymmetric_pair():
     # a rank-one torus inside sl(3) gives a reductive but non-symmetric
     # pair; the projected differential must still square to zero on the
     # invariant cochains, and the resulting Betti numbers must be sane
-    from liegauge.relcoh import _differential_matrix, _projected_constants, _subsets
+    from liegauge.relcoh import _differential_matrix, _subsets
     torus = MatrixLieAlgebra("t1", 3, (SL3.basis[0],))
     pair = cartan_complement(SL3, torus)
     assert not is_symmetric_pair(pair)
-    cbar = _projected_constants(pair)
+    cbar = pair.projected_constants
     m = pair.p_dim
     for q in range(m - 1):
         W = invariant_wedge_basis(pair, q)
