@@ -9,6 +9,9 @@ quadratic form
 
 carried here exactly, with its physical normalization 1/2 * pi^-1 kept as a
 symbolic tag so the vanishing test is a statement about rational numbers.
+Each trace is a pairing Tr(AB) = sum A[i, j] B[j, i] over the nonzero
+entries of A, so no product matrix is formed, and the symmetry
+Tr(AB) = Tr(BA) halves the work.
 
 The embedding constructor is deliberately strict: images that fail the
 bracket relations are rejected up front with the offending basis pair and
@@ -61,10 +64,7 @@ class GaugeEmbedding:
         object.__setattr__(self, "T_L", tuple(self.T_L))
         object.__setattr__(self, "T_R", tuple(self.T_R))
         dim, n = self.domain.dim, self.target_size
-        if len(self.T_L) != dim or len(self.T_R) != dim:
-            raise ValueError(
-                f"need {dim} images per side, got {len(self.T_L)} left "
-                f"and {len(self.T_R)} right")
+        check_image_count(dim, self.T_L, self.T_R)
         for side, images in (("left", self.T_L), ("right", self.T_R)):
             for a, t in enumerate(images):
                 if t.rows != n or t.cols != n:
@@ -84,19 +84,33 @@ class GaugeEmbedding:
         return self.domain.dim
 
 
+def check_image_count(dim: int, T_L, T_R) -> None:
+    """Each side lists one image per domain basis element."""
+    if len(T_L) != dim or len(T_R) != dim:
+        raise ValueError(
+            f"need {dim} images per side, got {len(T_L)} left "
+            f"and {len(T_R)} right")
+
+
 def _check_homomorphism(side: str, images, c) -> None:
+    """[T(a), T(b)] = sum_k c[a][b][k] T(k) for every basis pair a < b,
+    checked on the bracket's flat entries."""
     dim = len(images)
+    nonzero = [[(t, x) for t, x in enumerate(m.entries()) if x]
+               for m in images]
     for a in range(dim):
         for b in range(a + 1, dim):
-            expected = Matrix.zero(images[a].rows, images[a].cols)
+            residual = list(bracket(images[a], images[b]).entries())
             for k, x in enumerate(c[a][b]):
                 if x:
-                    expected = expected + images[k].scale(x)
-            residual = bracket(images[a], images[b]) - expected
-            if not residual.is_zero():
+                    for t, v in nonzero[k]:
+                        residual[t] -= x * v
+            if any(residual):
+                n = images[a].rows
                 raise ValueError(
                     f"{side} images fail the bracket relation for basis "
-                    f"pair ({a}, {b}); residual {residual.to_lists()}")
+                    f"pair ({a}, {b}); residual "
+                    f"{Matrix(n, n, residual).to_lists()}")
 
 
 @dataclass(frozen=True)
@@ -144,18 +158,43 @@ def fundamental_vector(emb: GaugeEmbedding, a: int, g0: Matrix) -> Matrix:
     return emb.T_L[a] * g0 - g0 * emb.T_R[a]
 
 
+def _transposed_pairings(images, n: int) -> list[list]:
+    """For each image A, its nonzero entries A[i, j] as (j * n + i, A[i, j]):
+    Tr(A B) is the sum of A[i, j] * B[j, i], read from B's flat entries at
+    the transposed index."""
+    return [[((t % n) * n + t // n, x) for t, x in enumerate(m.entries()) if x]
+            for m in images]
+
+
 def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
-    """Exact anomaly quadratic form with symmetry and invariance checks."""
-    dim = emb.dim
-    entries = []
+    """Exact anomaly quadratic form with an invariance check.
+
+    Each entry is a difference of trace pairings, Tr(T_L(a) T_L(b)) -
+    Tr(T_R(a) T_R(b)), summed over the nonzero entries of the images with
+    no product matrix; Tr(AB) = Tr(BA), so only a <= b is computed and the
+    lower triangle mirrors it.
+    """
+    dim, n = emb.dim, emb.target_size
+    flat = [0] * (dim * dim)
+    for images, sign in ((emb.T_L, 1), (emb.T_R, -1)):
+        pairs = _transposed_pairings(images, n)
+        entries = [m.entries() for m in images]
+        for a in range(dim):
+            pa = pairs[a]
+            for b in range(a, dim):
+                be = entries[b]
+                s = 0
+                for t, x in pa:
+                    s += x * be[t]
+                if s:
+                    flat[a * dim + b] += sign * s
     for a in range(dim):
-        for b in range(dim):
-            q = ((emb.T_L[a] * emb.T_L[b]).trace()
-                 - (emb.T_R[a] * emb.T_R[b]).trace())
-            entries.append(q)
-    Q = Matrix(dim, dim, entries)
-    if Q != Q.transpose():
-        raise ValueError("anomaly form failed to be symmetric")
+        for b in range(a, dim):
+            q = flat[a * dim + b]
+            if type(q) is Fraction and q.denominator == 1:
+                q = q.numerator
+            flat[a * dim + b] = flat[b * dim + a] = q
+    Q = Matrix._of(dim, dim, tuple(flat))
     failure = ad_invariance_failure(structure_constants(emb.domain), Q)
     if failure is not None:
         raise ValueError(

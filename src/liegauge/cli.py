@@ -32,10 +32,16 @@ from .liealg import (
     invariant_polynomial_dimension,
     symmetric_power_dimension,
 )
-from .lgio import classical_from_label, load_embedding
-from .relcoh import cartan_complement, is_symmetric_pair, relative_ce_cohomology
+from .lgio import classical_from_label, label_dimension, load_embedding
+from .relcoh import (
+    cartan_complement,
+    check_complex_size,
+    is_symmetric_pair,
+    relative_ce_cohomology,
+)
 from .report import RunReport, inputs_digest
 from .series import (
+    check_series_size,
     e1_page_series,
     koszul_cancellation,
     series_graded_algebra,
@@ -117,6 +123,10 @@ def _parse_pair(label: str):
 
 def cmd_relcoh(pair_label: str) -> RunReport:
     g_label, k_label = _parse_pair(pair_label)
+    if k_label is None:
+        # the plain complex lives on the whole algebra, so its size is
+        # known from the label before any basis is built
+        check_complex_size(label_dimension(g_label))
     ambient = classical_from_label(g_label)
     sub = classical_from_label(k_label) if k_label else None
     pair = cartan_complement(ambient, sub)
@@ -135,13 +145,15 @@ def cmd_relcoh(pair_label: str) -> RunReport:
 def cmd_invariants(algebra_label: str, max_degree: int) -> RunReport:
     if max_degree < 0:
         raise ValueError("max degree must be nonnegative")
-    algebra = classical_from_label(algebra_label)
-    # Sym^d grows with d, so the top degree decides before any work is done
-    nmono = symmetric_power_dimension(algebra.dim, max_degree)
+    # Sym^d grows with d, so the top degree decides before any work is
+    # done, and the label's dimension before any basis is built
+    nmono = symmetric_power_dimension(label_dimension(algebra_label),
+                                      max_degree)
     if nmono > SYM_CEILING:
         raise ValueError(
             f"max degree {max_degree}: Sym^{max_degree} dimension {nmono} "
             f"exceeds ceiling {SYM_CEILING}")
+    algebra = classical_from_label(algebra_label)
     dims = [invariant_polynomial_dimension(algebra, d)
             for d in range(max_degree + 1)]
     digest = inputs_digest({
@@ -159,6 +171,7 @@ def cmd_invariants(algebra_label: str, max_degree: int) -> RunReport:
 
 
 def cmd_series(n: int, truncate: int) -> RunReport:
+    check_series_size(n, truncate)
     first = e1_page_series(n, truncate)
     cancelled = koszul_cancellation(
         transgression_pairs(n), survivor_degrees(n), truncate)

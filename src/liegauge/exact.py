@@ -21,6 +21,7 @@ so results are deterministic and reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -168,9 +169,19 @@ def conj(x: Scalar) -> Scalar:
     return x
 
 
-def rational_from_string(s: str) -> Fraction:
-    """Parse "p/q" or "p" with arbitrary-precision integers."""
-    return Fraction(s.strip())
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def rational_from_string(s: str) -> Union[int, Fraction]:
+    """Parse "p/q" or "p" with arbitrary-precision integers, int-first.
+
+    A plain ASCII integer literal is read by `int`; anything else goes
+    through `Fraction`, with its results and exceptions.
+    """
+    s = s.strip()
+    if _INTEGER.fullmatch(s):
+        return int(s)
+    return _rational(Fraction(s))
 
 
 def scalar_to_json(x: Scalar):

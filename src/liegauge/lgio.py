@@ -21,12 +21,13 @@ to exit code 2.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
-from .anomaly import GaugeEmbedding
+from .anomaly import GaugeEmbedding, check_image_count
 from .exact import Matrix, scalar_from_json, scalar_to_json
-from .liealg import MatrixLieAlgebra, make_classical
+from .liealg import MatrixLieAlgebra, classical_dimension, make_classical
 
 __all__ = [
     "matrix_from_json",
@@ -34,7 +35,8 @@ __all__ = [
     "algebra_from_json",
     "algebra_to_json",
     "classical_from_label",
-    "domain_from_json",
+    "parse_classical_label",
+    "label_dimension",
     "embedding_from_json",
     "embedding_to_json",
     "load_embedding",
@@ -106,20 +108,38 @@ def algebra_to_json(alg: MatrixLieAlgebra) -> dict:
     }
 
 
-def classical_from_label(label: str) -> MatrixLieAlgebra:
-    """Parse labels like "sl3", "so(4)", "su2"."""
+def parse_classical_label(label: str) -> tuple[str, int]:
+    """The (family, size) of labels like "sl3", "so(4)", "su2"."""
     m = _CLASSICAL.match(label.strip().lower())
     if not m:
         raise ValueError(
             f"unknown algebra label {label!r}; expected sl/so/su/gl "
             "followed by a size, e.g. sl3")
-    return make_classical(m.group(1), int(m.group(2)))
+    return m.group(1), int(m.group(2))
 
 
-def domain_from_json(obj) -> MatrixLieAlgebra:
-    if isinstance(obj, str):
-        return classical_from_label(obj)
-    return algebra_from_json(obj)
+def label_dimension(label: str) -> int:
+    """Dimension of a classical label's algebra, from its closed form; the
+    label is checked as `classical_from_label` checks it, and no basis is
+    built, so size ceilings can be checked first."""
+    return classical_dimension(*parse_classical_label(label))
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_classical(family: str, n: int) -> MatrixLieAlgebra:
+    return make_classical(family, n)
+
+
+def classical_from_label(label: str) -> MatrixLieAlgebra:
+    """Parse labels like "sl3", "so(4)", "su2".
+
+    One algebra per label per process: labels naming the same family and
+    size ("sl3", "sl(3)") share one `MatrixLieAlgebra`, so its structure
+    constants and expansion solver are built once.  Algebras are
+    immutable, so sharing them is safe; `make_classical` still builds a
+    fresh one on each call.
+    """
+    return _shared_classical(*parse_classical_label(label))
 
 
 def embedding_from_json(obj) -> GaugeEmbedding:
@@ -128,7 +148,12 @@ def embedding_from_json(obj) -> GaugeEmbedding:
     for key in ("domain", "target_size", "T_L", "T_R"):
         if key not in obj:
             raise ValueError(f"embedding: missing key {key!r}")
-    domain = domain_from_json(obj["domain"])
+    domain = obj["domain"]
+    if isinstance(domain, str):
+        dim = label_dimension(domain)
+    else:
+        domain = algebra_from_json(domain)
+        dim = domain.dim
     special = obj.get("special_linear_target", True)
     if not isinstance(special, bool):
         raise ValueError(
@@ -144,6 +169,10 @@ def embedding_from_json(obj) -> GaugeEmbedding:
         sides[side] = tuple(
             matrix_from_json(mat, size=n, where=f"{side}[{i}]")
             for i, mat in enumerate(raw))
+    # a classical domain is built only once its image count is right
+    check_image_count(dim, sides["T_L"], sides["T_R"])
+    if isinstance(domain, str):
+        domain = classical_from_label(domain)
     return GaugeEmbedding(
         domain=domain,
         target_size=n,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -83,9 +84,34 @@ class MatrixLieAlgebra:
         return tuple(c)
 
 
+def _sparse_rows(m: Matrix) -> list[list]:
+    """The nonzero entries of each row of a square matrix, as (column,
+    value) pairs."""
+    n, e = m.cols, m.entries()
+    return [[(j, x) for j, x in enumerate(e[i * n:(i + 1) * n]) if x]
+            for i in range(n)]
+
+
 def bracket(x: Matrix, y: Matrix) -> Matrix:
-    """Commutator [x, y] = xy - yx."""
-    return x * y - y * x
+    """Commutator [x, y] = xy - yx, formed in one pass over the nonzero
+    entries; integral entries are ints."""
+    n = x.rows
+    if x.cols != n or y.rows != n or y.cols != n:
+        raise ValueError("bracket needs two square matrices of one size")
+    xr, yr = _sparse_rows(x), _sparse_rows(y)
+    out = [0] * (n * n)
+    for i in range(n):
+        base = i * n
+        for t, a in xr[i]:
+            for j, b in yr[t]:
+                out[base + j] += a * b
+        for t, a in yr[i]:
+            for j, b in xr[t]:
+                out[base + j] -= a * b
+    for k, v in enumerate(out):
+        if type(v) is Fraction and v.denominator == 1:
+            out[k] = v.numerator
+    return Matrix._of(n, n, tuple(out))
 
 
 def _unit(n: int, j: int, k: int) -> Matrix:
@@ -93,24 +119,35 @@ def _unit(n: int, j: int, k: int) -> Matrix:
                          for r in range(n) for c in range(n)])
 
 
+def classical_dimension(family: str, n: int) -> int:
+    """Dimension of sl(n), so(n), su(n) or gl(n) from its closed form,
+    with the same errors as `make_classical` and no basis built."""
+    fam = family.lower()
+    if fam in ("sl", "so", "su"):
+        if n < 2:
+            raise ValueError(f"{fam}(n) requires n >= 2")
+        return n * (n - 1) // 2 if fam == "so" else n * n - 1
+    if fam == "gl":
+        if n < 1:
+            raise ValueError("gl(n) requires n >= 1")
+        return n * n
+    raise ValueError(f"unknown family {family!r}")
+
+
 def make_classical(family: str, n: int) -> MatrixLieAlgebra:
-    """Standard basis for sl(n), so(n), su(n), gl(n).  See module docstring."""
+    """Standard basis for sl(n), so(n), su(n), gl(n), built afresh on each
+    call.  See module docstring."""
+    classical_dimension(family, n)
     fam = family.lower()
     if fam == "sl":
-        if n < 2:
-            raise ValueError("sl(n) requires n >= 2")
         basis = [_unit(n, j, j) - _unit(n, j + 1, j + 1) for j in range(n - 1)]
         basis += [_unit(n, j, k) for j in range(n) for k in range(n) if j != k]
         return MatrixLieAlgebra(f"sl({n})", n, tuple(basis), "rational")
     if fam == "so":
-        if n < 2:
-            raise ValueError("so(n) requires n >= 2")
         basis = [_unit(n, j, k) - _unit(n, k, j)
                  for j in range(n) for k in range(j + 1, n)]
         return MatrixLieAlgebra(f"so({n})", n, tuple(basis), "rational")
     if fam == "su":
-        if n < 2:
-            raise ValueError("su(n) requires n >= 2")
         basis = [(_unit(n, j, j) - _unit(n, j + 1, j + 1)).scale(I)
                  for j in range(n - 1)]
         for j in range(n):
@@ -118,12 +155,8 @@ def make_classical(family: str, n: int) -> MatrixLieAlgebra:
                 basis.append(_unit(n, j, k) - _unit(n, k, j))
                 basis.append((_unit(n, j, k) + _unit(n, k, j)).scale(I))
         return MatrixLieAlgebra(f"su({n})", n, tuple(basis), "gaussian")
-    if fam == "gl":
-        if n < 1:
-            raise ValueError("gl(n) requires n >= 1")
-        basis = [_unit(n, j, k) for j in range(n) for k in range(n)]
-        return MatrixLieAlgebra(f"gl({n})", n, tuple(basis), "rational")
-    raise ValueError(f"unknown family {family!r}")
+    basis = [_unit(n, j, k) for j in range(n) for k in range(n)]
+    return MatrixLieAlgebra(f"gl({n})", n, tuple(basis), "rational")
 
 
 class ExpansionSolver:
@@ -229,17 +262,30 @@ def ad_invariance_failure(c, q: Matrix):
     """The first basis triple (x, a, b), in lexicographic order, with
     Q([x,a],b) + Q(a,[x,b]) != 0, or None when q is ad-invariant.
 
-    Only the nonzero structure constants are visited.
+    For each x the rows over a are accumulated from the nonzero structure
+    constants and the nonzero entries of q.
     """
     dim = len(c)
     qe = q.entries()
+    qrows = _sparse_rows(q)
     for x in range(dim):
-        nonzero = [[(k, v) for k, v in enumerate(c[x][a]) if v]
+        cx = c[x]
+        nonzero = [[(k, v) for k, v in enumerate(cx[a]) if v]
                    for a in range(dim)]
+        triples = [(b, k, v) for b in range(dim) for k, v in nonzero[b]]
         for a in range(dim):
-            for b in range(dim):
-                s = (sum(v * qe[k * dim + b] for k, v in nonzero[a])
-                     + sum(v * qe[a * dim + k] for k, v in nonzero[b]))
+            # row a of Q([x, .], .) + Q(., [x, .]): rows of Q scaled by
+            # c[x][a], then row a of Q paired with each c[x][b]
+            row = [0] * dim
+            for k, v in nonzero[a]:
+                for b, w in qrows[k]:
+                    row[b] += v * w
+            base = a * dim
+            for b, k, v in triples:
+                w = qe[base + k]
+                if w:
+                    row[b] += v * w
+            for b, s in enumerate(row):
                 if s:
                     return (x, a, b)
     return None

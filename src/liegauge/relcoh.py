@@ -27,6 +27,7 @@ from .liealg import ExpansionSolver, MatrixLieAlgebra, bracket, killing_form
 __all__ = [
     "ReductivePair",
     "cartan_complement",
+    "check_complex_size",
     "invariant_wedge_basis",
     "invariant_wedge_dimension",
     "relative_ce_cohomology",
@@ -231,19 +232,12 @@ def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
     return Matrix(rows, cols, flat)
 
 
-def relative_ce_cohomology(pair: ReductivePair,
-                           ceiling: int = WEDGE_CEILING) -> tuple[int, ...]:
-    """Betti numbers of the invariant subcomplex, degree 0..dim complement.
-
-    The differential is built in full and applied to the invariant
-    cochains; when the pair is symmetric the restricted maps are asserted
-    to be zero, which re-derives the standard vanishing instead of
-    trusting it.  The wedge ceiling is checked for every degree before
-    any work; C(m, q) grows up to q = m // 2, so the first degree over the
-    ceiling, if any, is found there.  Then each dense differential is
-    checked against DIFFERENTIAL_CEILING.
-    """
-    m = pair.p_dim
+def check_complex_size(m: int, ceiling: int = WEDGE_CEILING) -> None:
+    """Fail fast when the complex on an m-dimensional complement is too
+    large: first the wedge ceiling for every degree (C(m, q) grows up to
+    q = m // 2, so the first degree over the ceiling, if any, is found
+    there), then each dense differential against DIFFERENTIAL_CEILING.
+    Needs only m, so callers can check before building any algebra."""
     for q in range(m // 2 + 1):
         _check_ceiling(m, q, ceiling)
     for q in range(m):
@@ -252,6 +246,20 @@ def relative_ce_cohomology(pair: ReductivePair,
             raise ValueError(
                 f"differential from wedge degree {q} needs {entries} "
                 f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
+
+
+def relative_ce_cohomology(pair: ReductivePair,
+                           ceiling: int = WEDGE_CEILING) -> tuple[int, ...]:
+    """Betti numbers of the invariant subcomplex, degree 0..dim complement.
+
+    The differential is built in full and applied to the invariant
+    cochains; when the pair is symmetric the restricted maps are asserted
+    to be zero, which re-derives the standard vanishing instead of
+    trusting it.  The wedge ceiling is checked for every degree before
+    any work, then each dense differential (see `check_complex_size`).
+    """
+    m = pair.p_dim
+    check_complex_size(m, ceiling)
     cbar = pair.projected_constants
     symmetric = is_symmetric_pair(pair)
     invariants = [invariant_wedge_basis(pair, q, ceiling)

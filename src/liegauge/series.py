@@ -20,8 +20,13 @@ from dataclasses import dataclass
 from .liealg import make_classical
 from .relcoh import cartan_complement, relative_ce_cohomology
 
+# bound on the coefficient updates of one `series` command; see
+# check_series_size
+SERIES_CEILING = 2_000_000
+
 __all__ = [
     "PoincareSeries",
+    "check_series_size",
     "series_graded_algebra",
     "koszul_cancellation",
     "e1_page_series",
@@ -54,10 +59,6 @@ class PoincareSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _one(n: int) -> list[int]:
-    return [1] + [0] * n
-
-
 def _mul(a: list[int], b: list[int], n: int) -> list[int]:
     out = [0] * (n + 1)
     for i, ai in enumerate(a):
@@ -70,26 +71,22 @@ def _mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _geometric(d: int, n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for j in range(0, n + 1, d):
-        out[j] = 1
-    return out
+# In-place O(truncation) updates of a truncated series a(t) by one factor.
+# Multiplying by 1 +- t^d runs top down, so each a[i - d] read is still the
+# old coefficient; 1/(1 - t^d) and 1/(1 + t^d) run bottom up, so each read
+# is already the new one (b = a / (1 + t^d) solves b[i] = a[i] - b[i - d]).
 
 
-def _divide_binomial(a: list[int], d: int, n: int) -> list[int]:
-    """a(t) / (1 + t^d) as truncated series: multiply by sum (-1)^j t^(jd)."""
-    inv = [0] * (n + 1)
-    for j in range(0, n + 1, d):
-        inv[j] = -1 if (j // d) % 2 else 1
-    return _mul(a, inv, n)
+def _times_binomial(a: list[int], d: int, sign: int) -> None:
+    """a(t) *= 1 + sign * t^d."""
+    for i in range(len(a) - 1, d - 1, -1):
+        a[i] += sign * a[i - d]
 
 
-def _binomial(d: int, n: int) -> list[int]:
-    out = _one(n)
-    if d <= n:
-        out[d] = -1
-    return out
+def _over_binomial(a: list[int], d: int, sign: int) -> None:
+    """a(t) /= 1 - sign * t^d."""
+    for i in range(d, len(a)):
+        a[i] += sign * a[i - d]
 
 
 def series_graded_algebra(odd_degrees, even_degrees, truncation: int
@@ -101,14 +98,11 @@ def series_graded_algebra(odd_degrees, even_degrees, truncation: int
     for d in list(odd_degrees) + list(even_degrees):
         if d < 1:
             raise ValueError(f"generator degree {d} must be positive")
-    out = _one(truncation)
+    out = [1] + [0] * truncation
     for d in odd_degrees:
-        factor = _one(truncation)
-        if d <= truncation:
-            factor[d] = 1
-        out = _mul(out, factor, truncation)
+        _times_binomial(out, d, 1)
     for d in even_degrees:
-        out = _mul(out, _geometric(d, truncation), truncation)
+        _over_binomial(out, d, 1)
     return PoincareSeries(truncation, tuple(out))
 
 
@@ -133,14 +127,32 @@ def koszul_cancellation(pairs, survivors, truncation: int) -> PoincareSeries:
         truncation)
     divided = list(full.coeffs)
     for h, c in pairs:
-        divided = _mul(divided, _binomial(c, truncation), truncation)
-        divided = _divide_binomial(divided, h, truncation)
+        _times_binomial(divided, c, -1)
+        _over_binomial(divided, h, -1)
     direct = series_graded_algebra([], survivors, truncation)
     if tuple(divided) != direct.coeffs:
         raise AssertionError(
             "Koszul cancellation mismatch between the divided page series "
             f"and the survivor algebra: {tuple(divided)} vs {direct.coeffs}")
     return direct
+
+
+def check_series_size(n: int, truncation: int) -> None:
+    """Fail fast when the `series` command for rank n - 1 is too large.
+
+    Every series it builds is a product of at most two O(truncation) factor
+    passes per first-page generator, and generators above the truncation
+    cost nothing, so its work is bounded by truncation times one more than
+    the number of generators 2i and 2i - 1 with i <= (truncation + 1) // 2.
+    That bound must stay within SERIES_CEILING.
+    """
+    top = min(n, (truncation + 1) // 2)
+    generators = max(0, top - 1) + len(range(3, top + 1, 2))
+    work = truncation * (1 + generators)
+    if work > SERIES_CEILING:
+        raise ValueError(
+            f"truncate {truncation} at n = {n} needs about {work} "
+            f"coefficient updates, over the ceiling {SERIES_CEILING}")
 
 
 def transgression_pairs(n: int) -> list[tuple[int, int]]:

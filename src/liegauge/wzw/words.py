@@ -53,16 +53,24 @@ def word_degree(letters: Sequence[tuple]) -> int:
 
 
 _KIND_RANK = {"C": 0, "DG": 1, "G": 2, "GINV": 3}
+# sort key of each letter seen so far, computed once per letter
+_LETTER_KEYS: dict = {}
 
 
 def _letter_key(letter: tuple):
-    if letter[0] == "C":
-        return (0, letter[1], letter[2])
-    return (_KIND_RANK[letter[0]], "", "")
+    key = _LETTER_KEYS.get(letter)
+    if key is None:
+        if letter[0] == "C":
+            key = (0, letter[1], letter[2])
+        else:
+            key = (_KIND_RANK[letter[0]], "", "")
+        _LETTER_KEYS[letter] = key
+    return key
 
 
 def _word_key(letters: Sequence[tuple]):
-    return tuple(_letter_key(l) for l in letters)
+    keys = _LETTER_KEYS
+    return tuple([keys[l] if l in keys else _letter_key(l) for l in letters])
 
 
 def _cancel_adjacent(letters: list, cyclic: bool) -> list:
@@ -97,24 +105,28 @@ def _canonical_rotation(letters: tuple) -> tuple[int, tuple]:
     n = len(letters)
     if n == 0:
         return 1, letters
+    # rotations are compared on the word's key tuple, computed once; the
+    # letters are rotated only for the winner
+    key = _word_key(letters)
     total = word_degree(letters)
     best = None
+    best_r = 0
     best_signs = set()
     prefix_deg = 0
     for r in range(n):
-        if r > 0:
-            prefix_deg += letter_degree(letters[r - 1])
-        rotated = letters[r:] + letters[:r]
+        if r > 0 and letters[r - 1] == DG:
+            prefix_deg += 1
+        rotated = key[r:] + key[:r]
         sign = -1 if (prefix_deg % 2) and ((total - prefix_deg) % 2) else 1
-        key = _word_key(rotated)
-        if best is None or key < best[0]:
-            best = (key, rotated)
+        if best is None or rotated < best:
+            best, best_r = rotated, r
             best_signs = {sign}
-        elif key == best[0]:
+        elif rotated == best:
             best_signs.add(sign)
+    winner = letters[best_r:] + letters[:best_r]
     if len(best_signs) == 2:
-        return 0, best[1]
-    return best_signs.pop(), best[1]
+        return 0, winner
+    return best_signs.pop(), winner
 
 
 @dataclass(frozen=True)
