@@ -35,7 +35,6 @@ __all__ = [
     "algebra_from_json",
     "algebra_to_json",
     "classical_from_label",
-    "parse_classical_label",
     "label_dimension",
     "embedding_from_json",
     "embedding_to_json",
@@ -108,7 +107,7 @@ def algebra_to_json(alg: MatrixLieAlgebra) -> dict:
     }
 
 
-def parse_classical_label(label: str) -> tuple[str, int]:
+def _parse_label(label: str) -> tuple[str, int]:
     """The (family, size) of labels like "sl3", "so(4)", "su2"."""
     m = _CLASSICAL.match(label.strip().lower())
     if not m:
@@ -122,7 +121,7 @@ def label_dimension(label: str) -> int:
     """Dimension of a classical label's algebra, from its closed form; the
     label is checked as `classical_from_label` checks it, and no basis is
     built, so size ceilings can be checked first."""
-    return classical_dimension(*parse_classical_label(label))
+    return classical_dimension(*_parse_label(label))
 
 
 @functools.lru_cache(maxsize=32)
@@ -139,7 +138,7 @@ def classical_from_label(label: str) -> MatrixLieAlgebra:
     immutable, so sharing them is safe; `make_classical` still builds a
     fresh one on each call.
     """
-    return _shared_classical(*parse_classical_label(label))
+    return _shared_classical(*_parse_label(label))
 
 
 def embedding_from_json(obj) -> GaugeEmbedding:

@@ -168,13 +168,15 @@ def _derivation_triples(R: Matrix, subsets, index_of) -> list:
     """Sparse action of one subalgebra element on a wedge power of the dual
     complement: generators transform as xi_i -> -sum_l R[i, l] xi_l and the
     action extends by the Leibniz rule."""
+    m, e = R.cols, R.entries()
+    images = [[(l, -x) for l, x in enumerate(e[s * m:(s + 1) * m]) if x]
+              for s in range(R.rows)]
     triples = []
     for col, S in enumerate(subsets):
         inside = set(S)
         for t, s in enumerate(S):
-            for l in range(R.rows):
-                val = -R[s, l]
-                if val == 0 or (l in inside and l != s):
+            for l, val in images[s]:
+                if l in inside and l != s:
                     continue
                 replaced = tuple(sorted(inside - {s} | {l}))
                 below = sum(1 for u in S if u != s and u < l)

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from .liealg import make_classical
 from .relcoh import cartan_complement, relative_ce_cohomology
 
-# bound on the coefficient updates of one `series` command; see
-# check_series_size
-SERIES_CEILING = 2_000_000
-
 __all__ = [
     "PoincareSeries",
     "check_series_size",
@@ -35,6 +31,10 @@ __all__ = [
     "abelian_point_series",
     "even_case_report",
 ]
+
+# bound on the coefficient updates of one `series` command; see
+# check_series_size
+SERIES_CEILING = 2_000_000
 
 
 @dataclass(frozen=True)

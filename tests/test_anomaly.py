@@ -269,6 +269,45 @@ def test_embedding_json_round_trip():
     assert again.domain.name == "sl(2)"
 
 
+def _product_trace_form(emb):
+    """Q through full matrix products and traces: the second route."""
+    dim = emb.dim
+    return Matrix(dim, dim, [
+        (emb.T_L[a] * emb.T_L[b]).trace() - (emb.T_R[a] * emb.T_R[b]).trace()
+        for a in range(dim) for b in range(dim)])
+
+
+def _seeded_embeddings():
+    rng = random.Random(8080)
+    for alg in (SL2, SL3, make_classical("su", 2), make_classical("so", 3)):
+        n = alg.matrix_size
+        for _ in range(3):
+            s = random_invertible(rng, n)
+            sinv = s.inverse()
+            left = tuple(s * t * sinv for t in alg.basis)
+            zero = Matrix.zero(n, n)
+            right = alg.basis if rng.random() < 0.5 else tuple(
+                zero for _ in alg.basis)
+            yield GaugeEmbedding(alg, n, left, right)
+
+
+def test_anomaly_form_matches_product_traces():
+    embeddings = [load_embedding(path)
+                  for path in sorted(FIXTURES.glob("*.json"))]
+    assert len(embeddings) == 4
+    embeddings += list(_seeded_embeddings())
+    assert any(emb.domain.scalar == "gaussian" for emb in embeddings)
+    for emb in embeddings:
+        assert anomaly_form(emb).Q == _product_trace_form(emb)
+
+
+def test_classical_labels_share_one_algebra():
+    assert classical_from_label("sl3") is classical_from_label("sl(3)")
+    assert classical_from_label("SO4") is classical_from_label(" so (4) ")
+    assert classical_from_label("sl3") is not classical_from_label("gl3")
+    assert make_classical("sl", 3) is not make_classical("sl", 3)
+
+
 def test_classical_labels():
     assert classical_from_label("sl3").dim == 8
     assert classical_from_label("so(4)").dim == 6

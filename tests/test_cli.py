@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from liegauge import cli
+from liegauge.lgio import _shared_classical
 from liegauge.report import RunReport, canonical_json, inputs_digest
+from liegauge.series import check_series_size
 
 FIXTURES = "fixtures"
 # the sl2 basis (h, e, f) as file-format matrices
@@ -108,6 +110,19 @@ class TestAnomalyCommand:
         assert cli.main(["anomaly", "no/such/file.json"]) == 2
         capsys.readouterr()
 
+    def test_label_domain_image_count_fails_before_building(self, tmp_path,
+                                                            capsys):
+        # three images for sl120, whose 14399-element basis is never built
+        path = tmp_path / "embedding.json"
+        path.write_text(json.dumps({
+            "domain": "sl120", "target_size": 2,
+            "T_L": SL2_IMAGES, "T_R": SL2_IMAGES}))
+        start = time.perf_counter()
+        assert cli.main(["anomaly", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "need 14399 images per side, got 3 left and 3 right" in err
+
     @pytest.mark.parametrize("field, change", [
         # a string, which bool() would read as true
         ("special_linear_target", {"special_linear_target": "false"}),
@@ -182,6 +197,18 @@ class TestRelcohCommand:
         assert "wedge degree 5" in err
         assert "ceiling 20000" in err
 
+    def test_oversized_label_fails_before_building(self, capsys):
+        # sl120 has dimension 14399 by its closed form; building its basis
+        # of 120 x 120 matrices used to take most of a minute before the
+        # wedge ceiling was checked
+        start = time.perf_counter()
+        assert cli.main(["relcoh", "--pair", "sl120"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "wedge degree 2" in err and "ceiling 20000" in err
+        assert cli.main(["relcoh", "--pair", "sl1"]) == 2
+        assert "sl(n) requires n >= 2" in capsys.readouterr().err
+
     def test_differential_ceiling_fails_up_front(self, capsys):
         # sl4's plain complex passes the wedge ceiling (C(15, 7) = 6435),
         # but its dense differential from degree 3 has C(15, 3) * C(15, 4)
@@ -217,6 +244,18 @@ class TestInvariantsCommand:
         assert "ceiling 5000" in err
 
 
+    def test_oversized_label_fails_before_building(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["invariants", "--algebra", "sl120",
+                         "--max-degree", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "max degree 2" in err and "ceiling 5000" in err
+        assert cli.main(["invariants", "--algebra", "sl1",
+                         "--max-degree", "2"]) == 2
+        assert "sl(n) requires n >= 2" in capsys.readouterr().err
+
+
 class TestSeriesCommand:
     def test_rank_four_family_matches_target(self):
         report = cli.cmd_series(5, 40)
@@ -227,6 +266,29 @@ class TestSeriesCommand:
     def test_even_rank_is_invalid_input(self, capsys):
         assert cli.main(["series", "--n", "4", "--truncate", "20"]) == 2
         capsys.readouterr()
+
+    def test_long_truncation_runs_in_linear_time(self, capsys):
+        # the bytes of the reference build, whose dense products took 44 s
+        start = time.perf_counter()
+        assert cli.main(["series", "--n", "5", "--truncate", "8000",
+                         "--output", "structured"]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "694ebd40c3bc524a63a3763622e95bcd2228123d96675fb3614e35431600f3b2")
+
+    def test_truncation_over_the_ceiling_fails_up_front(self, capsys):
+        # used to die with a MemoryError traceback and exit 1
+        start = time.perf_counter()
+        assert cli.main(["series", "--n", "5",
+                         "--truncate", "1000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "truncate 1000000000" in err and "ceiling" in err
+        # n = 5 has six first-page generators: 7 * 285714 updates fit
+        check_series_size(5, 285714)
+        with pytest.raises(ValueError, match="truncate 285715"):
+            check_series_size(5, 285715)
 
 
 # -- operator checks subcommand -------------------------------------------------
@@ -332,14 +394,30 @@ class TestOutputContract:
          "f94dc9e792a6f23107bb77d63a8e53c1f646552c02e3f87ac3a4478be0438fe9"),
         (["invariants", "--algebra", "sl2", "--max-degree", "4"], 0,
          "c6c12efe33591141e52facf482c7775f4848616c53089dbe1c95369638fd1152"),
+        (["anomaly", f"{FIXTURES}/left_only_sl2.json"], 1,
+         "5a7cea2ec073c945f8265ed8141b18398d919dce3a23f12676f47bb6028eed52"),
+        (["anomaly", f"{FIXTURES}/block_dup_sl2_in_sl4.json"], 0,
+         "f629b2052a684ac60af5707fc73c1543c8257e99b20f386b34dc3265072591c6"),
+        (["wzw-verify"], 0,
+         "15a2daeb5dd065d6dd885fc132322f415b60657cab198ca5c4c76e0d474b10fe"),
+        (["relcoh", "--pair", "sl2/so2"], 0,
+         "6eed019f187206d5982a85f67969acd3bf0f00e4368c73a0f734cf877c644258"),
+        (["relcoh", "--pair", "su2"], 0,
+         "0318c93dcb57019eec356d055a1fdcaabd0489622c0d81824a931c5817522344"),
+        (["series", "--n", "5", "--truncate", "40"], 0,
+         "309e57a88caa89f4810b4bc27bd503339e19d64f2d198789148e7370a2983027"),
     ])
     def test_exact_reports_keep_their_bytes(self, capsys, argv, code,
                                             digest):
-        # bytes of a reference build; the anomaly digest hashes the
-        # fixture's content, not its path
-        assert cli.main(argv + ["--output", "structured"]) == code
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # bytes of a reference build, the ten README commands; the anomaly
+        # digest hashes the fixture's content, not its path.  Each command
+        # runs twice, first with no algebra built for any label, then with
+        # the algebras of the first run shared.
+        _shared_classical.cache_clear()
+        for _ in range(2):
+            assert cli.main(argv + ["--output", "structured"]) == code
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_structured_output_round_trips(self, capsys):
         assert cli.main(["relcoh", "--pair", "sl2/so2",

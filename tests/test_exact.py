@@ -133,6 +133,22 @@ def test_scalar_parsing_roundtrip():
             scalar_from_json(flag)
 
 
+@pytest.mark.parametrize("text", [
+    " 3 ", "-0", "0003", "+3", "1/2", "1.5", "\u0663", "--3", "", "1/0"])
+def test_rational_from_string_agrees_with_fraction(text):
+    # the int fast path and Fraction give the same value, as an int when
+    # it is integral, and raise the same exception type otherwise
+    try:
+        want = Fraction(text.strip())
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            rational_from_string(text)
+        return
+    got = rational_from_string(text)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 # -- elimination against the oracle -----------------------------------------
 
 

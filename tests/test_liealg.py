@@ -6,6 +6,8 @@ counting for invariant dimensions, trace-form proportionality for Killing
 forms).
 """
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,10 @@ from liegauge.exact import GaussianRational, Matrix
 from liegauge.liealg import (
     ExpansionSolver,
     MatrixLieAlgebra,
+    ad_invariance_failure,
     adjoint_matrix,
     bracket,
+    classical_dimension,
     invariant_polynomial_dimension,
     invariant_symmetric_forms,
     is_ad_invariant,
@@ -252,3 +256,99 @@ def test_bracket_antisymmetry_matrix_level():
     for x in sl3.basis[:4]:
         for y in sl3.basis[:4]:
             assert (bracket(x, y) + bracket(y, x)).is_zero()
+
+
+def _random_entry(rng, gaussian):
+    if rng.random() < 0.5:
+        return 0
+    x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if gaussian and rng.random() < 0.5:
+        return GaussianRational(x, Fraction(rng.randint(-3, 3), 2))
+    return x
+
+
+def _assert_int_first(x):
+    parts = (x.re, x.im) if type(x) is GaussianRational else (x,)
+    for p in parts:
+        assert type(p) is int or p.denominator != 1, repr(x)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_bracket_matches_product_difference(gaussian):
+    # second route: the commutator through two dense matrix products
+    rng = random.Random(4242 + gaussian)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        x = Matrix(n, n, [_random_entry(rng, gaussian) for _ in range(n * n)])
+        y = Matrix(n, n, [_random_entry(rng, gaussian) for _ in range(n * n)])
+        got = bracket(x, y)
+        assert got == x * y - y * x
+        for v in got.entries():
+            _assert_int_first(v)
+
+
+def test_bracket_sums_fractions_to_an_int():
+    # [x, y][0, 2] = 1/2 + 1/2, and y x = 0
+    half = Fraction(1, 2)
+    x = Matrix.from_rows([[0, half, half], [0, 0, 0], [0, 0, 0]])
+    y = Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 1]])
+    got = bracket(x, y)
+    assert got[0, 2] == 1 and type(got[0, 2]) is int
+    with pytest.raises(ValueError, match="square"):
+        bracket(x, Matrix.identity(2))
+
+
+def _brute_force_invariance_failure(c, q):
+    dim = len(c)
+    for x in range(dim):
+        for a in range(dim):
+            for b in range(dim):
+                s = sum(c[x][a][k] * q[k, b] + c[x][b][k] * q[a, k]
+                        for k in range(dim))
+                if s:
+                    return (x, a, b)
+    return None
+
+
+@pytest.mark.parametrize("fam, n", [("sl", 2), ("sl", 3), ("so", 4),
+                                    ("su", 2), ("gl", 2)])
+def test_ad_invariance_failure_matches_brute_force(fam, n):
+    alg = make_classical(fam, n)
+    c = structure_constants(alg)
+    q = killing_form(alg, c)
+    assert ad_invariance_failure(c, q) is None
+    rng = random.Random(f"{fam}{n}")
+    dim = alg.dim
+    failures = []
+    for _ in range(12):
+        entries = list(q.entries())
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randrange(dim), rng.randrange(dim)
+            bump = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            entries[a * dim + b] += bump
+            if a != b and rng.random() < 0.5:
+                entries[b * dim + a] += bump
+        perturbed = Matrix(dim, dim, entries)
+        want = _brute_force_invariance_failure(c, perturbed)
+        failures.append(want)
+        assert ad_invariance_failure(c, perturbed) == want
+    # the perturbations break invariance at more than one first triple
+    assert len(set(failures) - {None}) > 1
+
+
+def test_classical_dimension_closed_forms():
+    for fam in ("sl", "so", "su", "gl"):
+        for n in range(6):
+            try:
+                want = make_classical(fam, n).dim
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    classical_dimension(fam, n)
+                continue
+            assert classical_dimension(fam, n) == want
+    with pytest.raises(ValueError, match="unknown family"):
+        classical_dimension("sp", 4)
+
+
+def test_make_classical_builds_a_fresh_algebra_each_call():
+    assert make_classical("sl", 3) is not make_classical("sl", 3)
