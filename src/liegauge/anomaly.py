@@ -158,14 +158,6 @@ def fundamental_vector(emb: GaugeEmbedding, a: int, g0: Matrix) -> Matrix:
     return emb.T_L[a] * g0 - g0 * emb.T_R[a]
 
 
-def _transposed_pairings(images, n: int) -> list[list]:
-    """For each image A, its nonzero entries A[i, j] as (j * n + i, A[i, j]):
-    Tr(A B) is the sum of A[i, j] * B[j, i], read from B's flat entries at
-    the transposed index."""
-    return [[((t % n) * n + t // n, x) for t, x in enumerate(m.entries()) if x]
-            for m in images]
-
-
 def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
     """Exact anomaly quadratic form with an invariance check.
 
@@ -177,8 +169,10 @@ def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
     dim, n = emb.dim, emb.target_size
     flat = [0] * (dim * dim)
     for images, sign in ((emb.T_L, 1), (emb.T_R, -1)):
-        pairs = _transposed_pairings(images, n)
         entries = [m.entries() for m in images]
+        # A[i, j] with the flat index of B[j, i] it pairs with
+        pairs = [[((t % n) * n + t // n, x) for t, x in enumerate(e) if x]
+                 for e in entries]
         for a in range(dim):
             pa = pairs[a]
             for b in range(a, dim):
