@@ -183,12 +183,9 @@ def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
                 if s:
                     flat[a * dim + b] += sign * s
     for a in range(dim):
-        for b in range(a, dim):
-            q = flat[a * dim + b]
-            if type(q) is Fraction and q.denominator == 1:
-                q = q.numerator
-            flat[a * dim + b] = flat[b * dim + a] = q
-    Q = Matrix._of(dim, dim, tuple(flat))
+        for b in range(a + 1, dim):
+            flat[b * dim + a] = flat[a * dim + b]
+    Q = Matrix(dim, dim, flat)
     failure = ad_invariance_failure(structure_constants(emb.domain), Q)
     if failure is not None:
         raise ValueError(

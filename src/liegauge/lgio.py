@@ -21,7 +21,6 @@ to exit code 2.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 
@@ -124,21 +123,9 @@ def label_dimension(label: str) -> int:
     return classical_dimension(*_parse_label(label))
 
 
-@functools.lru_cache(maxsize=32)
-def _shared_classical(family: str, n: int) -> MatrixLieAlgebra:
-    return make_classical(family, n)
-
-
 def classical_from_label(label: str) -> MatrixLieAlgebra:
-    """Parse labels like "sl3", "so(4)", "su2".
-
-    One algebra per label per process: labels naming the same family and
-    size ("sl3", "sl(3)") share one `MatrixLieAlgebra`, so its structure
-    constants and expansion solver are built once.  Algebras are
-    immutable, so sharing them is safe; `make_classical` still builds a
-    fresh one on each call.
-    """
-    return _shared_classical(*_parse_label(label))
+    """Parse labels like "sl3", "so(4)", "su2"."""
+    return make_classical(*_parse_label(label))
 
 
 def embedding_from_json(obj) -> GaugeEmbedding:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -108,10 +107,7 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
         for t, a in yr[i]:
             for j, b in xr[t]:
                 out[base + j] -= a * b
-    for k, v in enumerate(out):
-        if type(v) is Fraction and v.denominator == 1:
-            out[k] = v.numerator
-    return Matrix._of(n, n, tuple(out))
+    return Matrix(n, n, out)
 
 
 def _unit(n: int, j: int, k: int) -> Matrix:

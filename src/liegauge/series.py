@@ -140,15 +140,20 @@ def koszul_cancellation(pairs, survivors, truncation: int) -> PoincareSeries:
 def check_series_size(n: int, truncation: int) -> None:
     """Fail fast when the `series` command for rank n - 1 is too large.
 
-    Every series it builds is a product of at most two O(truncation) factor
-    passes per first-page generator, and generators above the truncation
-    cost nothing, so its work is bounded by truncation times one more than
-    the number of generators 2i and 2i - 1 with i <= (truncation + 1) // 2.
-    That bound must stay within SERIES_CEILING.
+    The command lists each first-page generator (2i for 2 <= i <= n, 2i - 1
+    for odd 3 <= i <= n) a bounded number of times, and every series it
+    builds is at most two O(truncation) factor passes per generator of
+    degree <= truncation.  Every generator, whatever its degree, also costs
+    list entries, loop steps and report text, measured at about four
+    coefficient updates.  The work, truncation times one more than the
+    generators of degree <= truncation, plus four per generator, must stay
+    within SERIES_CEILING.
     """
-    top = min(n, (truncation + 1) // 2)
-    generators = max(0, top - 1) + len(range(3, top + 1, 2))
-    work = truncation * (1 + generators)
+    def generators(top: int) -> int:
+        return max(0, top - 1) + len(range(3, top + 1, 2))
+
+    within = generators(min(n, (truncation + 1) // 2))
+    work = truncation * (1 + within) + 4 * generators(n)
     if work > SERIES_CEILING:
         raise ValueError(
             f"truncate {truncation} at n = {n} needs about {work} "

@@ -49,7 +49,7 @@ def _derive(expr: FormExpression, rules, *, normalize: bool = True
                 koszul = -1 if prefix_deg % 2 else 1
                 for sign, mid in repl:
                     out.append(Term(
-                        t.coeff * sign * koszul, t.pi,
+                        t.coeff * (sign * koszul), t.pi,
                         t.letters[:i] + mid + t.letters[i + 1:]))
             prefix_deg += letter_degree(letter)
     # normalize=False keeps the raw Leibniz expansion, which the pointwise

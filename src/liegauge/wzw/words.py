@@ -53,24 +53,16 @@ def word_degree(letters: Sequence[tuple]) -> int:
 
 
 _KIND_RANK = {"C": 0, "DG": 1, "G": 2, "GINV": 3}
-# sort key of each letter seen so far, computed once per letter
-_LETTER_KEYS: dict = {}
 
 
 def _letter_key(letter: tuple):
-    key = _LETTER_KEYS.get(letter)
-    if key is None:
-        if letter[0] == "C":
-            key = (0, letter[1], letter[2])
-        else:
-            key = (_KIND_RANK[letter[0]], "", "")
-        _LETTER_KEYS[letter] = key
-    return key
+    if letter[0] == "C":
+        return (0, letter[1], letter[2])
+    return (_KIND_RANK[letter[0]], "", "")
 
 
 def _word_key(letters: Sequence[tuple]):
-    keys = _LETTER_KEYS
-    return tuple([keys[l] if l in keys else _letter_key(l) for l in letters])
+    return tuple(_letter_key(l) for l in letters)
 
 
 def _cancel_adjacent(letters: list, cyclic: bool) -> list:
@@ -303,9 +295,10 @@ def _normalize_terms(kind: str, terms: Iterable[Term]) -> tuple[Term, ...]:
             sign, letters = _canonical_rotation(tuple(letters))
             if sign == 0:
                 continue
-            coeff = coeff * sign
+            if sign < 0:
+                coeff = -coeff
         key = (t.pi, tuple(letters))
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc[key] + coeff if key in acc else coeff
     out = [Term(c, pi, letters)
            for (pi, letters), c in acc.items() if c]
     out.sort(key=lambda t: (t.pi, _word_key(t.letters), len(t.letters)))

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from liegauge import cli
-from liegauge.lgio import _shared_classical
 from liegauge.report import RunReport, canonical_json, inputs_digest
 from liegauge.series import check_series_size
 
@@ -285,10 +284,21 @@ class TestSeriesCommand:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "truncate 1000000000" in err and "ceiling" in err
-        # n = 5 has six first-page generators: 7 * 285714 updates fit
-        check_series_size(5, 285714)
-        with pytest.raises(ValueError, match="truncate 285715"):
-            check_series_size(5, 285715)
+        # n = 5 has six first-page generators: 7 * 285710 + 4 * 6 updates
+        # fit
+        check_series_size(5, 285710)
+        with pytest.raises(ValueError, match="truncate 285711"):
+            check_series_size(5, 285711)
+
+    def test_many_generators_fail_up_front(self, capsys):
+        # generators above the truncation are still listed: this used to
+        # pass the check and then build lists of about 10^8 degrees
+        start = time.perf_counter()
+        assert cli.main(["series", "--n", "100000001",
+                         "--truncate", "10"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "n = 100000001" in err and "ceiling" in err
 
 
 # -- operator checks subcommand -------------------------------------------------
@@ -411,9 +421,8 @@ class TestOutputContract:
                                             digest):
         # bytes of a reference build, the ten README commands; the anomaly
         # digest hashes the fixture's content, not its path.  Each command
-        # runs twice, first with no algebra built for any label, then with
-        # the algebras of the first run shared.
-        _shared_classical.cache_clear()
+        # runs twice in one process, so state left by a first run cannot
+        # change the bytes.
         for _ in range(2):
             assert cli.main(argv + ["--output", "structured"]) == code
             out = capsys.readouterr().out

@@ -348,7 +348,3 @@ def test_classical_dimension_closed_forms():
             assert classical_dimension(fam, n) == want
     with pytest.raises(ValueError, match="unknown family"):
         classical_dimension("sp", 4)
-
-
-def test_make_classical_builds_a_fresh_algebra_each_call():
-    assert make_classical("sl", 3) is not make_classical("sl", 3)
