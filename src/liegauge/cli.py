@@ -32,7 +32,12 @@ from .liealg import (
     invariant_polynomial_dimension,
     symmetric_power_dimension,
 )
-from .lgio import classical_from_label, label_dimension, load_embedding
+from .lgio import (
+    classical_from_label,
+    label_dimension,
+    label_size,
+    load_embedding,
+)
 from .relcoh import (
     cartan_complement,
     check_complex_size,
@@ -123,10 +128,14 @@ def _parse_pair(label: str):
 
 def cmd_relcoh(pair_label: str) -> RunReport:
     g_label, k_label = _parse_pair(pair_label)
-    if k_label is None:
-        # the plain complex lives on the whole algebra, so its size is
-        # known from the label before any basis is built
-        check_complex_size(label_dimension(g_label))
+    # labels of one matrix size give the complement dimension dim g - dim k,
+    # so the pair is checked from its labels before any basis is built
+    m = label_dimension(g_label)
+    if k_label is not None:
+        m -= label_dimension(k_label)
+        if label_size(k_label) != label_size(g_label):
+            raise ValueError("subalgebra matrices must match the ambient size")
+    check_complex_size(m)
     ambient = classical_from_label(g_label)
     sub = classical_from_label(k_label) if k_label else None
     pair = cartan_complement(ambient, sub)

@@ -2,8 +2,8 @@
 
 Scalars are strings "p/q" or "p" for rationals and two-element lists
 ["re", "im"] for Gaussian rationals.  A matrix is either a nested list of
-rows or a flat row-major list (the flat form needs the size known from
-context).  An algebra file is
+rows or a flat row-major list; its size always comes from the enclosing
+object.  An algebra file is
 
     {"name": ..., "matrix_size": n, "scalar": "rational"|"gaussian",
      "basis": [matrix, ...]}
@@ -35,6 +35,7 @@ __all__ = [
     "algebra_to_json",
     "classical_from_label",
     "label_dimension",
+    "label_size",
     "embedding_from_json",
     "embedding_to_json",
     "load_embedding",
@@ -43,32 +44,25 @@ __all__ = [
 _CLASSICAL = re.compile(r"^(sl|so|su|gl)\s*\(?\s*(\d+)\s*\)?$")
 
 
-def matrix_from_json(obj, size: int | None = None, where: str = "matrix"
-                     ) -> Matrix:
-    """Nested rows, or a flat row-major list when `size` is given.
+def matrix_from_json(obj, size: int, where: str = "matrix") -> Matrix:
+    """A size x size matrix from nested rows or a flat row-major list.
 
-    With a known size the two shapes are told apart by length alone
-    (size rows versus size*size entries), so rational rows of length two
-    are never mistaken for Gaussian scalar literals.
+    The two shapes are told apart by length alone (size rows versus
+    size*size entries), so rational rows of length two are never mistaken
+    for Gaussian scalar literals.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty list")
     try:
-        if size is not None:
-            if len(obj) == size and all(
-                    isinstance(r, list) and len(r) == size for r in obj):
-                return Matrix.from_rows(
-                    [[scalar_from_json(e) for e in row] for row in obj])
-            if len(obj) == size * size:
-                return Matrix(size, size,
-                              [scalar_from_json(e) for e in obj])
-            raise ValueError(
-                f"expected {size} rows or {size * size} flat entries, "
-                f"got {len(obj)} elements")
-        if not all(isinstance(r, list) for r in obj):
-            raise ValueError("expected nested rows")
-        return Matrix.from_rows(
-            [[scalar_from_json(e) for e in row] for row in obj])
+        if len(obj) == size and all(
+                isinstance(r, list) and len(r) == size for r in obj):
+            return Matrix.from_rows(
+                [[scalar_from_json(e) for e in row] for row in obj])
+        if len(obj) == size * size:
+            return Matrix(size, size, [scalar_from_json(e) for e in obj])
+        raise ValueError(
+            f"expected {size} rows or {size * size} flat entries, "
+            f"got {len(obj)} elements")
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     except (TypeError, ZeroDivisionError) as exc:
@@ -121,6 +115,11 @@ def label_dimension(label: str) -> int:
     label is checked as `classical_from_label` checks it, and no basis is
     built, so size ceilings can be checked first."""
     return classical_dimension(*_parse_label(label))
+
+
+def label_size(label: str) -> int:
+    """Matrix size of a classical label's algebra, from the label alone."""
+    return _parse_label(label)[1]
 
 
 def classical_from_label(label: str) -> MatrixLieAlgebra:

@@ -352,22 +352,21 @@ def symmetric_power_dimension(dim: int, degree: int) -> int:
     return math.comb(dim + degree - 1, degree)
 
 
-def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int,
-                                   ceiling: int = SYM_CEILING) -> int:
+def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int) -> int:
     """dim of degree-d invariants in the symmetric algebra of the dual.
 
     Invariance means annihilation by every basis derivation, i.e. this is
     the Lie-algebra (connected-group) invariant space.  Guarded: raises
-    ValueError when the symmetric power dimension exceeds `ceiling`.
+    ValueError when the symmetric power dimension exceeds SYM_CEILING.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
         return 1
     nmono = symmetric_power_dimension(alg.dim, degree)
-    if nmono > ceiling:
+    if nmono > SYM_CEILING:
         raise ValueError(
-            f"Sym^{degree} dimension {nmono} exceeds ceiling {ceiling}")
+            f"Sym^{degree} dimension {nmono} exceeds ceiling {SYM_CEILING}")
     _, _, ops = _derivation_ops(alg, degree)
     return len(joint_kernel(nmono, ops))
 

@@ -5,8 +5,10 @@ orthogonal complement is a stable summand and the cochains are the
 subalgebra-invariant alternating forms on it.  The differential uses only
 the complement component of brackets; for symmetric pairs it vanishes and
 the Betti numbers reduce to invariant-wedge dimensions, a fact this module
-re-proves on each run rather than assuming.  Stability of the complement
-is verified in `ReductivePair.complement_action`.
+re-proves on each run rather than assuming.  Every bracket of the pair
+is read from one structure-constant table of the algebra on the basis
+adapted to subalgebra plus complement (`ReductivePair.split`), where
+`cartan_complement` also verifies closure and stability.
 
 Everything here is exact.  The wedge spaces are indexed by sorted index
 subsets and the subalgebra acts through sparse derivation operators, so the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import Matrix, Scalar, joint_kernel
-from .liealg import ExpansionSolver, MatrixLieAlgebra, bracket, killing_form
+from .liealg import MatrixLieAlgebra, killing_form
 
 __all__ = [
     "ReductivePair",
@@ -44,9 +46,8 @@ DIFFERENTIAL_CEILING = 100000
 class ReductivePair:
     """Algebra, stable subalgebra, and a computed stable complement.
 
-    Build through cartan_complement, which verifies that the subalgebra is
-    closed, that the two span the algebra directly and, by computing
-    `complement_action`, that the complement is stable.
+    Build through cartan_complement, which verifies on the `split` table
+    that the subalgebra is closed and that the complement is stable.
     """
 
     g: MatrixLieAlgebra
@@ -62,46 +63,30 @@ class ReductivePair:
         return len(self.p_basis)
 
     @cached_property
-    def split_solver(self) -> ExpansionSolver:
-        """Expands ambient elements in the (subalgebra, complement) basis;
-        built once per pair."""
-        parts = (tuple(self.k.basis) if self.k is not None else ()) \
-            + self.p_basis
-        return ExpansionSolver(parts)
+    def split(self) -> MatrixLieAlgebra:
+        """The algebra on the basis k.basis + p_basis, so that its
+        structure constants hold every bracket of the pair; the algebra
+        itself for the plain complex."""
+        if self.k is None:
+            return self.g
+        return MatrixLieAlgebra(self.g.name, self.g.matrix_size,
+                                self.k.basis + self.p_basis, self.g.scalar)
 
     @cached_property
     def complement_action(self) -> tuple[Matrix, ...]:
         """One matrix R per subalgebra basis element, with
-        bracket(kappa, p_i) = sum_j R[j, i] p_j; each bracket is expanded
-        once, and a nonzero subalgebra part fails stability (ValueError)."""
-        if self.k is None:
-            return ()
-        split, kd = self.split_solver, self.k_dim
-        mats = []
-        for kappa in self.k.basis:
-            cols = [split.expand(bracket(kappa, p)) for p in self.p_basis]
-            if any(any(c[:kd]) for c in cols):
-                raise ValueError(
-                    "complement is not stable under the subalgebra")
-            mats.append(Matrix.from_columns([c[kd:] for c in cols]))
-        return tuple(mats)
+        bracket(kappa, p_i) = sum_j R[j, i] p_j."""
+        c, kd = self.split.structure_constants, self.k_dim
+        return tuple(Matrix.from_columns([col[kd:] for col in c[a][kd:]])
+                     for a in range(kd))
 
     @cached_property
     def projected_constants(self):
         """cbar[i][j] = complement component of bracket(p_i, p_j) in
         complement coordinates; the subalgebra component is projected
         away."""
-        split, kd, m = self.split_solver, self.k_dim, self.p_dim
-        zero = (0,) * m
-        cbar = [[zero] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                coords = split.expand(
-                    bracket(self.p_basis[i], self.p_basis[j]))
-                vals = tuple(coords[kd:])
-                cbar[i][j] = vals
-                cbar[j][i] = tuple(-v for v in vals)
-        return cbar
+        c, kd = self.split.structure_constants, self.k_dim
+        return [[col[kd:] for col in row[kd:]] for row in c[kd:]]
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
@@ -109,8 +94,10 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
     """Killing-orthogonal complement of k in g, with invariants verified.
 
     Raises ValueError when the restricted Killing form is degenerate
-    (reporting the radical dimension), when k is not a subalgebra, or when
-    the complement fails stability.
+    (reporting the radical dimension), when k is not a subalgebra (some
+    bracket of k has a complement part), or when the complement fails
+    stability (some bracket of k with the complement has a subalgebra
+    part); both are read from the pair's `split` structure constants.
     """
     if k is None or k.dim == 0:
         return ReductivePair(g=g, k=None, p_basis=tuple(g.basis))
@@ -121,10 +108,6 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
         k_coords = [solver.expand(x) for x in k.basis]
     except ValueError:
         raise ValueError("subalgebra basis does not lie in the span") from None
-    try:
-        k.structure_constants
-    except ValueError as exc:
-        raise ValueError(f"not a subalgebra: {exc}") from None
     B = killing_form(g)
     pairing_rows = [[sum(kc[r] * B[r, s] for r in range(g.dim))
                      for s in range(g.dim)] for kc in k_coords]
@@ -142,7 +125,15 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
     flat = Matrix.from_columns([b.entries() for b in g.basis])
     pair = ReductivePair(g=g, k=k, p_basis=tuple(
         Matrix(n, n, flat.matvec(v)) for v in p_coords))
-    pair.complement_action  # verifies stability
+    c, kd = pair.split.structure_constants, k.dim
+    for a in range(kd):
+        for b in range(a + 1, kd):
+            if any(c[a][b][kd:]):
+                raise ValueError(
+                    f"not a subalgebra: {k.name}: bracket of basis pair "
+                    f"({a}, {b}) is outside the span; not a Lie subalgebra")
+    if any(any(col[:kd]) for row in c[:kd] for col in row[kd:]):
+        raise ValueError("complement is not stable under the subalgebra")
     return pair
 
 
@@ -156,12 +147,12 @@ def _subsets(m: int, q: int):
     return list(itertools.combinations(range(m), q))
 
 
-def _check_ceiling(m: int, q: int, ceiling: int) -> None:
+def _check_ceiling(m: int, q: int) -> None:
     count = math.comb(m, q)
-    if count > ceiling:
+    if count > WEDGE_CEILING:
         raise ValueError(
             f"wedge degree {q} needs {count} basis subsets, over the "
-            f"ceiling {ceiling}")
+            f"ceiling {WEDGE_CEILING}")
 
 
 def _derivation_triples(R: Matrix, subsets, index_of) -> list:
@@ -185,14 +176,13 @@ def _derivation_triples(R: Matrix, subsets, index_of) -> list:
     return triples
 
 
-def invariant_wedge_basis(pair: ReductivePair, q: int,
-                          ceiling: int = WEDGE_CEILING) -> list[tuple]:
+def invariant_wedge_basis(pair: ReductivePair, q: int) -> list[tuple]:
     """Coordinate vectors (in the sorted-subset basis) spanning the
     subalgebra-invariant part of the q-wedge of the dual complement."""
     m = pair.p_dim
     if q < 0 or q > m:
         raise ValueError(f"wedge degree {q} outside 0..{m}")
-    _check_ceiling(m, q, ceiling)
+    _check_ceiling(m, q)
     subsets = _subsets(m, q)
     if pair.k is None:
         n = len(subsets)
@@ -203,9 +193,8 @@ def invariant_wedge_basis(pair: ReductivePair, q: int,
     return joint_kernel(len(subsets), ops)
 
 
-def invariant_wedge_dimension(pair: ReductivePair, q: int,
-                              ceiling: int = WEDGE_CEILING) -> int:
-    return len(invariant_wedge_basis(pair, q, ceiling))
+def invariant_wedge_dimension(pair: ReductivePair, q: int) -> int:
+    return len(invariant_wedge_basis(pair, q))
 
 
 def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
@@ -234,14 +223,14 @@ def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
     return Matrix(rows, cols, flat)
 
 
-def check_complex_size(m: int, ceiling: int = WEDGE_CEILING) -> None:
+def check_complex_size(m: int) -> None:
     """Fail fast when the complex on an m-dimensional complement is too
     large: first the wedge ceiling for every degree (C(m, q) grows up to
     q = m // 2, so the first degree over the ceiling, if any, is found
     there), then each dense differential against DIFFERENTIAL_CEILING.
     Needs only m, so callers can check before building any algebra."""
     for q in range(m // 2 + 1):
-        _check_ceiling(m, q, ceiling)
+        _check_ceiling(m, q)
     for q in range(m):
         entries = math.comb(m, q) * math.comb(m, q + 1)
         if entries > DIFFERENTIAL_CEILING:
@@ -250,8 +239,7 @@ def check_complex_size(m: int, ceiling: int = WEDGE_CEILING) -> None:
                 f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
 
 
-def relative_ce_cohomology(pair: ReductivePair,
-                           ceiling: int = WEDGE_CEILING) -> tuple[int, ...]:
+def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
     """Betti numbers of the invariant subcomplex, degree 0..dim complement.
 
     The differential is built in full and applied to the invariant
@@ -261,11 +249,10 @@ def relative_ce_cohomology(pair: ReductivePair,
     any work, then each dense differential (see `check_complex_size`).
     """
     m = pair.p_dim
-    check_complex_size(m, ceiling)
+    check_complex_size(m)
     cbar = pair.projected_constants
     symmetric = is_symmetric_pair(pair)
-    invariants = [invariant_wedge_basis(pair, q, ceiling)
-                  for q in range(m + 1)]
+    invariants = [invariant_wedge_basis(pair, q) for q in range(m + 1)]
     subset_lists = [_subsets(m, q) for q in range(m + 1)]
     ranks = []
     for q in range(m):

@@ -65,30 +65,29 @@ def _word_key(letters: Sequence[tuple]):
     return tuple(_letter_key(l) for l in letters)
 
 
-def _cancel_adjacent(letters: list, cyclic: bool) -> list:
-    """Remove G.GINV / GINV.G pairs until none remain.
+def _cancel_adjacent(letters, cyclic: bool) -> list:
+    """Remove G.GINV / GINV.G pairs until none remain, in one stack pass.
 
-    For cyclic words the wrap pair (last, first) also cancels; bringing the
-    last letter to the front first is a rotation of a degree-0 letter, which
-    carries no sign, so no coefficient bookkeeping is needed here.
+    For cyclic words the wrap pairs (last, first) of the reduced word then
+    cancel too; bringing the last letter to the front first is a rotation
+    of a degree-0 letter, which carries no sign, so no coefficient
+    bookkeeping is needed here.  Free reduction is confluent, so the result
+    does not depend on the order of cancellation.
     """
     def inverse_pair(a, b):
         return (a == G and b == GINV) or (a == GINV and b == G)
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            if inverse_pair(letters[i], letters[i + 1]):
-                del letters[i:i + 2]
-                changed = True
-                break
-        if not changed and cyclic and len(letters) >= 2:
-            if inverse_pair(letters[-1], letters[0]):
-                del letters[-1]
-                del letters[0]
-                changed = True
-    return letters
+    out: list = []
+    for letter in letters:
+        if out and inverse_pair(out[-1], letter):
+            out.pop()
+        else:
+            out.append(letter)
+    lo, hi = 0, len(out)
+    if cyclic:
+        while hi - lo >= 2 and inverse_pair(out[hi - 1], out[lo]):
+            lo, hi = lo + 1, hi - 1
+    return out[lo:hi]
 
 
 def _canonical_rotation(letters: tuple) -> tuple[int, tuple]:
@@ -289,7 +288,7 @@ def _normalize_terms(kind: str, terms: Iterable[Term]) -> tuple[Term, ...]:
     for t in terms:
         if not t.coeff:
             continue
-        letters = _cancel_adjacent(list(t.letters), cyclic=(kind == "trace"))
+        letters = _cancel_adjacent(t.letters, cyclic=(kind == "trace"))
         coeff = t.coeff
         if kind == "trace":
             sign, letters = _canonical_rotation(tuple(letters))

@@ -208,6 +208,28 @@ class TestRelcohCommand:
         assert cli.main(["relcoh", "--pair", "sl1"]) == 2
         assert "sl(n) requires n >= 2" in capsys.readouterr().err
 
+    def test_oversized_pair_fails_before_building(self, capsys):
+        # dim g - dim k is the complement dimension: 135 for sl16/so16 and
+        # 464 for sl30/so30; both used to build the algebras first
+        for label, message in (("sl16/so16", "wedge degree 3 needs 400995"),
+                               ("sl30/so30", "wedge degree 2 needs 107416")):
+            start = time.perf_counter()
+            assert cli.main(["relcoh", "--pair", label]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert message in capsys.readouterr().err
+        # labels of two matrix sizes name no pair, so no ceiling applies;
+        # sl120/so2 used to build sl120 before saying so
+        for label, message in (
+                ("sl30/so2", "subalgebra matrices must match the ambient"),
+                ("sl120/so2", "subalgebra matrices must match the ambient"),
+                ("sl3/so2", "subalgebra matrices must match the ambient"),
+                ("sl3/gl3", "subalgebra basis does not lie in the span"),
+                ("so3/sl3", "subalgebra basis does not lie in the span")):
+            start = time.perf_counter()
+            assert cli.main(["relcoh", "--pair", label]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert message in capsys.readouterr().err
+
     def test_differential_ceiling_fails_up_front(self, capsys):
         # sl4's plain complex passes the wedge ceiling (C(15, 7) = 6435),
         # but its dense differential from degree 3 has C(15, 3) * C(15, 4)

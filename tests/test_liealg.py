@@ -247,8 +247,12 @@ def test_invariant_polynomials_gl1_all_one():
 
 
 def test_invariant_polynomial_resource_guard():
-    with pytest.raises(ValueError, match="ceiling"):
-        invariant_polynomial_dimension(make_classical("sl", 3), 4, ceiling=10)
+    # Sym^5 of sl4's dual has 11628 monomials, over the ceiling; nothing
+    # is built
+    sl4 = make_classical("sl", 4)
+    with pytest.raises(ValueError, match="11628 exceeds ceiling 5000"):
+        invariant_polynomial_dimension(sl4, 5)
+    assert "structure_constants" not in vars(sl4)
 
 
 def test_bracket_antisymmetry_matrix_level():

@@ -59,6 +59,15 @@ def test_complement_rejects_non_subalgebra():
     ef = MatrixLieAlgebra("ef", 2, (e, f))
     with pytest.raises(ValueError, match="not a subalgebra"):
         cartan_complement(SL2, ef)
+    # [h1, h2] = 0 closes, [h1, s] is antisymmetric: the first failing
+    # pair in lexicographic order is named
+    h1, h2 = SL3.basis[:2]
+    s = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError) as info:
+        cartan_complement(SL3, MatrixLieAlgebra("hhs", 3, (h1, h2, s)))
+    assert str(info.value) == (
+        "not a subalgebra: hhs: bracket of basis pair (0, 2) is outside "
+        "the span; not a Lie subalgebra")
 
 
 def test_complement_rejects_degenerate_restriction():
@@ -104,6 +113,28 @@ def test_each_bracket_is_expanded_once(monkeypatch):
     pair = cartan_complement(g, k)
     assert relative_ce_cohomology(pair) == (1, 0, 0, 0, 0, 1)
     assert len(calls) == 3 + 3 + 3 * 5 + 10
+
+
+@pytest.mark.parametrize("g, k, solvers", [
+    (("sl", 3), ("so", 3), 2), (("sl", 2), ("so", 2), 2),
+    (("su", 3), ("so", 3), 2), (("sl", 3), None, 1)])
+def test_expansion_solvers_per_pair(monkeypatch, g, k, solvers):
+    # one for the ambient basis and one for the split (k, p) basis, whose
+    # structure constants hold every bracket of the pair; the plain
+    # complex reads the ambient table itself
+    from liegauge.liealg import ExpansionSolver
+    built = []
+    init = ExpansionSolver.__init__
+
+    def counting(self, basis):
+        built.append(len(basis))
+        init(self, basis)
+
+    monkeypatch.setattr(ExpansionSolver, "__init__", counting)
+    pair = cartan_complement(make_classical(*g),
+                             make_classical(*k) if k else None)
+    relative_ce_cohomology(pair)
+    assert len(built) == solvers
 
 
 # -- independent wedge-action oracle ---------------------------------------------
@@ -216,8 +247,12 @@ def test_wedge_bounds_and_ceiling():
     pair = cartan_complement(SL3, SO3)
     with pytest.raises(ValueError, match="outside"):
         invariant_wedge_dimension(pair, 6)
-    with pytest.raises(ValueError, match="ceiling"):
-        invariant_wedge_dimension(pair, 2, ceiling=5)
+    # C(24, 5) = 42504 subsets is over the ceiling; nothing is built
+    sl5 = make_classical("sl", 5)
+    plain = cartan_complement(sl5, None)
+    with pytest.raises(ValueError, match="needs 42504 .* ceiling 20000"):
+        invariant_wedge_dimension(plain, 5)
+    assert "structure_constants" not in vars(sl5)
 
 
 def test_invariant_vectors_are_actually_invariant():
