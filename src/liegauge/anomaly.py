@@ -29,7 +29,8 @@ from .exact import Matrix
 from .liealg import (
     MatrixLieAlgebra,
     ad_invariance_failure,
-    bracket,
+    bracket_entries,
+    sparse_rows,
     structure_constants,
 )
 from .wzw import evaluate, quadratic_residual
@@ -94,19 +95,22 @@ def check_image_count(dim: int, T_L, T_R) -> None:
 
 def _check_homomorphism(side: str, images, c) -> None:
     """[T(a), T(b)] = sum_k c[a][b][k] T(k) for every basis pair a < b,
-    checked on the bracket's flat entries."""
-    dim = len(images)
-    nonzero = [[(t, x) for t, x in enumerate(m.entries()) if x]
-               for m in images]
+    checked on the bracket's flat entries; the sparse rows and nonzero
+    entries of each image are taken once for all pairs."""
+    if not images:
+        return
+    dim, n = len(images), images[0].rows
+    rows = [sparse_rows(m) for m in images]
+    nonzero = [[(i * n + j, x) for i, row in enumerate(r) for j, x in row]
+               for r in rows]
     for a in range(dim):
         for b in range(a + 1, dim):
-            residual = list(bracket(images[a], images[b]).entries())
+            residual = bracket_entries(rows[a], rows[b], n)
             for k, x in enumerate(c[a][b]):
                 if x:
                     for t, v in nonzero[k]:
                         residual[t] -= x * v
             if any(residual):
-                n = images[a].rows
                 raise ValueError(
                     f"{side} images fail the bracket relation for basis "
                     f"pair ({a}, {b}); residual "

@@ -7,6 +7,11 @@ Killing form (defined through adjoint traces, never through matrix traces),
 ad-invariant symmetric bilinear forms, and dimensions of invariant
 polynomials in the symmetric algebra of the dual.
 
+The structure layer is sparse end to end: an algebra takes the sparse rows
+of its basis matrices once, when it builds its structure constants, and
+each bracket goes from those rows straight to flat entries, which its
+`ExpansionSolver` expands through a transform held as sparse columns.
+
 Classical bases are fixed and documented so that every downstream exact
 value is reproducible:
 
@@ -28,7 +33,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .exact import I, Matrix, Scalar, divide, joint_kernel
+from .exact import (
+    GaussianRational,
+    I,
+    Matrix,
+    Scalar,
+    as_scalar,
+    divide,
+    joint_kernel,
+)
 
 SYM_CEILING = 5000
 
@@ -59,7 +72,8 @@ class MatrixLieAlgebra:
         """The algebra's structure constants, computed once per algebra;
         see the module-level `structure_constants`."""
         solver = self.expansion_solver
-        dim = self.dim
+        n, dim = self.matrix_size, self.dim
+        rows = [sparse_rows(b) for b in self.basis]
         c = []
         for a in range(dim):
             row = []
@@ -74,7 +88,7 @@ class MatrixLieAlgebra:
                     continue
                 try:
                     row.append(solver.expand(
-                        bracket(self.basis[a], self.basis[b])))
+                        bracket_entries(rows[a], rows[b], n)))
                 except ValueError:
                     raise ValueError(
                         f"{self.name}: bracket of basis pair ({a}, {b}) "
@@ -83,7 +97,7 @@ class MatrixLieAlgebra:
         return tuple(c)
 
 
-def _sparse_rows(m: Matrix) -> list[list]:
+def sparse_rows(m: Matrix) -> list[list]:
     """The nonzero entries of each row of a square matrix, as (column,
     value) pairs."""
     n, e = m.cols, m.entries()
@@ -91,13 +105,10 @@ def _sparse_rows(m: Matrix) -> list[list]:
             for i in range(n)]
 
 
-def bracket(x: Matrix, y: Matrix) -> Matrix:
-    """Commutator [x, y] = xy - yx, formed in one pass over the nonzero
-    entries; integral entries are ints."""
-    n = x.rows
-    if x.cols != n or y.rows != n or y.cols != n:
-        raise ValueError("bracket needs two square matrices of one size")
-    xr, yr = _sparse_rows(x), _sparse_rows(y)
+def bracket_entries(xr: list, yr: list, n: int) -> list:
+    """Flat row-major entries of [x, y] = xy - yx for n x n matrices given
+    by their `sparse_rows`, in one pass over the nonzero entries; sums are
+    not normalized."""
     out = [0] * (n * n)
     for i in range(n):
         base = i * n
@@ -107,7 +118,15 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
         for t, a in yr[i]:
             for j, b in xr[t]:
                 out[base + j] -= a * b
-    return Matrix(n, n, out)
+    return out
+
+
+def bracket(x: Matrix, y: Matrix) -> Matrix:
+    """Commutator [x, y] = xy - yx; integral entries are ints."""
+    n = x.rows
+    if x.cols != n or y.rows != n or y.cols != n:
+        raise ValueError("bracket needs two square matrices of one size")
+    return Matrix(n, n, bracket_entries(sparse_rows(x), sparse_rows(y), n))
 
 
 def _unit(n: int, j: int, k: int) -> Matrix:
@@ -158,9 +177,12 @@ def make_classical(family: str, n: int) -> MatrixLieAlgebra:
 class ExpansionSolver:
     """Expands matrices in a fixed matrix basis, exactly and repeatedly.
 
-    Precomputes a row-reduction transform of the flattened basis so each
-    expansion is a single matrix-vector product plus a consistency check.
-    Raises ValueError on a dependent basis.
+    One row reduction of [flattened basis | identity] gives a transform
+    that maps a flattened matrix to its basis coefficients followed by
+    consistency residues.  The transform is held as sparse columns, one
+    per matrix entry, so an expansion touches only the transform entries
+    that meet the matrix's nonzero entries.  Raises ValueError on a
+    dependent basis.
     """
 
     def __init__(self, basis: Sequence[Matrix]):
@@ -168,25 +190,54 @@ class ExpansionSolver:
             self.dim = 0
             return
         n2 = basis[0].rows * basis[0].cols
-        self.dim = len(basis)
-        flat = Matrix.from_columns([b.entries() for b in basis])
-        aug = flat.hstack(Matrix.identity(n2))
-        R, pivots = aug.rref()
-        if pivots[:self.dim] != list(range(self.dim)):
+        dim = self.dim = len(basis)
+        width = dim + n2
+        aug = [0] * (n2 * width)
+        for k, b in enumerate(basis):
+            for t, x in enumerate(b.entries()):
+                aug[t * width + k] = x
+        for t in range(n2):
+            aug[t * width + dim + t] = 1
+        R, pivots = Matrix._of(n2, width, tuple(aug)).rref()
+        if pivots[:dim] != list(range(dim)):
             raise ValueError("basis matrices are linearly dependent")
-        self.transform = Matrix(
-            n2, n2, [R[i, self.dim + j] for i in range(n2) for j in range(n2)])
+        e = R.entries()
+        self._columns = [
+            [(i, e[i * width + dim + t]) for i in range(n2)
+             if e[i * width + dim + t]] for t in range(n2)]
 
-    def expand(self, m: Matrix) -> tuple[Scalar, ...]:
-        """Coefficients of m in the basis; ValueError if m is outside the span."""
+    def expand(self, m) -> tuple[Scalar, ...]:
+        """Coefficients of m, a Matrix or its flat row-major entries, in
+        the basis; ValueError if m is outside the span.
+
+        Coefficients are int-first, and a Gaussian coefficient with zero
+        imaginary part is its rational part, so a real algebra such as
+        su(n) gets rational structure constants.
+        """
+        entries = m.entries() if isinstance(m, Matrix) else m
         if self.dim == 0:
-            if m.is_zero():
-                return ()
-            raise ValueError("nonzero matrix in empty basis")
-        w = self.transform.matvec(m.entries())
+            if any(entries):
+                raise ValueError("nonzero matrix in empty basis")
+            return ()
+        cols = self._columns
+        if len(entries) != len(cols):
+            raise ValueError("matrix size does not match the basis")
+        w = [0] * len(cols)
+        for t, x in enumerate(entries):
+            if x:
+                for i, v in cols[t]:
+                    w[i] += v * x
         if any(w[self.dim:]):
             raise ValueError("matrix does not lie in the basis span")
-        return tuple(w[:self.dim])
+        return tuple(_real_first(x) for x in w[:self.dim])
+
+
+def _real_first(x: Scalar) -> Scalar:
+    """An int-first scalar; a Gaussian rational on the real axis becomes
+    its rational part."""
+    if type(x) is GaussianRational and x.im == 0:
+        return x.re
+    return as_scalar(x)
 
 
 def structure_constants(alg: MatrixLieAlgebra):
@@ -263,7 +314,7 @@ def ad_invariance_failure(c, q: Matrix):
     """
     dim = len(c)
     qe = q.entries()
-    qrows = _sparse_rows(q)
+    qrows = sparse_rows(q)
     for x in range(dim):
         cx = c[x]
         nonzero = [[(k, v) for k, v in enumerate(cx[a]) if v]

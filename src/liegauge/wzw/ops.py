@@ -77,8 +77,9 @@ def lie_derivative(expr: FormExpression, label, *, normalize: bool = True
                      normalize=normalize)
     b = contract(differential(expr, normalize=normalize), label,
                  normalize=normalize)
-    return FormExpression(expr.kind, a.terms + b.terms,
-                          normalized=not normalize)
+    if normalize:
+        return a + b
+    return FormExpression(expr.kind, a.terms + b.terms, normalized=True)
 
 
 # -- named forms --------------------------------------------------------------

@@ -20,7 +20,21 @@ Normal form:
     (-1)^(deg u * deg v), where deg counts DG letters.  If the least
     rotation is reachable with both signs, the trace is identically zero
     (e.g. the trace of an even power of g^-1 dg);
-  * like words merge; zero coefficients drop; terms sort canonically.
+  * like words merge; zero coefficients drop; terms sort by (pi power,
+    letters).  Letter tuples compare in the canonical letter order
+    (constants by side and label, then dg, g, g^-1), so a word is its own
+    sort key.
+
+Coefficients are int-first: an integral coefficient is an `int`, any other
+a `fractions.Fraction`, in every expression the engine builds.
+
+Canonicalization happens in one place, `_normalize_terms`, which cancels
+and rotates each distinct word once per build.  Expressions whose terms
+are canonical skip it: the sum of two only merges like words, and the
+product of two matrix expressions only cancels at each junction of the
+concatenated words.  Terms given with `normalized=True` (such as raw
+Leibniz expansions) are kept as given but are not treated as canonical,
+so anything built from them is normalized in full.
 
 The empty word stands for the identity matrix; its trace is the (unbound)
 size of the matrices and is only given a number by the pointwise evaluator.
@@ -52,20 +66,20 @@ def word_degree(letters: Sequence[tuple]) -> int:
     return sum(1 for l in letters if l == DG)
 
 
-_KIND_RANK = {"C": 0, "DG": 1, "G": 2, "GINV": 3}
+def _inverse_pair(a: tuple, b: tuple) -> bool:
+    return (a == G and b == GINV) or (a == GINV and b == G)
 
 
-def _letter_key(letter: tuple):
-    if letter[0] == "C":
-        return (0, letter[1], letter[2])
-    return (_KIND_RANK[letter[0]], "", "")
+def _int_first(c):
+    """An exact rational coefficient, an int when integral."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _word_key(letters: Sequence[tuple]):
-    return tuple(_letter_key(l) for l in letters)
-
-
-def _cancel_adjacent(letters, cyclic: bool) -> list:
+def _cancel_adjacent(letters, cyclic: bool) -> tuple:
     """Remove G.GINV / GINV.G pairs until none remain, in one stack pass.
 
     For cyclic words the wrap pairs (last, first) of the reduced word then
@@ -74,20 +88,28 @@ def _cancel_adjacent(letters, cyclic: bool) -> list:
     bookkeeping is needed here.  Free reduction is confluent, so the result
     does not depend on the order of cancellation.
     """
-    def inverse_pair(a, b):
-        return (a == G and b == GINV) or (a == GINV and b == G)
-
+    if G not in letters or GINV not in letters:
+        return tuple(letters)
     out: list = []
     for letter in letters:
-        if out and inverse_pair(out[-1], letter):
+        if out and _inverse_pair(out[-1], letter):
             out.pop()
         else:
             out.append(letter)
     lo, hi = 0, len(out)
     if cyclic:
-        while hi - lo >= 2 and inverse_pair(out[hi - 1], out[lo]):
+        while hi - lo >= 2 and _inverse_pair(out[hi - 1], out[lo]):
             lo, hi = lo + 1, hi - 1
-    return out[lo:hi]
+    return tuple(out[lo:hi])
+
+
+def _join(u: tuple, v: tuple) -> tuple:
+    """Free reduction of the concatenation u.v of two reduced linear
+    words: only pairs meeting at the junction can cancel."""
+    i, j = len(u), 0
+    while i and j < len(v) and _inverse_pair(u[i - 1], v[j]):
+        i, j = i - 1, j + 1
+    return u[:i] + v[j:]
 
 
 def _canonical_rotation(letters: tuple) -> tuple[int, tuple]:
@@ -96,33 +118,31 @@ def _canonical_rotation(letters: tuple) -> tuple[int, tuple]:
     n = len(letters)
     if n == 0:
         return 1, letters
-    # rotations are compared on the word's key tuple, computed once; the
-    # letters are rotated only for the winner
-    key = _word_key(letters)
     total = word_degree(letters)
+    first = min(letters)     # the least rotation starts with the least letter
     best = None
-    best_r = 0
     best_signs = set()
     prefix_deg = 0
     for r in range(n):
         if r > 0 and letters[r - 1] == DG:
             prefix_deg += 1
-        rotated = key[r:] + key[:r]
+        if letters[r] != first:
+            continue
+        rotated = letters[r:] + letters[:r]
         sign = -1 if (prefix_deg % 2) and ((total - prefix_deg) % 2) else 1
         if best is None or rotated < best:
-            best, best_r = rotated, r
+            best = rotated
             best_signs = {sign}
         elif rotated == best:
             best_signs.add(sign)
-    winner = letters[best_r:] + letters[:best_r]
     if len(best_signs) == 2:
-        return 0, winner
-    return best_signs.pop(), winner
+        return 0, best
+    return best_signs.pop(), best
 
 
 @dataclass(frozen=True)
 class Term:
-    coeff: Fraction
+    coeff: int | Fraction  # int-first; see the module docstring
     pi: int              # power of pi carried symbolically
     letters: tuple       # tuple of letter tuples
 
@@ -133,7 +153,7 @@ class Term:
 class FormExpression:
     """Sum of coefficient-weighted words, of kind 'matrix' or 'trace'."""
 
-    __slots__ = ("kind", "terms")
+    __slots__ = ("kind", "terms", "_canonical")
 
     def __init__(self, kind: str, terms: Iterable[Term] = (), *,
                  normalized: bool = False):
@@ -144,6 +164,19 @@ class FormExpression:
         if not normalized:
             tt = _normalize_terms(kind, tt)
         object.__setattr__(self, "terms", tt)
+        # terms passed as normalized are trusted as given, not as canonical
+        object.__setattr__(self, "_canonical", not normalized)
+
+    @classmethod
+    def _of(cls, kind: str, terms: tuple, canonical: bool = True
+            ) -> "FormExpression":
+        """Trusted constructor: `terms` is a tuple already in normal form
+        when `canonical`, else a raw term list kept as given."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "kind", kind)
+        object.__setattr__(e, "terms", terms)
+        object.__setattr__(e, "_canonical", canonical)
+        return e
 
     def __setattr__(self, name, value):
         raise AttributeError("FormExpression is immutable")
@@ -154,7 +187,7 @@ class FormExpression:
     def word(letters: Sequence[tuple], coeff=1, pi: int = 0,
              kind: str = "matrix") -> "FormExpression":
         return FormExpression(
-            kind, [Term(Fraction(coeff), pi, tuple(letters))])
+            kind, [Term(_int_first(coeff), pi, tuple(letters))])
 
     @staticmethod
     def zero(kind: str = "matrix") -> "FormExpression":
@@ -185,7 +218,7 @@ class FormExpression:
         by_deg: dict[int, list[Term]] = {}
         for t in self.terms:
             by_deg.setdefault(t.degree(), []).append(t)
-        return {d: FormExpression(self.kind, ts, normalized=True)
+        return {d: FormExpression._of(self.kind, tuple(ts), self._canonical)
                 for d, ts in sorted(by_deg.items())}
 
     # -- algebra ---------------------------------------------------------------
@@ -193,37 +226,52 @@ class FormExpression:
     def __add__(self, other: "FormExpression") -> "FormExpression":
         if self.kind != other.kind:
             raise ValueError("cannot add matrix and trace expressions")
-        return FormExpression(self.kind, self.terms + other.terms)
+        if not (self._canonical and other._canonical):
+            return FormExpression(self.kind, self.terms + other.terms)
+        # canonical operands: like words merge, nothing is rewritten
+        acc = {(t.pi, t.letters): t.coeff for t in self.terms}
+        for t in other.terms:
+            key = (t.pi, t.letters)
+            acc[key] = acc[key] + t.coeff if key in acc else t.coeff
+        return FormExpression._of(self.kind, _collect(acc))
 
     def __sub__(self, other: "FormExpression") -> "FormExpression":
         return self + (-other)
 
     def __neg__(self) -> "FormExpression":
-        return FormExpression(
-            self.kind, [Term(-t.coeff, t.pi, t.letters) for t in self.terms],
-            normalized=True)
+        return FormExpression._of(
+            self.kind,
+            tuple(Term(-t.coeff, t.pi, t.letters) for t in self.terms),
+            self._canonical)
 
     def scale(self, coeff, dpi: int = 0) -> "FormExpression":
-        c = Fraction(coeff)
+        c = _int_first(coeff)
         if not c:
             return FormExpression.zero(self.kind)
         # a uniform nonzero rescale (even with a pi shift) preserves normal form
-        return FormExpression(
+        return FormExpression._of(
             self.kind,
-            [Term(t.coeff * c, t.pi + dpi, t.letters) for t in self.terms],
-            normalized=True)
+            tuple(Term(_int_first(t.coeff * c), t.pi + dpi, t.letters)
+                  for t in self.terms),
+            self._canonical)
 
     def __mul__(self, other: "FormExpression") -> "FormExpression":
         if self.kind == "trace" or other.kind == "trace":
             raise ValueError(
                 "traced scalars do not multiply; only matrix words form "
                 "products (take .trace() at the end)")
-        out = []
+        if not (self._canonical and other._canonical):
+            return FormExpression("matrix", [
+                Term(s.coeff * t.coeff, s.pi + t.pi, s.letters + t.letters)
+                for s in self.terms for t in other.terms])
+        # reduced words: only the letters meeting at a junction can cancel
+        acc: dict = {}
         for s in self.terms:
             for t in other.terms:
-                out.append(Term(s.coeff * t.coeff, s.pi + t.pi,
-                                s.letters + t.letters))
-        return FormExpression("matrix", out)
+                key = (s.pi + t.pi, _join(s.letters, t.letters))
+                c = s.coeff * t.coeff
+                acc[key] = acc[key] + c if key in acc else c
+        return FormExpression._of("matrix", _collect(acc))
 
     def trace(self) -> "FormExpression":
         if self.kind == "trace":
@@ -284,21 +332,31 @@ def _format_term(t: Term, kind: str) -> str:
 
 
 def _normalize_terms(kind: str, terms: Iterable[Term]) -> tuple[Term, ...]:
-    acc: dict[tuple, Fraction] = {}
+    """The normal form of a raw term list.  Each distinct word is cancelled
+    and, for traces, rotated once; the table of canonical words is local
+    to this call."""
+    cyclic = kind == "trace"
+    canonical: dict = {}     # raw letters -> (sign, canonical letters)
+    acc: dict = {}
     for t in terms:
         if not t.coeff:
             continue
-        letters = _cancel_adjacent(t.letters, cyclic=(kind == "trace"))
-        coeff = t.coeff
-        if kind == "trace":
-            sign, letters = _canonical_rotation(tuple(letters))
-            if sign == 0:
-                continue
-            if sign < 0:
-                coeff = -coeff
-        key = (t.pi, tuple(letters))
+        hit = canonical.get(t.letters)
+        if hit is None:
+            letters = _cancel_adjacent(t.letters, cyclic)
+            hit = _canonical_rotation(letters) if cyclic else (1, letters)
+            canonical[t.letters] = hit
+        sign, letters = hit
+        if not sign:
+            continue
+        coeff = t.coeff if sign > 0 else -t.coeff
+        key = (t.pi, letters)
         acc[key] = acc[key] + coeff if key in acc else coeff
-    out = [Term(c, pi, letters)
-           for (pi, letters), c in acc.items() if c]
-    out.sort(key=lambda t: (t.pi, _word_key(t.letters), len(t.letters)))
-    return tuple(out)
+    return _collect(acc)
+
+
+def _collect(acc: dict) -> tuple[Term, ...]:
+    """Terms from a `{(pi, letters): coeff}` table in canonical order, with
+    zero coefficients dropped and the rest int-first."""
+    return tuple(Term(c if type(c) is int else _int_first(c), pi, letters)
+                 for (pi, letters), c in sorted(acc.items()) if c)

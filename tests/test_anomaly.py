@@ -82,6 +82,43 @@ def test_homomorphism_fail_fast_names_pair():
         GaugeEmbedding(SL2, 2, SL2.basis, broken)
 
 
+def _first_bracket_failure(domain, images):
+    """The first pair a < b, in lexicographic order, whose commutator of
+    images (two dense products) differs from the structure-constant sum,
+    with that residual; an oracle that never calls the sparse kernel."""
+    from liegauge.liealg import structure_constants
+    c = structure_constants(domain)
+    n = images[0].rows
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            residual = images[a] * images[b] - images[b] * images[a]
+            for k, x in enumerate(c[a][b]):
+                residual = residual - images[k].scale(x)
+            if not residual.is_zero():
+                return (a, b), residual
+    return None, Matrix.zero(n, n)
+
+
+@pytest.mark.parametrize("index, delta", [
+    (5, [[0, Fraction(1, 2), 0], [0, 0, 0], [0, 0, 0]]),
+    (0, [[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
+    (7, [[0, 0, 0], [0, 0, 3], [0, 0, 0]])])
+def test_homomorphism_check_names_the_first_failing_pair(index, delta):
+    emb = load_embedding(FIXTURES / "adjoint_sl3.json")
+    images = list(emb.T_L)
+    images[index] = images[index] + Matrix.from_rows(delta)
+    pair, residual = _first_bracket_failure(emb.domain, images)
+    assert pair is not None
+    want = (f"left images fail the bracket relation for basis pair "
+            f"{pair}; residual {residual.to_lists()}")
+    with pytest.raises(ValueError) as exc:
+        GaugeEmbedding(emb.domain, 3, images, emb.T_R)
+    assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        GaugeEmbedding(emb.domain, 3, emb.T_L, images)
+    assert str(exc.value) == want.replace("left", "right", 1)
+
+
 # -- fundamental vector field --------------------------------------------------
 
 

@@ -352,3 +352,71 @@ def test_classical_dimension_closed_forms():
             assert classical_dimension(fam, n) == want
     with pytest.raises(ValueError, match="unknown family"):
         classical_dimension("sp", 4)
+
+
+# -- seeded bases: int-first constants, checked by a second route ------------
+
+
+def _seeded_basis(family, n, seed):
+    """The classical algebra on a new basis: every element conjugated by
+    one signed permutation and rescaled by a small nonzero rational."""
+    rng = random.Random(seed)
+    alg = make_classical(family, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    entries = [0] * (n * n)
+    for i, j in enumerate(perm):
+        entries[i * n + j] = rng.choice((1, -1))
+    P = Matrix(n, n, entries)
+    scales = [Fraction(s) for s in (1, -1, 2, -2, 3, -3)] + [
+        Fraction(1, s) for s in (2, -2, 3, -3)]
+    basis = tuple((P * b * P.transpose()).scale(rng.choice(scales))
+                  for b in alg.basis)
+    return MatrixLieAlgebra(alg.name, n, basis, alg.scalar)
+
+
+SEEDED = [(fam, n, seed) for fam, n in (("sl", 3), ("so", 4), ("su", 3),
+                                        ("gl", 3))
+          for seed in (11, 12, 13)]
+
+
+@pytest.mark.parametrize("fam, n, seed", SEEDED)
+def test_structure_constants_are_int_first_on_rescaled_bases(fam, n, seed):
+    # rescaled bases give Fraction sums that cancel to integers; su(n) is
+    # a real algebra, so its constants are rationals too
+    c = structure_constants(_seeded_basis(fam, n, seed))
+    for row in c:
+        for coeffs in row:
+            for x in coeffs:
+                assert type(x) is int or x.denominator != 1, repr(x)
+
+
+@pytest.mark.parametrize("fam, n, seed", SEEDED)
+def test_structure_constants_match_a_solved_commutator(fam, n, seed):
+    # second route: the commutator through two dense products, solved
+    # against the flattened basis by one row reduction per pair
+    alg = _seeded_basis(fam, n, seed)
+    c = structure_constants(alg)
+    dim = alg.dim
+    for a in range(dim):
+        for b in range(dim):
+            x, y = alg.basis[a], alg.basis[b]
+            z = x * y - y * x
+            R, pivots = Matrix.from_columns(
+                [e.entries() for e in alg.basis] + [z.entries()]).rref()
+            assert pivots == list(range(dim))
+            assert c[a][b] == tuple(R[i, dim] for i in range(dim))
+
+
+def test_expansion_accepts_flat_entries_and_keeps_its_errors():
+    sl2 = make_classical("sl", 2)
+    solver = ExpansionSolver(sl2.basis)
+    m = Matrix.from_rows([[3, Fraction(1, 2)], [-1, -3]])
+    assert solver.expand(m) == solver.expand(list(m.entries())) == (
+        3, Fraction(1, 2), -1)
+    with pytest.raises(ValueError, match="span"):
+        solver.expand(Matrix.identity(2))
+    empty = ExpansionSolver(())
+    assert empty.expand(Matrix.zero(2, 2)) == ()
+    with pytest.raises(ValueError, match="empty basis"):
+        empty.expand(Matrix.identity(2))

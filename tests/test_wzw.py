@@ -308,3 +308,151 @@ def test_evaluate_reference_value():
     v = Matrix.from_rows([[1, 0], [0, 0]])
     got = evaluate(mu().trace(), g, [v])
     assert got.parts == {0: Fraction(1)}
+
+
+# -- canonical fast paths, int-first coefficients, no kept state -------------
+
+
+def _reference_word_key(letters):
+    """The canonical letter order spelled out: constants by (side, label),
+    then dg, g, g^-1."""
+    rank = {"C": 0, "DG": 1, "G": 2, "GINV": 3}
+    return tuple((rank[l[0]], l[1], l[2]) if l[0] == "C"
+                 else (rank[l[0]], "", "") for l in letters)
+
+
+def test_letter_tuples_order_as_the_canonical_key():
+    rng = random.Random(2718)
+    alphabet = ALPHABET + [DG, C("L", "ab"), C("R", "0")]
+    words = [tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+             for _ in range(400)]
+    assert sorted(words) == sorted(words, key=_reference_word_key)
+    e = random_expression(rng, max_degree=2)
+    keys = [(t.pi, _reference_word_key(t.letters)) for t in e.terms]
+    assert keys == sorted(keys)
+
+
+def _raw_product(a, b):
+    return FormExpression("matrix", [
+        Term(s.coeff * t.coeff, s.pi + t.pi, s.letters + t.letters)
+        for s in a.terms for t in b.terms], normalized=True)
+
+
+def test_canonical_sums_and_products_match_full_normalization():
+    rng = random.Random(31337)
+    for _ in range(150):
+        a = random_expression(rng, kind="matrix", max_degree=2)
+        b = random_expression(rng, kind="matrix", max_degree=2)
+        product = a * b
+        assert product == FormExpression("matrix", _raw_product(a, b).terms)
+        assert a + b == FormExpression("matrix", a.terms + b.terms)
+        assert (product.trace()
+                == FormExpression("trace", _raw_product(a, b).terms))
+        ta = random_expression(rng, kind="trace")
+        tb = random_expression(rng, kind="trace")
+        assert ta - tb == FormExpression(
+            "trace", ta.terms + tuple(Term(-t.coeff, t.pi, t.letters)
+                                      for t in tb.terms))
+
+
+def test_product_cancels_across_the_junction_in_cascade():
+    left = word((CL_A, G, G)) + word((DG, GINV))
+    right = word((GINV, GINV, CR_A)) + word((G, DG))
+    assert left * right == (word((CL_A, CR_A)) + word((CL_A, G, G, G, DG))
+                            + word((DG, GINV, GINV, GINV, CR_A))
+                            + word((DG, DG)))
+
+
+def test_raw_expressions_are_normalized_in_full_when_combined():
+    # terms passed with normalized=True are kept as given, but nothing
+    # built from them may take the canonical shortcuts
+    pair = FormExpression("matrix", [Term(1, 0, (G, GINV))], normalized=True)
+    assert pair * word((CL_A,)) == word((CL_A,))
+    assert word((CL_A,)) * pair == word((CL_A,))
+    assert pair + word((CL_A,)) == word(()) + word((CL_A,))
+    assert (-pair).scale(3) + FormExpression.zero() == word((), -3)
+    omega = wzw_form()
+    raw = differential(contract(omega, "a"), normalize=False)
+    assert raw + FormExpression.zero("trace") == differential(
+        contract(omega, "a"))
+    assert (-raw) + FormExpression.zero("trace") == -differential(
+        contract(omega, "a"))
+    for part in raw.components().values():
+        assert part + FormExpression.zero("trace") == differential(
+            contract(omega, "a"))
+
+
+def _assert_int_first(expr):
+    for t in expr.terms:
+        assert type(t.coeff) is int or t.coeff.denominator != 1, repr(t)
+
+
+def test_coefficients_are_int_first():
+    rng = random.Random(99)
+    lam_a, lam_b, omega = lambda_form("a"), lambda_form("b"), wzw_form()
+    built = [omega, lam_a, quadratic_residual("a", "b"),
+             quadratic_expected_constant("a", "b"), lie_derivative(lam_a, "b"),
+             lambda_commutator("a", "b"),
+             contract(omega, "a") - differential(lam_a),
+             word((CL_A,), Fraction(4, 2)),
+             mu().scale(Fraction(6, 3)), omega.scale(12, 1),
+             (word((CL_A,), Fraction(1, 2)) + word((CL_A,), Fraction(1, 2)))]
+    for _ in range(40):
+        a = random_expression(rng, kind="matrix")
+        b = random_expression(rng, kind="matrix")
+        built += [a, a * b, (a + b).scale(Fraction(3, 2)), (a * b).trace()]
+    for expr in built:
+        _assert_int_first(expr)
+    assert word((CL_A,), Fraction(4, 2)).terms[0].coeff == 2
+
+
+def _module_containers(modules):
+    return {(m.__name__, name): len(value)
+            for m in modules for name, value in vars(m).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set, tuple, frozenset))}
+
+
+def _oracle_shaped_raw(rng):
+    """Three random words of one form degree, two letters besides the dg
+    letters each, kept raw: the shape the benchmark's oracle draws."""
+    alphabet = [G, GINV] + [C(side, label) for side in "LR" for label in "ab"]
+    degree = rng.randint(1, 3)
+    terms = []
+    for _ in range(3):
+        letters = [DG] * degree
+        for _ in range(2):
+            letters.insert(rng.randint(0, len(letters)), rng.choice(alphabet))
+        terms.append(Term(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                   rng.randint(1, 3)),
+                          rng.randint(-1, 1), tuple(letters)))
+    return FormExpression(rng.choice(("matrix", "trace")), terms,
+                          normalized=True)
+
+
+def test_normalization_keeps_no_state_between_calls():
+    import inspect
+
+    from liegauge import liealg
+    from liegauge.wzw import ops, words
+
+    modules = (words, ops, liealg)
+    for m in modules:
+        for name, value in vars(m).items():
+            fns = [value]
+            if inspect.isclass(value) and value.__module__ == m.__name__:
+                fns = list(vars(value).values())
+            for fn in fns:
+                fn = getattr(fn, "func", fn)     # cached_property
+                assert not hasattr(fn, "cache_info"), (m.__name__, name)
+
+    first = run_identity_suite()
+    before = _module_containers(modules)
+    rng = random.Random(8080)
+    for _ in range(1000):
+        raw = _oracle_shaped_raw(rng)
+        normal = FormExpression(raw.kind, raw.terms)
+        _assert_int_first(normal)
+    liealg.structure_constants(liealg.make_classical("sl", 3))
+    assert _module_containers(modules) == before
+    assert run_identity_suite() == first
