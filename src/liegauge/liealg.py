@@ -229,7 +229,11 @@ class ExpansionSolver:
                     w[i] += v * x
         if any(w[self.dim:]):
             raise ValueError("matrix does not lie in the basis span")
-        return tuple(_real_first(x) for x in w[:self.dim])
+        out = w[:self.dim]
+        for i, x in enumerate(out):
+            if type(x) is not int:
+                out[i] = _real_first(x)
+        return tuple(out)
 
 
 def _real_first(x: Scalar) -> Scalar:
