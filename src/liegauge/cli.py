@@ -208,16 +208,19 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
     # before they load, keeping any value already set.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    from .getzler import checks as getzler_checks
 
     if group != "sl2" or ambient != 2:
         raise ValueError(
             "only the rank-one special linear group acting on the plane is "
             f"built in, got group={group!r} ambient={ambient}")
-    if arity < 0 or samples < 1:
-        raise ValueError("arity must be >= 0, samples >= 1")
+    if arity < 0:
+        raise ValueError(f"arity must be >= 0, got {arity}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
+    from .getzler import checks as getzler_checks
+
     squares = [getzler_checks.dg_square_check(k, samples=samples, step=step,
                                               seed=seed)
                for k in range(arity + 1)]

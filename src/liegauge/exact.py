@@ -13,16 +13,21 @@ computations) runs on top of this module; no floats enter here.
 
 Matrices are stored densely, but elimination works on sparse rows (a
 `{column: value}` dict of the nonzero entries), so pivot scaling and row
-updates touch only nonzero entries; the operators of `joint_kernel` are
-indexed by column for the same reason.  Row reduction uses the first
-nonzero entry in each column as the pivot, scanning rows top to bottom,
-so results are deterministic and reproducible across runs and platforms.
+updates touch only nonzero entries.  Each column is indexed to the rows
+that hold it, so a pivot visits only the rows it meets rather than every
+row.  The pivot of a column is the first unused row in its index with a
+nonzero entry; the reduced row echelon form of a matrix is unique, so
+that rule decides the order of the work only, never R or the pivots.
+The operators of `joint_kernel` are indexed by column for the same
+reason.  Results are deterministic and reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 
@@ -291,8 +296,14 @@ class Matrix:
         return Matrix(self.rows, self.cols, [-a for a in self._e])
 
     def scale(self, c: Scalar) -> "Matrix":
+        """c times this matrix.  The products by the int entries 0, 1 and
+        -1, which make up the classical bases, are formed once per call,
+        so equal entries of a scaled basis element share one object."""
         c = as_scalar(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self._e])
+        unit = {0: c * 0, 1: c, -1: -c}
+        return Matrix(self.rows, self.cols,
+                      [unit[a] if type(a) is int and -1 <= a <= 1 else c * a
+                       for a in self._e])
 
     def __mul__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -372,52 +383,78 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form.
 
-        Returns (R, pivot_columns).  Pivot choice: scan columns left to
-        right; in each column take the first row (top to bottom, among rows
-        not yet used) with a nonzero entry.  Rows are eliminated as sparse
-        `{column: value}` dicts, so only nonzero entries are visited.
+        Returns (R, pivot_columns).  Rows are eliminated as sparse
+        `{column: value}` dicts, built from the dense entries by
+        `itertools.compress`, and each column is indexed to the rows that
+        hold it, so a pivot visits only the rows it meets and a row update
+        touches only nonzero entries.  The index is kept lazily: fill-in
+        adds a row to its columns, cancellation leaves a stale entry that
+        is skipped.  Pivot choice: scan columns left to right; in each
+        column take the first unused row listed in its index with a
+        nonzero entry.  The reduced row echelon form of a matrix is unique,
+        so this rule orders the work only: R and the pivots are the same
+        for any choice of pivot rows.
         """
         nr, nc, e = self.rows, self.cols, self._e
         if not nr:
             return self, []
-        rows = [{j: x for j, x in enumerate(e[i * nc:(i + 1) * nc]) if x}
-                for i in range(nr)]
+        span = range(nc)
+        rows = []
+        holders: list = [[] for _ in span]
+        for i in range(nr):
+            seg = e[i * nc:(i + 1) * nc]
+            cols = list(compress(span, seg))
+            rows.append(dict(zip(cols, compress(seg, seg))))
+            for k in cols:
+                holders[k].append(i)
+        used = [False] * nr
+        order: list[int] = []
         pivots: list[int] = []
-        r = 0
-        for j in range(nc):
+        for j in span:
+            meets = holders[j]
+            holders[j] = None
             sel = None
-            for i in range(r, nr):
-                if j in rows[i]:
+            for i in meets:
+                if not used[i] and j in rows[i]:
                     sel = i
                     break
             if sel is None:
                 continue
             prow = rows[sel]
-            rows[sel] = rows[r]
-            inv = prow[j]
+            inv = prow.pop(j)
             if inv != 1:
                 prow = {k: divide(x, inv) for k, x in prow.items()}
-            prow[j] = 1
-            rows[r] = prow
-            for i, row in enumerate(rows):
-                f = row.get(j)
-                if f is None or i == r:
+            pitems = list(prow.items())
+            for i in meets:
+                if i == sel:
                     continue
-                for k, b in prow.items():
-                    v = row.get(k, 0) - f * b
-                    if v:
-                        row[k] = v
+                row = rows[i]
+                f = row.pop(j, None)
+                if f is None:
+                    continue
+                for k, b in pitems:
+                    x = row.get(k)
+                    if x is None:
+                        row[k] = -f * b
+                        holders[k].append(i)
                     else:
-                        del row[k]
+                        x = x - f * b
+                        if x:
+                            row[k] = x
+                        else:
+                            del row[k]
+            prow[j] = 1
+            rows[sel] = prow
+            used[sel] = True
+            order.append(sel)
             pivots.append(j)
-            r += 1
-            if r == nr:
+            if len(order) == nr:
                 break
         flat = [0] * (nr * nc)
-        for i, row in enumerate(rows):
-            base = i * nc
-            for k, x in row.items():
-                flat[base + k] = as_scalar(x)
+        for r, i in enumerate(order):
+            base = r * nc
+            for k, x in rows[i].items():
+                flat[base + k] = x if type(x) is int else as_scalar(x)
         return Matrix._of(nr, nc, tuple(flat)), pivots
 
     def rank(self) -> int:
@@ -429,15 +466,12 @@ class Matrix:
         Deterministic: one vector per free column, in column order, with a 1
         in the free position.
         """
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
-        for j in free:
+        for j, entries in _free_columns(*self.rref()).items():
             v = [0] * self.cols
             v[j] = 1
-            for r, pj in enumerate(pivots):
-                v[pj] = -R[r, j]
+            for pj, x in entries:
+                v[pj] = x
             basis.append(tuple(v))
         return basis
 
@@ -481,6 +515,25 @@ def _combination(terms) -> dict:
     return {i: as_scalar(x) for i, x in out.items() if x}
 
 
+def _free_columns(R: Matrix, pivots: list[int]) -> dict:
+    """The kernel of a reduced row echelon form R, read from its flat
+    entries: each free column j, in column order, maps to the nonzero
+    (pivot column, -R[r, j]) pairs of the kernel vector that has a 1 at j.
+    In pivot row r the nonzero entries besides the pivot's 1 all lie in
+    free columns, so `itertools.compress` finds them and nothing else is
+    visited."""
+    nc, e = R.cols, R.entries()
+    pivot_set = set(pivots)
+    free: dict = {j: [] for j in range(nc) if j not in pivot_set}
+    span = range(nc)
+    for r, pj in enumerate(pivots):
+        seg = e[r * nc:(r + 1) * nc]
+        for k in compress(span, seg):
+            if k != pj:
+                free[k].append((pj, -seg[k]))
+    return free
+
+
 def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
     """Intersection of the kernels of several operators on a dim-space.
 
@@ -489,7 +542,11 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
     operator at a time, so early operators with small kernels keep later
     eliminations cheap.  The basis is kept sparse and each operator is
     indexed by column once, so an image costs the nonzeros of the basis
-    vector times those of the columns it meets.  Returns basis vectors
+    vector times those of the columns it meets.  The images are the
+    columns of one Matrix per operator, reduced by one `Matrix.rref`; the
+    list they are gathered in is dropped once the Matrix holds them, and
+    the next basis is read from the free columns of R, a free column with
+    no entries keeping its basis vector as it is.  Returns basis vectors
     (tuples of length dim).
     """
     basis: list[dict] = [{j: 1} for j in range(dim)]
@@ -497,14 +554,18 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
         if not basis:
             return []
         cols = _columns(op, dim)
-        images = [_combination((x, cols[j]) for j, x in v.items())
-                  for v in basis]
         k = len(basis)
         flat = [0] * (dim * k)
-        for c, image in enumerate(images):
+        for c, v in enumerate(basis):
+            image = _combination((x, cols[j]) for j, x in v.items())
             for i, x in image.items():
                 flat[i * k + c] = x
-        coeffs = Matrix._of(dim, k, tuple(flat)).kernel_basis()
-        basis = [_combination((c, v.items()) for c, v in zip(cv, basis) if c)
-                 for cv in coeffs]
+        images = Matrix._of(dim, k, tuple(flat))
+        del flat
+        free = _free_columns(*images.rref())
+        del images
+        basis = [_combination([(1, basis[j].items())]
+                              + [(x, basis[p].items()) for p, x in entries])
+                 if entries else basis[j]
+                 for j, entries in free.items()]
     return [tuple(v.get(i, 0) for i in range(dim)) for v in basis]

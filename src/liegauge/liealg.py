@@ -29,6 +29,7 @@ value is reproducible:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -367,40 +368,48 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def coadjoint_derivation(c, a: int, monomials, index) -> list:
-    """Sparse matrix of e_a acting as a derivation on Sym^d of the dual.
-
-    The action on a dual generator is (a . xi_v)(e_j) = -xi_v([e_a, e_j]),
-    so xi_v maps to -sum_j c[a][j][v] xi_j; it extends to monomials by the
-    Leibniz rule.  Returns [(row, col, val)] triples over the monomial basis.
-    """
-    ca = c[a]
-    dim = len(c)
-    images = [[(j, -ca[j][v]) for j in range(dim) if ca[j][v]]
-              for v in range(dim)]
-    triples = []
-    for col, mono in enumerate(monomials):
-        seen = {}
-        for v in mono:
-            seen[v] = seen.get(v, 0) + 1
-        for v, mult in seen.items():
-            if not images[v]:
-                continue
-            pos = mono.index(v)
-            rest = mono[:pos] + mono[pos + 1:]
-            for j, coeff in images[v]:
-                target = tuple(sorted(rest + (j,)))
-                triples.append((index[target], col, mult * coeff))
-    return triples
-
-
 def _derivation_ops(alg: MatrixLieAlgebra, degree: int):
-    """Structure constants, Sym^degree monomials and basis derivations."""
+    """Structure constants, Sym^degree monomials and basis derivations.
+
+    e_a acts on a dual generator by (a . xi_v)(e_j) = -xi_v([e_a, e_j]),
+    so xi_v maps to -sum_j c[a][j][v] xi_j, and it extends to monomials
+    by the Leibniz rule: a monomial holding v with multiplicity mult gets
+    mult times that image, with one v replaced by j.  The replacements
+    come from one table per call, shared by all dim operators: each
+    monomial lists its (v, mult, index of the monomial without one v)
+    lowerings, and each monomial of degree - 1 lists, for every j, the
+    index of the monomial with j inserted.
+
+    Each derivation is a list of [(row, col, value)] triples over the
+    monomial basis.
+    """
     c = structure_constants(alg)
-    monomials = _monomials(alg.dim, degree)
+    dim = alg.dim
+    monomials = _monomials(dim, degree)
     index = {m: i for i, m in enumerate(monomials)}
-    return c, monomials, [coadjoint_derivation(c, a, monomials, index)
-                          for a in range(alg.dim)]
+    rests = _monomials(dim, degree - 1) if degree else []
+    raising = []
+    for rest in rests:
+        targets = []
+        for j in range(dim):
+            p = bisect_right(rest, j)
+            targets.append(index[rest[:p] + (j,) + rest[p:]])
+        raising.append(targets)
+    rest_index = {m: i for i, m in enumerate(rests)}
+    lowering = []
+    for col, mono in enumerate(monomials):
+        for pos, v in enumerate(mono):
+            if pos and mono[pos - 1] == v:
+                continue
+            rest = mono[:pos] + mono[pos + 1:]
+            lowering.append((col, v, mono.count(v), rest_index[rest]))
+    ops = []
+    for ca in c:
+        images = [[(j, -ca[j][v]) for j in range(dim) if ca[j][v]]
+                  for v in range(dim)]
+        ops.append([(raising[r][j], col, mult * x)
+                    for col, v, mult, r in lowering for j, x in images[v]])
+    return c, monomials, ops
 
 
 def symmetric_power_dimension(dim: int, degree: int) -> int:

@@ -343,8 +343,14 @@ class TestGetzlerCheckCommand:
 
     def test_unknown_group_is_invalid_input(self, capsys):
         assert cli.main(["getzler-check", "--group", "so3"]) == 2
-        assert cli.main(["getzler-check", "--samples", "0"]) == 2
         capsys.readouterr()
+        # each bad count names its own field and value, and nothing else
+        for argv, field, other in ((["--samples", "0"], "samples", "arity"),
+                                   (["--arity", "-1"], "arity", "samples")):
+            assert cli.main(["getzler-check", *argv]) == 2
+            err = capsys.readouterr().err
+            assert f"{field} must be" in err and f"got {argv[1]}" in err
+            assert other not in err
         for step in ("nan", "inf", "-inf", "0"):
             start = time.perf_counter()
             assert cli.main(["getzler-check", "--step", step]) == 2

@@ -193,6 +193,22 @@ def test_rref_pivot_tiebreak_is_first_nonzero():
     assert R.row(0) == (Fraction(1), Fraction(0))
 
 
+def test_scale_matches_the_entrywise_products():
+    # 0, 1 and -1 int entries take shared products; a Gaussian entry equal
+    # to 1 or 0 must still give a Gaussian product
+    entries = [0, 1, -1, 2, Fraction(1, 2), GaussianRational(1, 0),
+               GaussianRational(0, 0), GaussianRational(0, -1), -1, 1]
+    m = Matrix(2, 5, entries)
+    for c in (3, -1, 0, Fraction(-2, 3), Fraction(4, 2), I,
+              GaussianRational(Fraction(1, 2), -2)):
+        want = [as_scalar(as_scalar(c) * a) for a in entries]
+        got = m.scale(c).entries()
+        assert list(got) == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+        for x in got:
+            assert_normalized(x)
+
+
 def test_kernel_vectors_annihilate():
     rng = random.Random(1234)
     for gaussian in (False, True):
@@ -388,18 +404,59 @@ def random_sparse_rows(rng, nrows, ncols, gaussian):
     return rows
 
 
+def random_large_rows(rng, nrows, ncols, density, gaussian):
+    """A sparse matrix of the given density with dependent rows (each a
+    combination of two others), zero columns and zero rows, so that
+    elimination meets fill-in, cancellation to zero and rank deficiency."""
+    def entry():
+        if rng.random() > density:
+            return 0
+        x = rng.choice((1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)))
+        if gaussian and rng.random() < 0.5:
+            return GaussianRational(x, rng.choice((1, -2, Fraction(1, 3))))
+        return x
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(nrows // 4):
+        a, b, t = rng.sample(range(nrows), 3)
+        f = rng.choice((1, -2, Fraction(1, 3)))
+        g = rng.choice((-1, 3, Fraction(-2, 5)))
+        rows[t] = [f * x + g * y for x, y in zip(rows[a], rows[b])]
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    for _ in range(rng.randint(1, 2)):
+        rows[rng.randrange(nrows)] = [0] * ncols
+    return rows
+
+
+# (rows, cols, density): ten cases per scalar kind, twenty in all; the
+# densest go with the smaller shapes, whose exact entries stay short
+LARGE_CASES = ((40, 50, 0.05), (50, 40, 0.1), (40, 40, 0.1), (30, 50, 0.2),
+               (12, 45, 0.5), (45, 12, 0.5), (25, 25, 0.35), (36, 20, 0.2),
+               (20, 36, 0.35), (8, 50, 0.5))
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_sparse_rref_matches_dense_reference(gaussian):
     rng = random.Random(4242 + gaussian)
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
-        rows = random_sparse_rows(rng, nrows, ncols, gaussian)
-        R, pivots = Matrix.from_rows(rows).rref()
+    cases = [(random_sparse_rows(rng, nrows, ncols, gaussian), ncols)
+             for nrows, ncols in ((rng.randint(1, 8), rng.randint(1, 9))
+                                  for _ in range(60))]
+    cases += [(random_large_rows(rng, nrows, ncols, density, gaussian), ncols)
+              for nrows, ncols, density in LARGE_CASES]
+    for rows, ncols in cases:
+        m = Matrix.from_rows(rows)
+        R, pivots = m.rref()
         want_R, want_pivots = ref_rref(rows, ncols)
         assert pivots == want_pivots
         assert R.to_lists() == want_R
         for x in R.entries():
             assert_normalized(x)
+        # a reduced form is its own reduced form
+        assert R.rref() == (R, pivots)
+        assert [list(v) for v in m.kernel_basis()] == ref_kernel(rows, ncols)
 
 
 def _random_ops(rng, dim, gaussian):

@@ -12,10 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from liegauge.exact import GaussianRational, Matrix
+from liegauge.exact import GaussianRational, Matrix, joint_kernel
 from liegauge.liealg import (
+    SYM_CEILING,
     ExpansionSolver,
     MatrixLieAlgebra,
+    _derivation_ops,
+    _monomials,
     ad_invariance_failure,
     adjoint_matrix,
     bracket,
@@ -26,6 +29,7 @@ from liegauge.liealg import (
     killing_form,
     make_classical,
     structure_constants,
+    symmetric_power_dimension,
     trace_form,
     verify_antisymmetry,
     verify_jacobi,
@@ -420,3 +424,123 @@ def test_expansion_accepts_flat_entries_and_keeps_its_errors():
     assert empty.expand(Matrix.zero(2, 2)) == ()
     with pytest.raises(ValueError, match="empty basis"):
         empty.expand(Matrix.identity(2))
+
+
+# -- Sym^d derivations: the shared table against a per-monomial reference ----
+
+
+def ref_coadjoint_derivation(c, a, monomials, index):
+    """e_a acting as a derivation on Sym^d of the dual, built monomial by
+    monomial: xi_v maps to -sum_j c[a][j][v] xi_j, extended by the Leibniz
+    rule, each target monomial found by sorting.  Unscaled triples."""
+    ca = c[a]
+    dim = len(c)
+    images = [[(j, -ca[j][v]) for j in range(dim) if ca[j][v]]
+              for v in range(dim)]
+    triples = []
+    for col, mono in enumerate(monomials):
+        seen = {}
+        for v in mono:
+            seen[v] = seen.get(v, 0) + 1
+        for v, mult in seen.items():
+            pos = mono.index(v)
+            rest = mono[:pos] + mono[pos + 1:]
+            for j, coeff in images[v]:
+                target = tuple(sorted(rest + (j,)))
+                triples.append((index[target], col, mult * coeff))
+    return triples
+
+
+def _ref_ops(alg, degree):
+    c = structure_constants(alg)
+    monomials = _monomials(alg.dim, degree)
+    index = {m: i for i, m in enumerate(monomials)}
+    return monomials, [ref_coadjoint_derivation(c, a, monomials, index)
+                       for a in range(alg.dim)]
+
+
+def _summed(triples):
+    out = {}
+    for i, j, v in triples:
+        out[i, j] = out.get((i, j), 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+DERIVATION_ALGEBRAS = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4),
+                       ("so", 5), ("su", 2), ("su", 3), ("gl", 2), ("gl", 3)]
+
+
+@pytest.mark.parametrize("fam, n", DERIVATION_ALGEBRAS)
+def test_derivations_match_the_per_monomial_reference(fam, n):
+    for alg in (make_classical(fam, n), _seeded_basis(fam, n, 20 + n)):
+        for degree in range(1, 5):
+            if symmetric_power_dimension(alg.dim, degree) > SYM_CEILING:
+                continue
+            _, monomials, ops = _derivation_ops(alg, degree)
+            ref_monomials, refs = _ref_ops(alg, degree)
+            assert monomials == ref_monomials
+            assert [_summed(op) for op in ops] == [_summed(r) for r in refs]
+
+
+def test_gaussian_derivations_match_the_per_monomial_reference():
+    # i*h, e, f spans sl(2) over Q(i) with Gaussian structure constants
+    h, e, f = make_classical("sl", 2).basis
+    alg = MatrixLieAlgebra("isl(2)", 2, (h.scale(GaussianRational(0, 1)),
+                                         e, f), "gaussian")
+    assert any(type(x) is GaussianRational for row in structure_constants(alg)
+               for coeffs in row for x in coeffs)
+    for degree in (1, 2, 3):
+        _, _, ops = _derivation_ops(alg, degree)
+        assert [_summed(op) for op in ops] == [
+            _summed(ref) for ref in _ref_ops(alg, degree)[1]]
+    assert invariant_polynomial_dimension(alg, 2) == 1
+
+
+def test_joint_kernel_ignores_operator_scale():
+    # c * M has the reduced row echelon form of M, so scaling any operator
+    # by a nonzero factor leaves every kernel vector as it is; this is what
+    # lets a derivation be scaled to int entries
+    for fam, n, degree in (("sl", 3, 3), ("so", 4, 2), ("gl", 2, 3),
+                           ("su", 2, 4)):
+        alg = _seeded_basis(fam, n, 5)
+        monomials, ref = _ref_ops(alg, degree)
+        dim = len(monomials)
+        want = joint_kernel(dim, ref)
+        assert want
+        for factor in (6, Fraction(-3, 2)):
+            scaled = [[(i, j, factor * v) for i, j, v in op] for op in ref]
+            assert joint_kernel(dim, scaled) == want
+            # the same operators as dense matrices
+            dense = []
+            for op in scaled:
+                entries = [0] * (dim * dim)
+                for i, j, v in op:
+                    entries[i * dim + j] += v
+                dense.append(Matrix(dim, dim, entries))
+            assert joint_kernel(dim, dense) == want
+        assert joint_kernel(dim, _derivation_ops(alg, degree)[2]) == want
+
+
+def _forms_from_kernel(dim, monomials, kernel):
+    forms = []
+    for vec in kernel:
+        q = [[0] * dim for _ in range(dim)]
+        for (i, j), coeff in zip(monomials, vec):
+            if i == j:
+                q[i][i] = coeff
+            else:
+                q[i][j] = q[j][i] = Fraction(coeff) / 2
+        forms.append(Matrix.from_rows(q))
+    return forms
+
+
+@pytest.mark.parametrize("fam, n", [("sl", 3), ("so", 4), ("gl", 2)])
+def test_invariant_forms_on_rescaled_bases_match_the_reference_route(fam, n):
+    for seed in (31, 32):
+        alg = _seeded_basis(fam, n, seed)
+        monomials, ref = _ref_ops(alg, 2)
+        want = _forms_from_kernel(alg.dim, monomials,
+                                  joint_kernel(len(monomials), ref))
+        got = invariant_symmetric_forms(alg)
+        assert got == want
+        assert [f.to_lists() for f in got] == [f.to_lists() for f in want]
