@@ -3,9 +3,11 @@
 Given a subalgebra with nondegenerate restricted Killing form, the
 orthogonal complement is a stable summand and the cochains are the
 subalgebra-invariant alternating forms on it.  The differential uses only
-the complement component of brackets; for symmetric pairs it vanishes and
-the Betti numbers reduce to invariant-wedge dimensions, a fact this module
-re-proves on each run rather than assuming.  Every bracket of the pair
+the complement component of brackets, the projected constants.  For a
+symmetric pair `is_symmetric_pair` reads every one of them as zero on each
+run, so the differential vanishes without being built and the Betti
+numbers are the invariant-wedge dimensions; any other pair applies a
+sparse differential to its invariant cochains.  Every bracket of the pair
 is read from one structure-constant table of the algebra on the basis
 adapted to subalgebra plus complement (`ReductivePair.split`), where
 `cartan_complement` also verifies closure and stability.
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import Matrix, Scalar, joint_kernel
+from .exact import Matrix, _columns, _combination, joint_kernel
 from .liealg import MatrixLieAlgebra, killing_form
 
 __all__ = [
@@ -37,8 +39,9 @@ __all__ = [
 ]
 
 WEDGE_CEILING = 20000
-# largest dense differential, C(m, q) * C(m, q + 1) entries, that
-# relative_ce_cohomology builds; every complement with m <= 10 fits
+# largest differential, C(m, q) * C(m, q + 1) entries, whose images on
+# the invariant cochains relative_ce_cohomology ranks as a dense Matrix
+# for a non-symmetric pair; every complement with m <= 10 fits
 DIFFERENTIAL_CEILING = 100000
 
 
@@ -197,11 +200,12 @@ def invariant_wedge_dimension(pair: ReductivePair, q: int) -> int:
     return len(invariant_wedge_basis(pair, q))
 
 
-def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
-    """Relative differential from q-wedges to (q+1)-wedges:
-    (d phi)(x_0..x_q) = sum_{i<j} (-1)^{i+j} phi(proj[x_i, x_j], others)."""
-    index_of = {S: i for i, S in enumerate(subsets_q)}
-    entries: dict[tuple[int, int], Scalar] = {}
+def _differential_triples(cbar, subsets_q1, index_of) -> list:
+    """Relative differential from q-wedges (indexed by index_of) to the
+    (q+1)-wedges subsets_q1, as (row, col, value) triples whose repeats
+    sum: (d phi)(x_0..x_q) = sum_{i<j} (-1)^{i+j} phi(proj[x_i, x_j],
+    others)."""
+    triples = []
     for row, T in enumerate(subsets_q1):
         for i in range(len(T)):
             for j in range(i + 1, len(T)):
@@ -214,67 +218,56 @@ def _differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
                     S = tuple(sorted(rest_set | {l}))
                     below = sum(1 for u in rest if u < l)
                     sign = -pair_sign if below % 2 else pair_sign
-                    key = (row, index_of[S])
-                    entries[key] = entries.get(key, 0) + val * sign
-    rows, cols = len(subsets_q1), len(subsets_q)
-    flat = [0] * (rows * cols)
-    for (r, c), v in entries.items():
-        flat[r * cols + c] = v
-    return Matrix(rows, cols, flat)
+                    triples.append((row, index_of[S], val * sign))
+    return triples
 
 
 def check_complex_size(m: int) -> None:
-    """Fail fast when the complex on an m-dimensional complement is too
-    large: first the wedge ceiling for every degree (C(m, q) grows up to
-    q = m // 2, so the first degree over the ceiling, if any, is found
-    there), then each dense differential against DIFFERENTIAL_CEILING.
-    Needs only m, so callers can check before building any algebra."""
+    """Fail fast when a wedge space on an m-dimensional complement is over
+    the wedge ceiling.  C(m, q) grows up to q = m // 2, so the first degree
+    over the ceiling, if any, is found there.  Needs only m, so callers can
+    check before building any algebra."""
     for q in range(m // 2 + 1):
         _check_ceiling(m, q)
+
+
+def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
+    """Betti numbers of the invariant subcomplex, degree 0..dim complement.
+
+    The differential reads nothing but the projected constants, so a
+    symmetric pair (all of them zero) returns its invariant-wedge
+    dimensions and builds no differential.  Any other pair applies the
+    sparse differential to its invariant cochains and ranks the images.
+    Before any invariant work come the wedge ceiling for every degree,
+    then, for a non-symmetric pair, DIFFERENTIAL_CEILING on each
+    differential's C(m, q) * C(m, q + 1) entries.
+    """
+    m = pair.p_dim
+    check_complex_size(m)
+    if is_symmetric_pair(pair):
+        return tuple(invariant_wedge_dimension(pair, q)
+                     for q in range(m + 1))
     for q in range(m):
         entries = math.comb(m, q) * math.comb(m, q + 1)
         if entries > DIFFERENTIAL_CEILING:
             raise ValueError(
                 f"differential from wedge degree {q} needs {entries} "
                 f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
-
-
-def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
-    """Betti numbers of the invariant subcomplex, degree 0..dim complement.
-
-    The differential is built in full and applied to the invariant
-    cochains; when the pair is symmetric the restricted maps are asserted
-    to be zero, which re-derives the standard vanishing instead of
-    trusting it.  The wedge ceiling is checked for every degree before
-    any work, then each dense differential (see `check_complex_size`).
-    """
-    m = pair.p_dim
-    check_complex_size(m)
     cbar = pair.projected_constants
-    symmetric = is_symmetric_pair(pair)
     invariants = [invariant_wedge_basis(pair, q) for q in range(m + 1)]
     subset_lists = [_subsets(m, q) for q in range(m + 1)]
-    ranks = []
+    # ranks[q + 1] is the rank of d on the invariant q-cochains
+    ranks = [0] * (m + 2)
     for q in range(m):
-        W = invariants[q]
-        if not W:
-            ranks.append(0)
+        if not invariants[q]:
             continue
-        D = _differential_matrix(cbar, subset_lists[q], subset_lists[q + 1])
-        images = [D.matvec(w) for w in W]
-        if symmetric:
-            if any(any(img) for img in images):
-                raise AssertionError(
-                    "symmetric pair produced a nonzero differential")
-            ranks.append(0)
-            continue
-        ranks.append(Matrix.from_columns([list(i) for i in images]).rank())
-    betti = []
-    for q in range(m + 1):
-        b = len(invariants[q])
-        if q < m:
-            b -= ranks[q]
-        if q > 0:
-            b -= ranks[q - 1]
-        betti.append(b)
-    return tuple(betti)
+        index_of = {S: i for i, S in enumerate(subset_lists[q])}
+        cols = _columns(_differential_triples(
+            cbar, subset_lists[q + 1], index_of), len(index_of))
+        rows = range(len(subset_lists[q + 1]))
+        images = [_combination((x, cols[j]) for j, x in enumerate(w) if x)
+                  for w in invariants[q]]
+        ranks[q + 1] = Matrix.from_columns(
+            [[img.get(i, 0) for i in rows] for img in images]).rank()
+    return tuple(len(invariants[q]) - ranks[q] - ranks[q + 1]
+                 for q in range(m + 1))

@@ -178,8 +178,8 @@ def e1_page_series(n: int, truncation: int,
     Closed form: exterior generators of degree 2i-1 for odd i in 3..n,
     polynomial generators of degree 2i for i in 2..n.  With
     from_computed_betti=True the odd-generator factor is replaced by the
-    Betti polynomial of the computed relative cohomology (feasible for
-    n = 3; larger ranks hit the resource guard).
+    Betti polynomial of the computed relative cohomology; that is
+    feasible up to n = 5, and larger n raises on the wedge ceiling.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("closed form needs odd n >= 3")
@@ -187,9 +187,6 @@ def e1_page_series(n: int, truncation: int,
     if not from_computed_betti:
         odd = [2 * i - 1 for i in range(3, n + 1, 2)]
         return series_graded_algebra(odd, even, truncation)
-    if n > 3:
-        raise ValueError(
-            f"computed Betti numbers for n = {n} exceed the resource budget")
     pair = cartan_complement(make_classical("sl", n), make_classical("so", n))
     betti = relative_ce_cohomology(pair)
     poly = [0] * (truncation + 1)

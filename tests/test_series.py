@@ -5,6 +5,8 @@ counting written here: a coefficient at t^d is the number of exponent
 tuples whose weighted sum is d, which needs no polynomial arithmetic.
 """
 
+import time
+
 import pytest
 
 from liegauge.liealg import make_classical, invariant_polynomial_dimension
@@ -133,8 +135,19 @@ def test_e1_series_guards():
         e1_page_series(4, 10)
     with pytest.raises(ValueError, match="odd n >= 3"):
         e1_page_series(1, 10)
-    with pytest.raises(ValueError, match="resource budget"):
-        e1_page_series(5, 10, from_computed_betti=True)
+    # sl5/so5 is symmetric, so its computed Betti numbers need only the
+    # invariant wedges: (1 + t^5)(1 + t^9), the closed form's factor
+    t0 = time.monotonic()
+    assert (e1_page_series(5, 16, from_computed_betti=True)
+            == e1_page_series(5, 16))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0, f"sl5/so5 series took {elapsed:.1f}s (budget 60s)"
+    # sl7/so7 has a 27-dimensional complement, over the wedge ceiling
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="wedge degree 5 needs 80730"):
+        e1_page_series(7, 10, from_computed_betti=True)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"sl7/so7 refusal took {elapsed:.2f}s (budget 1s)"
 
 
 # -- degenerations ------------------------------------------------------------------
