@@ -486,9 +486,6 @@ class Matrix:
                                       for j in range(n)))
 
 
-SparseOp = list  # [(i, j, value)] triples; rows index output, cols input
-
-
 def _columns(op, dim: int) -> list[list]:
     """The nonzero entries of a Matrix or triple-list operator, grouped by
     input column: column j holds (i, value) pairs, repeated triples summed

@@ -15,7 +15,6 @@ from .cochains import (
     random_homogeneous_cochain,
     unit_cochain,
     vanish_factor,
-    zero_cochain,
 )
 from .operators import (
     cup,
@@ -41,7 +40,6 @@ __all__ = [
     "random_homogeneous_cochain",
     "unit_cochain",
     "vanish_factor",
-    "zero_cochain",
     "cup",
     "cup_family",
     "op_d",

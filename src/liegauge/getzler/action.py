@@ -65,15 +65,8 @@ class LinearAction:
     def abelian_point(cls, g_dim: int) -> "LinearAction":
         """An abelian algebra acting on a point (m = 0): the degeneration
         where the whole geometric differential d + iota vanishes."""
-        action = cls.__new__(cls)
-        action.name = f"abelian rank {g_dim} on a point"
-        action.m = 0
-        action.g_dim = g_dim
-        action.basis = tuple(np.zeros((0, 0)) for _ in range(g_dim))
-        action._fields = tuple([] for _ in range(g_dim))
-        action._eye = np.eye(0)
-        action._dual = None
-        return action
+        return cls(f"abelian rank {g_dim} on a point",
+                   [np.zeros((0, 0))] * g_dim, m=0)
 
     @classmethod
     def from_exact_algebra(cls, alg) -> "LinearAction":
@@ -123,8 +116,6 @@ class LinearAction:
 
     def inverse(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
-        if self.m == 0:
-            return h
         if self.m == 2:
             # adjugate form: exact for dyadic entries with unit determinant
             det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
@@ -172,8 +163,6 @@ class GroupSampler:
         self._rng = random.Random(seed)
 
     def draw(self) -> np.ndarray:
-        if self.action.m == 0:
-            return np.zeros((0, 0))
         Z = np.zeros((self.action.m, self.action.m))
         for A in self.action.basis:
             Z = Z + self._rng.uniform(-self.scale, self.scale) * A

@@ -6,7 +6,9 @@ in its coordinates.  Evaluators must be pure functions of their arguments.
 
 Normalized cochains vanish whenever an argument is the identity; the
 random generators below enforce this with a squared-distance factor per
-argument, as the complex requires.
+argument, as the complex requires.  Each draws one frozen form of a fixed
+shape (term count and factor bounds are constants every check shares),
+so a seeded generator fixes the cochain.
 
 Operators mix arities (the coboundary raises it, the group contraction
 lowers it), so inhomogeneous elements are kept as CochainFamily objects:
@@ -28,9 +30,7 @@ __all__ = [
     "CochainFamily",
     "constant_cochain",
     "unit_cochain",
-    "zero_cochain",
     "vanish_factor",
-    "random_polyform",
     "random_cochain",
     "random_homogeneous_cochain",
 ]
@@ -75,11 +75,6 @@ class EquivariantCochain:
         return self._pointwise(other, operator.sub)
 
 
-def zero_cochain(action: LinearAction, arity: int) -> EquivariantCochain:
-    form = PolyForm.zero(action.g_dim, action.m)
-    return EquivariantCochain(action, arity, lambda gs: form)
-
-
 def constant_cochain(action: LinearAction, form: PolyForm
                      ) -> EquivariantCochain:
     if (form.g_dim, form.m) != (action.g_dim, action.m):
@@ -112,69 +107,61 @@ def vanish_factor(gs) -> float:
     return out
 
 
-def random_polyform(rng, g_dim: int, m: int, max_omega: int = 2,
-                    max_x: int = 2, n_terms: int = 4) -> PolyForm:
-    """Random form with coefficients in [-1, 1] and bounded exponents."""
-    terms = {}
-    for _ in range(n_terms):
-        omega = [0] * g_dim
-        for _ in range(rng.randint(0, max_omega)):
-            omega[rng.randrange(g_dim)] += 1
-        x = [0] * m
-        for _ in range(rng.randint(0, max_x) if m else 0):
-            x[rng.randrange(m)] += 1
-        dx = tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) \
-            if m else ()
-        key = (tuple(omega), tuple(x), dx)
-        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
-    return PolyForm(g_dim, m, terms)
+def _exponents(rng, size: int, count: int) -> tuple[int, ...]:
+    """Exponent vector of count factors, each drawn uniformly from size
+    variables."""
+    out = [0] * size
+    for _ in range(count):
+        out[rng.randrange(size)] += 1
+    return tuple(out)
 
 
-def random_homogeneous_polyform(rng, g_dim: int, m: int, omega_deg: int,
-                                dx_deg: int, max_x: int = 2,
-                                n_terms: int = 3) -> PolyForm:
-    """Random form whose every term has the given Omega-degree and
-    dx-degree, so the polynomial degree 2*omega_deg + dx_deg is sharp."""
-    if dx_deg > m:
-        raise ValueError("cannot wedge more differentials than coordinates")
-    terms = {}
-    for _ in range(n_terms):
-        omega = [0] * g_dim
-        for _ in range(omega_deg):
-            omega[rng.randrange(g_dim)] += 1
-        x = [0] * m
-        for _ in range(rng.randint(0, max_x) if m else 0):
-            x[rng.randrange(m)] += 1
-        dx = tuple(sorted(rng.sample(range(m), dx_deg)))
-        key = (tuple(omega), tuple(x), dx)
-        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
-    return PolyForm(g_dim, m, terms)
-
-
-def _normalized_cochain(action: LinearAction, arity: int, form: PolyForm
+def _normalized_cochain(action: LinearAction, arity: int, terms: dict
                         ) -> EquivariantCochain:
+    form = PolyForm(action.g_dim, action.m, terms)
     if arity == 0:
         return EquivariantCochain(action, 0, lambda gs: form)
     return EquivariantCochain(
         action, arity, lambda gs: form.scale(vanish_factor(gs)))
 
 
-def random_cochain(action: LinearAction, rng, arity: int,
-                   max_omega: int = 2, max_x: int = 2) -> EquivariantCochain:
+def random_cochain(action: LinearAction, rng, arity: int
+                   ) -> EquivariantCochain:
     """Normalized random cochain: a frozen random form scaled by the
-    vanish-at-identity factor of the arguments."""
-    form = random_polyform(rng, action.g_dim, action.m, max_omega, max_x)
-    return _normalized_cochain(action, arity, form)
+    vanish-at-identity factor of the arguments.  The form has four terms,
+    each with up to two generator factors, up to two coordinate factors,
+    any set of differentials and a coefficient in [-1, 1]."""
+    m = action.m
+    terms = {}
+    for _ in range(4):
+        omega = _exponents(rng, action.g_dim, rng.randint(0, 2))
+        x = _exponents(rng, m, rng.randint(0, 2) if m else 0)
+        dx = tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) \
+            if m else ()
+        key = (omega, x, dx)
+        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
+    return _normalized_cochain(action, arity, terms)
 
 
 def random_homogeneous_cochain(action: LinearAction, rng, arity: int,
-                               omega_deg: int, dx_deg: int,
-                               max_x: int = 2) -> EquivariantCochain:
-    """Normalized random cochain of sharp polynomial degree, for tests that
-    need a well-defined total degree (the Leibniz sign, degree shifts)."""
-    form = random_homogeneous_polyform(
-        rng, action.g_dim, action.m, omega_deg, dx_deg, max_x)
-    return _normalized_cochain(action, arity, form)
+                               omega_deg: int, dx_deg: int
+                               ) -> EquivariantCochain:
+    """Normalized random cochain of sharp polynomial degree
+    2*omega_deg + dx_deg, for tests that need a well-defined total degree
+    (the Leibniz sign, degree shifts).  The form has three terms, each with
+    omega_deg generator factors, up to two coordinate factors, dx_deg
+    differentials and a coefficient in [-1, 1]."""
+    m = action.m
+    if dx_deg > m:
+        raise ValueError("cannot wedge more differentials than coordinates")
+    terms = {}
+    for _ in range(3):
+        omega = _exponents(rng, action.g_dim, omega_deg)
+        x = _exponents(rng, m, rng.randint(0, 2) if m else 0)
+        dx = tuple(sorted(rng.sample(range(m), dx_deg)))
+        key = (omega, x, dx)
+        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
+    return _normalized_cochain(action, arity, terms)
 
 
 class CochainFamily:

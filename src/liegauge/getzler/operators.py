@@ -23,7 +23,6 @@ sign above; see the checks module.
 
 from __future__ import annotations
 
-import numpy as np
 from scipy.linalg import expm
 
 from .action import GroupSampler, LinearAction
@@ -117,10 +116,7 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
         raise ValueError("group contraction needs arity at least 1")
     action = c.action
     k = c.arity
-    if action.m == 0:
-        exps = [(np.zeros((0, 0)), np.zeros((0, 0)))] * action.g_dim
-    else:
-        exps = [(expm(step * A), expm(-step * A)) for A in action.basis]
+    exps = [(expm(step * A), expm(-step * A)) for A in action.basis]
     half = 1.0 / (2.0 * step)
 
     def evaluate(gs):

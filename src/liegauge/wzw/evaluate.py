@@ -57,21 +57,10 @@ class PiValue:
                           for k, v in sorted(self.parts.items()))
 
 
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def _is_odd(perm) -> bool:
+    """Parity of a permutation: that of its inversion count."""
+    return sum(a > b for i, a in enumerate(perm)
+               for b in perm[i + 1:]) % 2 == 1
 
 
 def evaluate(expr: FormExpression, point: Matrix, vectors,
@@ -112,7 +101,6 @@ def evaluate(expr: FormExpression, point: Matrix, vectors,
         fixed = [None if l == DG else lookup(l) for l in t.letters]
         total = None
         for perm in permutations(range(d)):
-            sign = _permutation_sign(perm)
             prod = Matrix.identity(n)
             slot = 0
             for f in fixed:
@@ -120,7 +108,8 @@ def evaluate(expr: FormExpression, point: Matrix, vectors,
                     f = vectors[perm[slot]]
                     slot += 1
                 prod = prod * f
-            prod = prod.scale(sign)
+            if _is_odd(perm):
+                prod = -prod
             total = prod if total is None else total + prod
         if expr.kind == "trace":
             result.add(t.pi, total.trace() * t.coeff)

@@ -244,8 +244,8 @@ def test_c08_invariant_quadratic_form_space_is_one_dimensional():
 def test_c09_koszul_cancelled_series_match_survivor_algebras():
     """For odd sizes 3, 5, 7 the transgression-cancelled first-page series
     equals the polynomial algebra on the surviving even generators,
-    coefficient-exact through t^40.  The cancellation routine itself
-    recomputes both routes and raises on any mismatch."""
+    coefficient-exact through t^40: the cancellation routine divides the
+    page series, and the survivor algebra is built here independently."""
     for n in (3, 5, 7):
         cancelled = koszul_cancellation(
             transgression_pairs(n), survivor_degrees(n), 40)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liegauge import cli
+from liegauge import cli, series
 from liegauge.report import RunReport, canonical_json, inputs_digest
 from liegauge.series import check_series_size
 
@@ -232,8 +232,9 @@ class TestRelcohCommand:
 
     def test_differential_ceiling_fails_up_front(self, capsys):
         # sl4's plain complex passes the wedge ceiling (C(15, 7) = 6435),
-        # but its dense differential from degree 3 has C(15, 3) * C(15, 4)
-        # = 621075 entries; building them used to exhaust memory
+        # but the dense image matrix of its differential from degree 3,
+        # which is ranked, has C(15, 3) * C(15, 4) = 621075 entries;
+        # building it used to exhaust memory
         start = time.perf_counter()
         assert cli.main(["relcoh", "--pair", "sl4"]) == 2
         assert time.perf_counter() - start < 1.0
@@ -283,6 +284,22 @@ class TestSeriesCommand:
         assert report.results["match"] is True
         assert report.results["survivor_degrees"] == ["4", "8"]
         assert report.verdict == "pass"
+
+    def test_mismatched_routes_fail_the_match(self, monkeypatch, capsys):
+        # only the Koszul division multiplies by 1 - t^d; skipping that
+        # factor must fail the comparison with the survivor algebra
+        times_binomial = series._times_binomial
+
+        def broken(a, d, sign):
+            if sign == 1:
+                times_binomial(a, d, sign)
+
+        monkeypatch.setattr(series, "_times_binomial", broken)
+        assert cli.main(["series", "--n", "5", "--truncate", "40",
+                         "--output", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["match"] is False
+        assert report["verdict"] == "fail"
 
     def test_even_rank_is_invalid_input(self, capsys):
         assert cli.main(["series", "--n", "4", "--truncate", "20"]) == 2

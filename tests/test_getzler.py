@@ -553,8 +553,13 @@ class TestLinearAction:
     def test_point_action_has_no_coordinates(self):
         point = LinearAction.abelian_point(2)
         assert point.m == 0
-        assert GroupSampler(point, seed=0).draw().shape == (0, 0)
+        g = GroupSampler(point, seed=0).draw()
+        assert g.shape == (0, 0)
+        assert point.inverse(g).shape == (0, 0)
         assert point.coefficients(np.zeros((0, 0))) == [0.0, 0.0]
+        one = PolyForm.constant(2, 0, 1.0)
+        c = EquivariantCochain(point, 1, lambda gs: one)
+        assert op_ibar(c)(()).is_zero()
 
 
 # -- cochains ------------------------------------------------------------------
