@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ..exact import Matrix
+from .polyform import Substitution
 
 __all__ = ["FIELD_SIGN", "LinearAction", "GroupSampler"]
 
@@ -51,6 +52,9 @@ class LinearAction:
         self._fields = tuple((FIELD_SIGN * b).tolist() for b in mats)
         self._eye = np.eye(m)
         self._dual = self._dual_frame()
+        # None, or the scope an outermost EquivariantCochain call holds open:
+        # values by (cochain, argument bytes), transports by element bytes
+        self.scope = None
 
     # -- constructors ------------------------------------------------------
 
@@ -136,15 +140,25 @@ class LinearAction:
         return [[columns[b][a] for b in range(self.g_dim)]
                 for a in range(self.g_dim)]
 
+    def transport(self, h) -> tuple:
+        """Substitutions of Ad(h^(-1)) rows and of h^(-1), for acting by h;
+        built once per element bytes while a scope is open."""
+        key = np.asarray(h, float).tobytes()
+        scope = {} if self.scope is None else self.scope
+        if key not in scope:
+            hinv = self.inverse(h)
+            scope[key] = (Substitution(self.ad_matrix(hinv)),
+                          Substitution(hinv))
+        return scope[key]
+
     def group_action(self, h, form):
         """The left action of a group element on a form value: substitute
         the generators by Ad(h^(-1)) and pull the form back along
         x -> h^(-1) x.  Exact skip when h is the identity."""
         if self.is_identity(h):
             return form
-        hinv = self.inverse(h)
-        ad = self.ad_matrix(hinv)
-        return form.substitute_omega(ad).pullback_linear(hinv)
+        omega, pullback = self.transport(h)
+        return form.substitute_omega(omega).pullback_linear(pullback)
 
     def field_matrix(self, a: int) -> list[list[float]]:
         """Rows of the matrix V of the fundamental vector field x -> V x

@@ -2,7 +2,9 @@
 
 A cochain of arity k maps a tuple of k group elements to a PolyForm; the
 symbolic argument X never appears as data because the value is polynomial
-in its coordinates.  Evaluators must be pure functions of their arguments.
+in its coordinates.  Evaluators must be pure and PolyForm values are never
+mutated: the outermost call opens a scope on the action that evaluates each
+(cochain, argument bytes) pair once, and drops it when that call returns.
 
 Normalized cochains vanish whenever an argument is the identity; the
 random generators below enforce this with a squared-distance factor per
@@ -48,12 +50,23 @@ class EquivariantCochain:
         self._evaluator = evaluator
 
     def __call__(self, gs) -> PolyForm:
-        gs = tuple(gs)
+        gs = tuple([np.asarray(g, float) for g in gs])
         if len(gs) != self.arity:
             raise ValueError(
                 f"cochain of arity {self.arity} called with {len(gs)} "
                 "group elements")
-        return self._evaluator(gs)
+        action = self.action
+        outermost = action.scope is None
+        if outermost:
+            action.scope = {}
+        try:
+            key = (self, *map(np.ndarray.tobytes, gs))
+            if key not in action.scope:
+                action.scope[key] = self._evaluator(gs)
+            return action.scope[key]
+        finally:
+            if outermost:
+                action.scope = None
 
     def scale(self, c: float) -> "EquivariantCochain":
         return EquivariantCochain(

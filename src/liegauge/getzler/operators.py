@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from scipy.linalg import expm
 
-from .action import GroupSampler, LinearAction
+from .action import GroupSampler
 from .cochains import CochainFamily, EquivariantCochain
 from .polyform import PolyForm
 
@@ -50,43 +50,28 @@ def _signed_sum(total: PolyForm, term: PolyForm, k: int) -> PolyForm:
     return total - term if k % 2 else total + term
 
 
-def _d_value(value: PolyForm, sign: float) -> PolyForm:
-    return value.exterior_d().scale(sign)
-
-
-def _iota_value(action: LinearAction, value: PolyForm,
-                sign: float) -> PolyForm:
-    total = PolyForm.zero(action.g_dim, action.m)
-    for a in range(action.g_dim):
-        contracted = value.contract_linear_field(action.field_matrix(a))
-        total = total + contracted.multiply_omega(a)
-    return total.scale(sign)
-
-
 def op_d(c: EquivariantCochain) -> EquivariantCochain:
     """Exterior derivative on the value, with the arity sign (-1)^k."""
     sign = _parity(c.arity)
     return EquivariantCochain(
-        c.action, c.arity, lambda gs: _d_value(c(gs), sign))
+        c.action, c.arity, lambda gs: c(gs).exterior_d().scale(sign))
 
 
 def op_iota(c: EquivariantCochain) -> EquivariantCochain:
     """Contraction with the fundamental field of the symbolic argument,
     Omega-weighted per basis direction, with the arity sign (-1)^k."""
-    sign = _parity(c.arity)
-    return EquivariantCochain(
-        c.action, c.arity, lambda gs: _iota_value(c.action, c(gs), sign))
-
-
-def _geometric_pair(c: EquivariantCochain) -> EquivariantCochain:
-    """op_d(c) + op_iota(c), evaluating c once per argument tuple."""
+    action = c.action
     sign = _parity(c.arity)
 
     def evaluate(gs):
         value = c(gs)
-        return _d_value(value, sign) + _iota_value(c.action, value, sign)
+        total = PolyForm.zero(action.g_dim, action.m)
+        for a in range(action.g_dim):
+            contracted = value.contract_linear_field(action.field_matrix(a))
+            total = total + contracted.multiply_omega(a)
+        return total.scale(sign)
 
-    return EquivariantCochain(c.action, c.arity, evaluate)
+    return EquivariantCochain(action, c.arity, evaluate)
 
 
 def op_dbar(c: EquivariantCochain) -> EquivariantCochain:
@@ -127,7 +112,7 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
                 h = leading[0]
                 for g in leading[1:]:
                     h = h @ g
-                ad_rows = action.ad_matrix(action.inverse(h))
+                ad_rows = action.transport(h)[0].matrix
             for b in range(action.g_dim):
                 plus, minus = exps[b]
                 diff = (c(gs[:i] + (plus,) + gs[i:])
@@ -149,7 +134,7 @@ def total_differential(x, step: float = 1e-3) -> CochainFamily:
     for arity in family.arities():
         c = family.component(arity)
         out = out + CochainFamily.of(op_dbar(c))
-        out = out + CochainFamily.of(_geometric_pair(c))
+        out = out + CochainFamily.of(op_d(c) + op_iota(c))
         if arity >= 1:
             out = out + CochainFamily.of(op_ibar(c, step))
     return out

@@ -38,7 +38,7 @@ from __future__ import annotations
 import operator
 from functools import cache, cached_property, reduce
 
-__all__ = ["EXPONENT_LIMIT", "PolyForm"]
+__all__ = ["EXPONENT_LIMIT", "PolyForm", "Substitution"]
 
 EXPONENT_BITS = 7
 EXPONENT_LIMIT = 1 << EXPONENT_BITS
@@ -64,6 +64,7 @@ class _Layout:
         self.omega_shifts = tuple(self.omega_shift + a * _FIELD_BITS
                                   for a in range(g_dim))
         self.x_units = tuple(1 << s for s in self.x_shifts)
+        self.dx_units = tuple(1 << i for i in range(m))
         self.omega_units = tuple(1 << s for s in self.omega_shifts)
         self.guard = sum(u << EXPONENT_BITS
                          for u in self.x_units + self.omega_units)
@@ -164,6 +165,24 @@ def _expand_wedge(layout: _Layout, mask: int, rows) -> dict:
                 nxt[k] = nxt.get(k, 0.0) + f * bij * sign
         acc = nxt
     return acc
+
+
+class Substitution:
+    """A substitution matrix, which substitute_omega and pullback_linear
+    take in its place, with the tables they build from it for forms over
+    one (g_dim, m): nonzero rows by unit set, and expansions by the key part
+    they expand (the Omega, x and dx parts are disjoint bits, and 0 is the
+    empty product in each).  Reused, it gives the floats of a fresh one."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.expansions: dict = {}
+        self._rows: dict = {}
+
+    def rows(self, n: int, units: tuple) -> list:
+        if units not in self._rows:
+            self._rows[units] = _nonzero_rows(self.matrix, n, units)
+        return self._rows[units]
 
 
 class PolyForm:
@@ -378,17 +397,18 @@ class PolyForm:
     def substitute_omega(self, M) -> "PolyForm":
         """Replace each generator: Omega^a -> sum_b M[a][b] Omega^b."""
         layout = self._layout
-        shift, below = layout.omega_shift, layout.below_omega
-        rows = _nonzero_rows(M, self.g_dim, layout.omega_units)
+        below = layout.below_omega
+        table = M if isinstance(M, Substitution) else Substitution(M)
+        rows = table.rows(self.g_dim, layout.omega_units)
+        expansions = table.expansions
         out: dict = {}
-        expansions: dict = {}
         for k, c in self._terms.items():
-            omega = k >> shift
+            rest = k & below
+            omega = k - rest
             acc = expansions.get(omega)
             if acc is None:
                 acc = expansions[omega] = _expand_power(
                     layout, layout.exponents(k, layout.omega_shifts), rows)
-            rest = k & below
             for new_omega, factor in acc.items():
                 key = rest + new_omega
                 out[key] = out.get(key, 0.0) + c * factor
@@ -401,21 +421,21 @@ class PolyForm:
         m, dx_mask = self.m, layout.dx_mask
         omega_part = ~layout.below_omega
         x_part = layout.below_omega ^ dx_mask
-        x_rows = _nonzero_rows(B, m, layout.x_units)
-        dx_rows = _nonzero_rows(B, m, tuple(1 << j for j in range(m)))
+        table = B if isinstance(B, Substitution) else Substitution(B)
+        x_rows = table.rows(m, layout.x_units)
+        dx_rows = table.rows(m, layout.dx_units)
+        expansions = table.expansions
         out: dict = {}
-        x_expansions: dict = {}
-        dx_expansions: dict = {}
         for k, c in self._terms.items():
             x = k & x_part
-            xacc = x_expansions.get(x)
+            xacc = expansions.get(x)
             if xacc is None:
-                xacc = x_expansions[x] = _expand_power(
+                xacc = expansions[x] = _expand_power(
                     layout, layout.exponents(k, layout.x_shifts), x_rows)
             dx = k & dx_mask
-            dxacc = dx_expansions.get(dx)
+            dxacc = expansions.get(dx)
             if dxacc is None:
-                dxacc = dx_expansions[dx] = _expand_wedge(layout, dx, dx_rows)
+                dxacc = expansions[dx] = _expand_wedge(layout, dx, dx_rows)
             omega = k & omega_part
             for new_x, xf in xacc.items():
                 base = omega + new_x

@@ -130,7 +130,10 @@ def koszul_cancellation(pairs, survivors, truncation: int) -> PoincareSeries:
     for h, c in pairs:
         _times_binomial(divided, c, -1)
         _over_binomial(divided, h, -1)
-    return PoincareSeries(truncation, tuple(divided))
+    # no sign check: a faulty division is a failed match, not bad input
+    out = PoincareSeries.__new__(PoincareSeries)
+    out.__dict__.update(truncation=truncation, coeffs=tuple(divided))
+    return out
 
 
 def check_series_size(n: int, truncation: int) -> None:

@@ -301,6 +301,25 @@ class TestSeriesCommand:
         assert report["results"]["match"] is False
         assert report["verdict"] == "fail"
 
+    def test_negative_quotient_fails_the_match(self, monkeypatch, capsys):
+        # applying each 1 - t^d factor twice drives quotient coefficients
+        # below zero; that is a wrong division, reported as a mismatch
+        # (exit 1), not rejected as invalid input (exit 2)
+        times_binomial = series._times_binomial
+
+        def doubled(a, d, sign):
+            times_binomial(a, d, sign)
+            if sign == -1:
+                times_binomial(a, d, sign)
+
+        monkeypatch.setattr(series, "_times_binomial", doubled)
+        assert cli.main(["series", "--n", "5", "--truncate", "40",
+                         "--output", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["match"] is False
+        assert any(c.startswith("-")
+                   for c in report["results"]["cancelled_page"])
+
     def test_even_rank_is_invalid_input(self, capsys):
         assert cli.main(["series", "--n", "4", "--truncate", "20"]) == 2
         capsys.readouterr()
@@ -408,6 +427,23 @@ class TestOutputContract:
                          "--output", "structured"]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_module_entry_point_matches_the_cli_module(self):
+        # `python3 -m liegauge` runs the same command line as
+        # `python3 -m liegauge.cli`: same exit code, same bytes
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["series", "--n", "3", "--truncate", "12", "--output",
+                "structured"]
+        runs = [subprocess.run([sys.executable, "-m", module, *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+                for module in ("liegauge", "liegauge.cli")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["command"] == "series"
 
     def test_getzler_check_pins_blas_threads(self):
         # in a fresh interpreter with the thread variables unset, the

@@ -14,7 +14,10 @@ three buckets:
     step, witnessed by the reduction ratio under step halving.
 """
 
+import gc
 import random
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -600,6 +603,106 @@ class TestCochains:
         diff = fam - fam
         g = GroupSampler(SL2, seed=1).draw()
         assert diff.component(1)((g,)).is_zero()
+
+
+# -- the evaluation scope -------------------------------------------------------
+
+
+class _Tracked(PolyForm):
+    """A PolyForm that a weak reference can watch."""
+    __slots__ = ("__weakref__",)
+
+
+class TestEvaluationScope:
+    def test_square_evaluates_each_node_and_transport_once(self, monkeypatch):
+        action = LinearAction.sl2()
+        base = random_cochain(action, random.Random(70), 2)
+        evaluated = Counter()
+
+        def counted(gs):
+            evaluated[b"".join(g.tobytes() for g in gs)] += 1
+            return base(gs)
+
+        c = EquivariantCochain(action, 2, counted)
+        ad_matrix = action.ad_matrix
+        transported = Counter()
+
+        def counted_ad(h):
+            transported[np.asarray(h).tobytes()] += 1
+            return ad_matrix(h)
+
+        monkeypatch.setattr(action, "ad_matrix", counted_ad)
+        component = total_differential(total_differential(c)).component(2)
+        component(GroupSampler(action, seed=12).draw_tuple(2))
+        # the operators ask for c 109 times at 61 distinct tuples, and
+        # transport by 9 distinct elements 24 times; each is built once
+        assert len(evaluated) == 61 and set(evaluated.values()) == {1}
+        assert len(transported) == 9 and set(transported.values()) == {1}
+
+    def test_no_scope_outlives_a_call(self):
+        action = LinearAction.sl2()
+        watched = []
+
+        def evaluate(gs):
+            form = _Tracked(3, 2, {((1, 0, 0), (1, 0), ()): 1.0})
+            watched.append(weakref.ref(form))
+            return form
+
+        inner = EquivariantCochain(action, 1, evaluate)
+        g = GroupSampler(action, seed=13).draw()
+
+        assert not op_d(inner)((g,)).is_zero()
+        gc.collect()
+        assert action.scope is None and watched[0]() is None
+
+        def fail(gs):
+            raise RuntimeError("evaluator failed")
+
+        broken = op_d(inner) + EquivariantCochain(action, 1, fail)
+        with pytest.raises(RuntimeError, match="evaluator failed"):
+            broken((g,))
+        gc.collect()
+        assert action.scope is None and watched[1]() is None
+        op_d(inner)((g,))
+        assert len(watched) == 3
+
+    def test_keys_are_exact_bytes(self):
+        action = LinearAction.sl2()
+        g = UNIPOTENT_LOW.copy()
+        ulp = g.copy()
+        ulp[1, 0] = np.nextafter(1.0, 2.0)
+        signed = g.copy()
+        signed[0, 1] = -0.0
+        evaluated = []
+
+        def evaluate(gs):
+            evaluated.append(gs[0])
+            return PolyForm.constant(3, 2, float(len(evaluated)))
+
+        inner = EquivariantCochain(action, 1, evaluate)
+        values, transports = [], []
+
+        def outer(gs):
+            for h in (g, ulp, signed, g.copy(), g.tolist()):
+                values.append(inner((h,)))
+                transports.append(action.transport(h))
+            return PolyForm.zero(3, 2)
+
+        EquivariantCochain(action, 0, outer)(())
+        # one ulp or the sign of a zero is a different element; a copy or
+        # a nested list with the same entries is the same one
+        assert len(evaluated) == 3
+        assert [v.terms for v in values[:3]] == [
+            {((0, 0, 0), (0, 0), ()): x} for x in (1.0, 2.0, 3.0)]
+        assert values[3] is values[0] and values[4] is values[0]
+        assert len({id(t) for t in transports}) == 3
+        assert transports[3] is transports[0] is transports[4]
+
+    def test_list_arguments_give_the_array_values(self):
+        c = random_cochain(SL2, random.Random(71), 1)
+        squared = total_differential(total_differential(c)).component(2)
+        gs = GroupSampler(SL2, seed=14).draw_tuple(2)
+        assert squared([g.tolist() for g in gs]) == squared(gs)
 
 
 # -- the four operators --------------------------------------------------------
