@@ -200,6 +200,12 @@ def cmd_series(n: int, truncate: int) -> RunReport:
     return RunReport("series", digest, results, _verdict(match, []))
 
 
+def _json_float(x: float):
+    """A residual as JSON carries it: the float itself when finite, else
+    the string "nan", "inf" or "-inf"."""
+    return x if math.isfinite(x) else str(x)
+
+
 def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
                       samples: int = 100, step: float = 1e-3,
                       seed: int = 0) -> RunReport:
@@ -237,20 +243,21 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
         "group": group,
         "ambient_dimension": str(ambient),
         "total_square": [
-            {"arity": str(s["arity"]), "max_residual": s["residual"],
-             "halved_step_residual": s["halved_step_residual"],
-             "reduction_ratio": s["reduction_ratio"],
+            {"arity": str(s["arity"]),
+             "max_residual": _json_float(s["residual"]),
+             "halved_step_residual": _json_float(s["halved_step_residual"]),
+             "reduction_ratio": _json_float(s["reduction_ratio"]),
              "tolerance": s["tolerance"], "ok": s["ok"]}
             for s in squares
         ],
-        "associativity": {"max_residual": assoc["residual"],
+        "associativity": {"max_residual": _json_float(assoc["residual"]),
                           "tolerance": assoc["tolerance"],
                           "ok": assoc["ok"]},
-        "leibniz": {"max_residual": leibniz["residual"],
+        "leibniz": {"max_residual": _json_float(leibniz["residual"]),
                     "tolerance": leibniz["tolerance"],
                     "ok": leibniz["ok"]},
         "cartan_inclusion": {
-            "coboundary_residual": inclusion["dbar_residual"],
+            "coboundary_residual": _json_float(inclusion["dbar_residual"]),
             "total_equals_geometric_pair": inclusion["cartan_match"],
             "tolerance": inclusion["tolerance"],
             "ok": inclusion["ok"],

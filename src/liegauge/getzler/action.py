@@ -49,12 +49,18 @@ class LinearAction:
         self.m = m
         self.g_dim = len(mats)
         self.basis = tuple(mats)
-        self._fields = tuple((FIELD_SIGN * b).tolist() for b in mats)
+        # fields[a]: the matrix V of the fundamental field x -> V x of
+        # direction a, orientation sign included, with its row table
+        self.fields = tuple(Substitution((FIELD_SIGN * b).tolist())
+                            for b in mats)
         self._eye = np.eye(m)
         self._dual = self._dual_frame()
         # None, or the scope an outermost EquivariantCochain call holds open:
         # values by (cochain, argument bytes), transports by element bytes
         self.scope = None
+        # transports kept for the action's lifetime, by element bytes;
+        # None until the element is first transported
+        self.kept: dict = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -140,16 +146,30 @@ class LinearAction:
         return [[columns[b][a] for b in range(self.g_dim)]
                 for a in range(self.g_dim)]
 
+    def keep(self, elements) -> None:
+        """Keep the transports of these elements for the action's lifetime
+        (op_ibar's inserted elements, the same in every call); each is
+        built on first use."""
+        for h in elements:
+            self.kept.setdefault(np.asarray(h, float).tobytes(), None)
+
     def transport(self, h) -> tuple:
-        """Substitutions of Ad(h^(-1)) rows and of h^(-1), for acting by h;
-        built once per element bytes while a scope is open."""
+        """Substitutions of Ad(h^(-1)) rows and of h^(-1), for acting by h,
+        with every row table and expansion built from them so far.  A kept
+        element's lives as long as the action; any other's is built once
+        per element bytes while a scope is open and dropped with it."""
         key = np.asarray(h, float).tobytes()
-        scope = {} if self.scope is None else self.scope
-        if key not in scope:
+        if key in self.kept:
+            table = self.kept
+        elif self.scope is None:
+            table = {}
+        else:
+            table = self.scope
+        if table.get(key) is None:
             hinv = self.inverse(h)
-            scope[key] = (Substitution(self.ad_matrix(hinv)),
+            table[key] = (Substitution(self.ad_matrix(hinv)),
                           Substitution(hinv))
-        return scope[key]
+        return table[key]
 
     def group_action(self, h, form):
         """The left action of a group element on a form value: substitute
@@ -159,11 +179,6 @@ class LinearAction:
             return form
         omega, pullback = self.transport(h)
         return form.substitute_omega(omega).pullback_linear(pullback)
-
-    def field_matrix(self, a: int) -> list[list[float]]:
-        """Rows of the matrix V of the fundamental vector field x -> V x
-        for basis direction a; carries the documented orientation sign."""
-        return self._fields[a]
 
 
 class GroupSampler:

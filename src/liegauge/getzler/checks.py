@@ -4,7 +4,8 @@ Each check returns a plain dict with the measured residual, the tolerance
 it is judged against, and an "ok" flag, so the command-line layer can
 render them uniformly and tests can assert on the numbers.  All randomness
 is seeded explicitly, with seed 0 where a check takes no seed; identical
-seeds give identical dicts.
+seeds give identical dicts.  A NaN anywhere in a residual makes the
+residual NaN, and the check fails.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .operators import (
     square_residual,
     total_differential,
 )
-from .polyform import PolyForm
+from .polyform import PolyForm, max_residual
 
 __all__ = [
     "DYADIC_SL2_SAMPLES",
@@ -103,7 +104,8 @@ def dg_square_check(arity: int, samples: int = 100, step: float = 1e-3,
         cochain, GroupSampler(action, 0.5, seed + 1), samples, step)
     halved = square_residual(
         cochain, GroupSampler(action, 0.5, seed + 1), samples, step / 2.0)
-    ratio = residual / halved if halved > 0.0 else math.inf
+    # a NaN halved residual gives a NaN ratio, which fails the check
+    ratio = residual / halved if halved != 0.0 else math.inf
     return {
         "arity": arity,
         "samples": samples,
@@ -132,7 +134,7 @@ def associativity_check(seed: int = 0,
         sampler = GroupSampler(action, 0.5, seed + sum(arities))
         for _ in range(25):
             gs = sampler.draw_tuple(sum(arities))
-            worst = max(worst, (left(gs) - right(gs)).norm())
+            worst = max_residual((worst, (left(gs) - right(gs)).norm()))
     return {"residual": worst, "tolerance": TOL_ASSOC,
             "ok": worst <= TOL_ASSOC}
 
@@ -160,8 +162,8 @@ def leibniz_check(step: float = 1e-3, seed: int = 0,
         for arity in diff.arities():
             component = diff.component(arity)
             for _ in range(25):
-                worst = max(worst,
-                            component(sampler.draw_tuple(arity)).norm())
+                worst = max_residual(
+                    (worst, component(sampler.draw_tuple(arity)).norm()))
     return {"residual": worst, "step": step, "tolerance": TOL_LEIBNIZ,
             "ok": worst <= TOL_LEIBNIZ}
 
@@ -176,14 +178,14 @@ def inclusion_check(action: LinearAction | None = None,
     algebra = algebra or make_classical("sl", 2)
     cochain = killing_quadratic_cochain(action, algebra)
     dbar = op_dbar(cochain)
-    dbar_worst = max(dbar((np.asarray(g),)).norm()
-                     for g in DYADIC_SL2_SAMPLES)
+    dbar_worst = max_residual(dbar((np.asarray(g),)).norm()
+                              for g in DYADIC_SL2_SAMPLES)
     cartan = (op_d(cochain) + op_iota(cochain))(())
     total = total_differential(cochain)
     geometric = total.component(0)(())
     bar_component = total.component(1)
-    bar_worst = max(bar_component((np.asarray(g),)).norm()
-                    for g in DYADIC_SL2_SAMPLES)
+    bar_worst = max_residual(bar_component((np.asarray(g),)).norm()
+                             for g in DYADIC_SL2_SAMPLES)
     return {
         "dbar_residual": dbar_worst,
         "total_bar_residual": bar_worst,
@@ -213,7 +215,7 @@ def vanish_check(action: LinearAction | None = None) -> dict:
                 gs = list(sampler.draw_tuple(out.arity))
                 slot = rng.randrange(out.arity)
                 gs[slot] = action.identity()
-                worst = max(worst, out(tuple(gs)).norm())
+                worst = max_residual((worst, out(tuple(gs)).norm()))
     return {"residual": worst, "tolerance": TOL_VANISH,
             "ok": worst <= TOL_VANISH}
 

@@ -4,7 +4,11 @@ A cochain of arity k maps a tuple of k group elements to a PolyForm; the
 symbolic argument X never appears as data because the value is polynomial
 in its coordinates.  Evaluators must be pure and PolyForm values are never
 mutated: the outermost call opens a scope on the action that evaluates each
-(cochain, argument bytes) pair once, and drops it when that call returns.
+(cochain, argument bytes) pair once and transports by each group element
+once, and drops it when that call returns.  What lives longer is on the
+action and fixed by its basis: the fundamental fields, and the transports
+by the elements exp(+-step A_b) that op_ibar inserts, each built on first
+use and kept for the action's lifetime.
 
 Normalized cochains vanish whenever an argument is the identity; the
 random generators below enforce this with a squared-distance factor per
@@ -19,7 +23,6 @@ one cochain per arity, missing arities meaning zero.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -102,21 +105,20 @@ def unit_cochain(action: LinearAction) -> EquivariantCochain:
         action, PolyForm.constant(action.g_dim, action.m, 1.0))
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def vanish_factor(gs) -> float:
     """Product of squared Frobenius distances to the identity, one factor
-    per argument; exactly zero when any argument is the identity."""
+    per argument; exactly zero when any argument is the identity.  Each
+    distance is summed in row-major order, as numpy sums fewer than eight
+    terms."""
     out = 1.0
     for g in gs:
-        g = np.asarray(g, dtype=float)
-        d = g - _identity(g.shape[0])
-        out *= float(np.sum(d * d))
+        rows = g.tolist() if isinstance(g, np.ndarray) else g
+        total = 0.0
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                d = float(v) - 1.0 if i == j else float(v)
+                total += d * d
+        out *= total
     return out
 
 

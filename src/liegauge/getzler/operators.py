@@ -27,7 +27,7 @@ from scipy.linalg import expm
 
 from .action import GroupSampler
 from .cochains import CochainFamily, EquivariantCochain
-from .polyform import PolyForm
+from .polyform import PolyForm, max_residual
 
 __all__ = [
     "op_d",
@@ -67,7 +67,7 @@ def op_iota(c: EquivariantCochain) -> EquivariantCochain:
         value = c(gs)
         total = PolyForm.zero(action.g_dim, action.m)
         for a in range(action.g_dim):
-            contracted = value.contract_linear_field(action.field_matrix(a))
+            contracted = value.contract_linear_field(action.fields[a])
             total = total + contracted.multiply_omega(a)
         return total.scale(sign)
 
@@ -102,6 +102,7 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
     action = c.action
     k = c.arity
     exps = [(expm(step * A), expm(-step * A)) for A in action.basis]
+    action.keep(h for pair in exps for h in pair)
     half = 1.0 / (2.0 * step)
 
     def evaluate(gs):
@@ -112,14 +113,14 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
                 h = leading[0]
                 for g in leading[1:]:
                     h = h @ g
-                ad_rows = action.transport(h)[0].matrix
+                ad = action.transport(h)[0]
             for b in range(action.g_dim):
                 plus, minus = exps[b]
                 diff = (c(gs[:i] + (plus,) + gs[i:])
                         - c(gs[:i] + (minus,) + gs[i:])).scale(half)
                 # with no leading arguments the transport is the identity,
                 # and the product with a unit row is the shift by Omega^b
-                term = (diff.multiply_omega_linear(ad_rows[b]) if leading
+                term = (diff.multiply_omega_linear(ad, b) if leading
                         else diff.multiply_omega(b))
                 total = _signed_sum(total, term, i)
         return total
@@ -142,15 +143,12 @@ def total_differential(x, step: float = 1e-3) -> CochainFamily:
 
 def square_residual(x, sampler: GroupSampler, samples: int,
                     step: float = 1e-3) -> float:
-    """Largest coefficient of d_G(d_G x) over sampled argument tuples."""
+    """Largest coefficient of d_G(d_G x) over sampled argument tuples;
+    NaN once any coefficient is NaN."""
     squared = total_differential(total_differential(x, step), step)
-    worst = 0.0
-    for arity in squared.arities():
-        component = squared.component(arity)
-        for _ in range(samples):
-            value = component(sampler.draw_tuple(arity))
-            worst = max(worst, value.norm())
-    return worst
+    return max_residual(
+        squared.component(arity)(sampler.draw_tuple(arity)).norm()
+        for arity in squared.arities() for _ in range(samples))
 
 
 def cup(a: EquivariantCochain, b: EquivariantCochain) -> EquivariantCochain:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import operator
 from functools import cache, cached_property, reduce
 
-__all__ = ["EXPONENT_LIMIT", "PolyForm", "Substitution"]
+__all__ = ["EXPONENT_LIMIT", "PolyForm", "Substitution", "max_residual"]
 
 EXPONENT_BITS = 7
 EXPONENT_LIMIT = 1 << EXPONENT_BITS
@@ -167,12 +167,26 @@ def _expand_wedge(layout: _Layout, mask: int, rows) -> dict:
     return acc
 
 
+def max_residual(values) -> float:
+    """Largest of nonnegative residuals, 0.0 for none, and NaN once any is
+    NaN, so a check against a tolerance fails; max() would keep a NaN only
+    when it came first."""
+    worst = 0.0
+    for v in values:
+        if not v <= worst:
+            if v != v:
+                return v
+            worst = v
+    return worst
+
+
 class Substitution:
-    """A substitution matrix, which substitute_omega and pullback_linear
-    take in its place, with the tables they build from it for forms over
-    one (g_dim, m): nonzero rows by unit set, and expansions by the key part
-    they expand (the Omega, x and dx parts are disjoint bits, and 0 is the
-    empty product in each).  Reused, it gives the floats of a fresh one."""
+    """A matrix, which substitute_omega, pullback_linear,
+    contract_linear_field and multiply_omega_linear take in its place, with
+    the tables they build from it for forms over one (g_dim, m): nonzero
+    rows by unit set, and expansions by the key part they expand (the
+    Omega, x and dx parts are disjoint bits, and 0 is the empty product in
+    each).  Reused, it gives the floats of a fresh one."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -282,8 +296,9 @@ class PolyForm:
         return not self._terms
 
     def norm(self) -> float:
-        """Largest absolute coefficient; the residual measure used in checks."""
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        """Largest absolute coefficient; the residual measure used in
+        checks, NaN when any coefficient is NaN."""
+        return max_residual(map(abs, self._terms.values()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyForm)
@@ -344,10 +359,15 @@ class PolyForm:
         return self._like(self._layout.check(
             {k + unit: c for k, c in self._terms.items()}))
 
-    def multiply_omega_linear(self, coeffs) -> "PolyForm":
-        """Product with the linear generator combination sum_a coeffs[a] Omega^a."""
+    def multiply_omega_linear(self, coeffs, b: int = 0) -> "PolyForm":
+        """Product with the linear generator combination
+        sum_a coeffs[a] Omega^a; given a Substitution of a matrix M, with
+        sum_a M[b][a] Omega^a, its row b read from the table."""
         layout = self._layout
-        (row,) = _nonzero_rows((coeffs,), self.g_dim, layout.omega_units)
+        if isinstance(coeffs, Substitution):
+            row = coeffs.rows(self.g_dim, layout.omega_units)[b]
+        else:
+            (row,) = _nonzero_rows((coeffs,), self.g_dim, layout.omega_units)
         out: dict = {}
         for k, c in self._terms.items():
             for unit, ca in row:
@@ -377,11 +397,12 @@ class PolyForm:
         return self._like(out)
 
     def contract_linear_field(self, V) -> "PolyForm":
-        """Interior product with the vector field x -> V x (an m-by-m matrix):
-        each dx_i becomes the linear polynomial (V x)_i, extended as an
-        antiderivation over the wedge factors."""
+        """Interior product with the vector field x -> V x (an m-by-m matrix
+        or a Substitution of one): each dx_i becomes the linear polynomial
+        (V x)_i, extended as an antiderivation over the wedge factors."""
         layout = self._layout
-        rows = _nonzero_rows(V, self.m, layout.x_units)
+        table = V if isinstance(V, Substitution) else Substitution(V)
+        rows = table.rows(self.m, layout.x_units)
         slots, dx_mask = layout.slots, layout.dx_mask
         out: dict = {}
         for k, c in self._terms.items():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -392,6 +393,27 @@ class TestGetzlerCheckCommand:
             assert cli.main(["getzler-check", "--step", step]) == 2
             assert time.perf_counter() - start < 1.0
             assert "step" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_residuals_fail_with_valid_json(self, capsys):
+        # exp(+-1e3 A) overflows, so d_G^2 and the Leibniz difference have
+        # NaN coefficients: their checks fail, and the report carries the
+        # residuals as strings, where JSON has no NaN
+        assert cli.main(["getzler-check", "--arity", "1", "--samples", "2",
+                         "--step", "1e3", "--output", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail"
+        results = report["results"]
+        assert results["leibniz"] == {"max_residual": "nan", "ok": False,
+                                      "tolerance": 1e-4}
+        for square in results["total_square"]:
+            assert not square["ok"]
+            assert square["max_residual"] == "nan"
+        # finite residuals stay floats
+        assert results["associativity"]["ok"]
+        assert isinstance(results["associativity"]["max_residual"], float)
+        assert [cli._json_float(x) for x in
+                (math.inf, -math.inf, 0.5)] == ["inf", "-inf", 0.5]
 
 
 # -- output determinism ---------------------------------------------------------

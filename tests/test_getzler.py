@@ -15,6 +15,7 @@ three buckets:
 """
 
 import gc
+import math
 import random
 import weakref
 from collections import Counter
@@ -43,7 +44,7 @@ from liegauge.getzler.operators import (
     total_differential,
 )
 from liegauge.getzler import checks
-from liegauge.getzler.polyform import EXPONENT_LIMIT, PolyForm
+from liegauge.getzler.polyform import EXPONENT_LIMIT, PolyForm, max_residual
 from liegauge.liealg import make_classical
 
 SL2 = LinearAction.sl2()
@@ -150,6 +151,15 @@ class TestPolyForm:
         assert form.degrees() == {5, 0}
         assert form.norm() == 3.0
         assert PolyForm.zero(2, 2).degrees() == set()
+
+    def test_norm_keeps_a_nan_in_either_order(self):
+        nan, two = ((0,), (0,), ()), ((1,), (0,), ())
+        for terms in ({nan: math.nan, two: 2.0}, {two: 2.0, nan: math.nan}):
+            assert math.isnan(PolyForm(1, 1, terms).norm())
+        assert PolyForm(1, 1, {two: -2.0}).norm() == 2.0
+        assert math.isnan(max_residual([0.5, 3.0, math.nan, 1.0]))
+        assert max_residual([0.5, 3.0, 1.0]) == 3.0
+        assert max_residual([]) == 0.0
 
     def test_zero_terms_are_pruned(self):
         form = PolyForm.term(1, 1, 1.0) + PolyForm.term(1, 1, -1.0)
@@ -568,6 +578,16 @@ class TestLinearAction:
 # -- cochains ------------------------------------------------------------------
 
 
+def _numpy_vanish_factor(gs) -> float:
+    """The vanish factor as numpy sums it, the reference for the sums."""
+    out = 1.0
+    for g in gs:
+        g = np.asarray(g, dtype=float)
+        d = g - np.eye(g.shape[0])
+        out *= float(np.sum(d * d))
+    return out
+
+
 class TestCochains:
     def test_arity_mismatch_message(self):
         c = unit_cochain(SL2)
@@ -595,6 +615,31 @@ class TestCochains:
     def test_vanish_factor_is_zero_only_at_the_identity(self):
         assert vanish_factor((np.eye(2),)) == 0.0
         assert vanish_factor((UNIPOTENT_UP,)) == 1.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_vanish_factor_matches_the_numpy_sum_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        eye = np.eye(m)
+        edges = [eye, -0.0 * eye, eye + np.spacing(1.0), np.full((m, m), -0.0)]
+        for trial in range(3000):
+            gs = tuple(
+                rng.uniform(-3.0, 3.0, (m, m)) * 10.0 ** rng.integers(-9, 9)
+                + eye * rng.integers(0, 2)
+                for _ in range(rng.integers(0, 4)))
+            if trial < len(edges):
+                gs = (edges[trial],) + gs
+            want = _numpy_vanish_factor(gs).hex()
+            assert vanish_factor(gs).hex() == want
+            assert vanish_factor([g.tolist() for g in gs]).hex() == want
+
+    def test_vanish_factor_of_larger_elements_agrees_to_the_last_bits(self):
+        # numpy sums eight or more terms pairwise, so 3x3 distances may
+        # differ from the row-major sum in the last bit
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            g = rng.uniform(-3.0, 3.0, (3, 3))
+            want = _numpy_vanish_factor((g,))
+            assert abs(vanish_factor((g,)) - want) <= 4 * np.spacing(want)
 
     def test_family_collects_components_by_arity(self):
         c1 = random_cochain(SL2, random.Random(2), 1)
@@ -698,11 +743,106 @@ class TestEvaluationScope:
         assert len({id(t) for t in transports}) == 3
         assert transports[3] is transports[0] is transports[4]
 
+    def test_float_arrays_reach_the_evaluator_unchanged(self):
+        seen = []
+
+        def evaluate(gs):
+            seen.extend(gs)
+            return PolyForm.zero(3, 2)
+
+        g = GroupSampler(SL2, seed=17).draw()
+        EquivariantCochain(SL2, 1, evaluate)((g,))
+        EquivariantCochain(SL2, 1, evaluate)((g.astype(np.float32),))
+        assert seen[0] is g
+        assert seen[1].dtype == np.float64
+        assert np.array_equal(seen[1], g.astype(np.float32))
+
     def test_list_arguments_give_the_array_values(self):
         c = random_cochain(SL2, random.Random(71), 1)
         squared = total_differential(total_differential(c)).component(2)
         gs = GroupSampler(SL2, seed=14).draw_tuple(2)
         assert squared([g.tolist() for g in gs]) == squared(gs)
+
+
+def _hex_terms(form: PolyForm) -> list:
+    return [(key, c.hex()) for key, c in form.terms.items()]
+
+
+def _checked_values(seed: int, action_for_call) -> list:
+    """d_G^2, cup and Leibniz values of seeded cochains at three tuples,
+    each computed on the action that action_for_call() gives, as hex."""
+    out = []
+    for call in range(3):
+        action = action_for_call()
+        rng = random.Random(seed)
+        a = random_homogeneous_cochain(action, rng, 1, 1, 0)
+        b = random_cochain(action, rng, 1)
+        c = random_cochain(action, rng, 1)
+        leibniz = total_differential(cup(a, b)) - (
+            cup_family(total_differential(a), CochainFamily.of(b))
+            + cup_family(CochainFamily.of(a),
+                         total_differential(b)).scale(-1.0))
+        families = (total_differential(total_differential(c)),
+                    CochainFamily.of(cup(cup(a, b), c)), leibniz)
+        gs = GroupSampler(action, seed=10 * seed + call).draw_tuple(3)
+        for family in families:
+            for k in family.arities():
+                out.append(_hex_terms(family.component(k)(gs[:k])))
+    return out
+
+
+def _fresh_unkept_action() -> LinearAction:
+    """A new action that keeps no transport: each lives for one call."""
+    action = LinearAction.sl2()
+    action.keep = lambda elements: None
+    return action
+
+
+class TestKeptTransports:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_values_match_a_fresh_action_bitwise(self, seed):
+        shared = LinearAction.sl2()
+        kept = _checked_values(seed, lambda: shared)
+        assert any(v is not None for v in shared.kept.values())
+        assert kept == _checked_values(seed, _fresh_unkept_action)
+
+    def test_a_second_call_builds_no_step_transport(self, monkeypatch):
+        action = LinearAction.sl2()
+        c = random_cochain(action, random.Random(72), 2)
+        component = total_differential(total_differential(c)).component(2)
+        built = []
+        ad_matrix = action.ad_matrix
+
+        def counted_ad(h):
+            built.append(np.asarray(h).tobytes())
+            return ad_matrix(h)
+
+        monkeypatch.setattr(action, "ad_matrix", counted_ad)
+        sampler = GroupSampler(action, seed=15)
+        component(sampler.draw_tuple(2))
+        first = set(built)
+        built.clear()
+        component(sampler.draw_tuple(2))
+        # ad_matrix gets h^(-1) for the element h it transports by
+        steps = {action.inverse(np.frombuffer(key).reshape(2, 2)).tobytes()
+                 for key in action.kept}
+        assert steps & first and not steps & set(built)
+        # the other elements still live for one call
+        assert built and action.scope is None
+
+    def test_the_table_holds_the_inserted_elements_per_step(self):
+        action = LinearAction.sl2()
+        c = random_cochain(action, random.Random(73), 1)
+        assert action.kept == {}
+        per_step = 2 * action.g_dim
+        for step, steps in ((1e-3, 1), (1e-3, 1), (5e-4, 2)):
+            op_ibar(c, step)
+            assert len(action.kept) == steps * per_step
+        assert set(action.kept.values()) == {None}
+        squared = total_differential(total_differential(c, 5e-4), 5e-4)
+        squared.component(1)(GroupSampler(action, seed=16).draw_tuple(1))
+        assert len(action.kept) == 2 * per_step
+        assert any(v is not None for v in action.kept.values())
 
 
 # -- the four operators --------------------------------------------------------
@@ -944,6 +1084,13 @@ class TestCup:
         report = checks.leibniz_check()
         assert report["ok"]
         assert report["residual"] <= checks.TOL_LEIBNIZ
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_fails_the_leibniz_check(self):
+        # exp(+-1e300 A) overflows and the arity-1 component of the
+        # difference has only NaN coefficients; max() used to drop them
+        report = checks.leibniz_check(step=1e300)
+        assert math.isnan(report["residual"]) and not report["ok"]
 
     def test_family_cup_collects_all_components(self):
         a = CochainFamily.of(random_cochain(SL2, random.Random(70), 0))
