@@ -109,7 +109,9 @@ def vanish_factor(gs) -> float:
     """Product of squared Frobenius distances to the identity, one factor
     per argument; exactly zero when any argument is the identity.  Each
     distance is summed in row-major order, as numpy sums fewer than eight
-    terms."""
+    terms.  For m >= 3 (nine or more terms) the result may differ in the
+    last bit from numpy's pairwise sum; a pin on such a value is recorded
+    with this sum."""
     out = 1.0
     for g in gs:
         rows = g.tolist() if isinstance(g, np.ndarray) else g

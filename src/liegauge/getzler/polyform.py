@@ -361,13 +361,13 @@ class PolyForm:
 
     def multiply_omega_linear(self, coeffs, b: int = 0) -> "PolyForm":
         """Product with the linear generator combination
-        sum_a coeffs[a] Omega^a; given a Substitution of a matrix M, with
-        sum_a M[b][a] Omega^a, its row b read from the table."""
+        sum_a M[b][a] Omega^a, b picking a row of the matrix M: M is the
+        matrix of a Substitution, or the one-row matrix (coeffs,) of a
+        plain coefficient list, whose only row is b = 0."""
         layout = self._layout
-        if isinstance(coeffs, Substitution):
-            row = coeffs.rows(self.g_dim, layout.omega_units)[b]
-        else:
-            (row,) = _nonzero_rows((coeffs,), self.g_dim, layout.omega_units)
+        table = (coeffs if isinstance(coeffs, Substitution)
+                 else Substitution((coeffs,)))
+        row = table.rows(self.g_dim, layout.omega_units)[b]
         out: dict = {}
         for k, c in self._terms.items():
             for unit, ca in row:
