@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import os
 import sys
@@ -29,15 +28,12 @@ from .anomaly import verdict as anomaly_verdict
 from .conventions import warning
 from .liealg import (
     SYM_CEILING,
+    classical_dimension,
     invariant_polynomial_dimension,
+    make_classical,
     symmetric_power_dimension,
 )
-from .lgio import (
-    classical_from_label,
-    label_dimension,
-    label_size,
-    load_embedding,
-)
+from .lgio import load_embedding, parse_label
 from .relcoh import (
     cartan_complement,
     check_complex_size,
@@ -78,13 +74,11 @@ def _normalization_label(norm) -> str:
 
 
 def cmd_anomaly(embedding_file: str) -> RunReport:
-    with open(embedding_file, "rb") as fh:
-        raw = fh.read()
     emb = load_embedding(embedding_file)
     v = anomaly_verdict(emb)
     digest = inputs_digest({
         "command": "anomaly",
-        "embedding_sha256": hashlib.sha256(raw).hexdigest(),
+        "embedding_sha256": emb.sha256,
     })
     Q = v.report.Q
     results = {
@@ -130,14 +124,16 @@ def cmd_relcoh(pair_label: str) -> RunReport:
     g_label, k_label = _parse_pair(pair_label)
     # labels of one matrix size give the complement dimension dim g - dim k,
     # so the pair is checked from its labels before any basis is built
-    m = label_dimension(g_label)
+    g_family, n = parse_label(g_label)
+    m = classical_dimension(g_family, n)
     if k_label is not None:
-        m -= label_dimension(k_label)
-        if label_size(k_label) != label_size(g_label):
+        k_family, k_size = parse_label(k_label)
+        m -= classical_dimension(k_family, k_size)
+        if k_size != n:
             raise ValueError("subalgebra matrices must match the ambient size")
     check_complex_size(m)
-    ambient = classical_from_label(g_label)
-    sub = classical_from_label(k_label) if k_label else None
+    ambient = make_classical(g_family, n)
+    sub = make_classical(k_family, k_size) if k_label else None
     pair = cartan_complement(ambient, sub)
     betti = relative_ce_cohomology(pair)
     digest = inputs_digest({"command": "relcoh", "pair": pair_label})
@@ -156,13 +152,14 @@ def cmd_invariants(algebra_label: str, max_degree: int) -> RunReport:
         raise ValueError("max degree must be nonnegative")
     # Sym^d grows with d, so the top degree decides before any work is
     # done, and the label's dimension before any basis is built
-    nmono = symmetric_power_dimension(label_dimension(algebra_label),
+    family, n = parse_label(algebra_label)
+    nmono = symmetric_power_dimension(classical_dimension(family, n),
                                       max_degree)
     if nmono > SYM_CEILING:
         raise ValueError(
             f"max degree {max_degree}: Sym^{max_degree} dimension {nmono} "
             f"exceeds ceiling {SYM_CEILING}")
-    algebra = classical_from_label(algebra_label)
+    algebra = make_classical(family, n)
     dims = [invariant_polynomial_dimension(algebra, d)
             for d in range(max_degree + 1)]
     digest = inputs_digest({
@@ -225,6 +222,11 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
+    # central differences at exp(+-step A) overflow for large steps, and
+    # dividing by a subnormal step overflows to inf
+    if step > 1 or not math.isfinite(1 / step):
+        raise ValueError(
+            f"step must be at most 1 with a finite reciprocal, got {step}")
     from .getzler import checks as getzler_checks
 
     squares = [getzler_checks.dg_square_check(k, samples=samples, step=step,

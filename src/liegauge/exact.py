@@ -3,9 +3,12 @@
 Scalars are rationals or `GaussianRational` (elements of Q(i), stored as
 a pair of rational parts).  A rational with denominator 1 is a Python
 `int`, any other is a `fractions.Fraction`, and the parts of a
-`GaussianRational` follow the same int-first rule; almost every entry of
-the classical bases and their structure data is a small integer, and
-integer arithmetic is several times faster than Fraction arithmetic.
+`GaussianRational` follow the same int-first rule.  `as_scalar` owns that
+rule, and maps a Gaussian rational on the real axis to its rational part,
+so no matrix entry, trace or vector this module returns is one.  Almost
+every entry of the classical bases and their structure data is a small
+integer, and integer arithmetic is several times faster than Fraction
+arithmetic.
 Division goes through `divide`, which returns an exact Fraction where
 `int / int` would return a float.  Everything downstream that must be
 exact (structure constants, Killing forms, anomaly matrices, kernel
@@ -152,10 +155,13 @@ Scalar = Union[int, Fraction, GaussianRational]
 
 
 def as_scalar(x: Scalar) -> Scalar:
-    """Coerce an int/Fraction/GaussianRational to an exact scalar; an
-    integral Fraction becomes an int."""
-    if type(x) is int or type(x) is GaussianRational:
+    """Coerce an int/Fraction/GaussianRational to an exact scalar: an
+    integral Fraction becomes an int, and a Gaussian rational on the real
+    axis becomes its rational part."""
+    if type(x) is int:
         return x
+    if type(x) is GaussianRational:
+        return x if x.im else x.re
     return _rational(x)
 
 
@@ -199,14 +205,15 @@ def scalar_to_json(x: Scalar):
 
 def scalar_from_json(v) -> Scalar:
     """Parse a file-format scalar: a "p/q" string, a JSON integer (kept an
-    int) or a two-element [re, im] list; a JSON boolean is not a number."""
+    int) or a two-element [re, im] list, normalized by `as_scalar`; a JSON
+    boolean is not a number."""
     if isinstance(v, str):
         return rational_from_string(v)
     if type(v) is int:
         return v
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return GaussianRational(rational_from_string(str(v[0])),
-                                rational_from_string(str(v[1])))
+        return as_scalar(GaussianRational(rational_from_string(str(v[0])),
+                                          rational_from_string(str(v[1]))))
     raise ValueError(f"bad scalar literal: {v!r}")
 
 
@@ -338,7 +345,7 @@ class Matrix:
             base = i * n
             for t, x in nonzero:
                 s = s + e[base + t] * x
-            out.append(s)
+            out.append(as_scalar(s))
         return tuple(out)
 
     def transpose(self) -> "Matrix":
@@ -355,7 +362,7 @@ class Matrix:
         s = 0
         for i in range(self.rows):
             s = s + self._e[i * self.cols + i]
-        return s
+        return as_scalar(s)
 
     def is_zero(self) -> bool:
         return all(not x for x in self._e)

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ..exact import Matrix
+from ..liealg import make_classical
 from .polyform import Substitution
 
 __all__ = ["FIELD_SIGN", "LinearAction", "GroupSampler"]
@@ -47,6 +48,8 @@ class LinearAction:
                 raise ValueError(f"basis matrix of shape {b.shape}, "
                                  f"expected ({m}, {m})")
         self.m = m
+        # the exact algebra of the basis, when built from one
+        self.algebra = None
         self.g_dim = len(mats)
         self.basis = tuple(mats)
         # fields[a]: the matrix V of the fundamental field x -> V x of
@@ -66,10 +69,8 @@ class LinearAction:
 
     @classmethod
     def sl2(cls) -> "LinearAction":
-        h = [[1.0, 0.0], [0.0, -1.0]]
-        e = [[0.0, 1.0], [0.0, 0.0]]
-        f = [[0.0, 0.0], [1.0, 0.0]]
-        return cls("sl2 on R^2", [h, e, f])
+        """sl(2) on R^2, on the classical basis (h, e, f)."""
+        return cls.from_exact_algebra(make_classical("sl", 2))
 
     @classmethod
     def abelian_point(cls, g_dim: int) -> "LinearAction":
@@ -81,13 +82,16 @@ class LinearAction:
     @classmethod
     def from_exact_algebra(cls, alg) -> "LinearAction":
         """Float image of an exact MatrixLieAlgebra in its defining
-        representation; rational scalars only."""
+        representation; rational scalars only.  The action keeps the
+        algebra as `algebra`."""
         if alg.scalar != "rational":
             raise ValueError(
                 f"{alg.name} has non-real entries; no real ambient action")
         mats = [[[float(b[i, j]) for j in range(alg.matrix_size)]
                  for i in range(alg.matrix_size)] for b in alg.basis]
-        return cls(f"{alg.name} on R^{alg.matrix_size}", mats)
+        action = cls(f"{alg.name} on R^{alg.matrix_size}", mats)
+        action.algebra = alg
+        return action
 
     # -- exact dual frame -----------------------------------------------------
 

@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from ..liealg import killing_form, make_classical
+from ..liealg import killing_form
 from .action import GroupSampler, LinearAction
 from .cochains import (
     CochainFamily,
@@ -74,10 +74,12 @@ def _default_action() -> LinearAction:
     return LinearAction.sl2()
 
 
-def killing_quadratic_cochain(action: LinearAction, algebra):
-    """The invariant 0-cochain B(X, X) for B the Killing form of the exact
-    algebra underlying the action; coefficients are exact dyadic floats."""
-    B = killing_form(algebra)
+def killing_quadratic_cochain(action: LinearAction):
+    """The invariant 0-cochain B(X, X) for B the Killing form of the
+    action's exact algebra; coefficients are exact dyadic floats."""
+    if action.algebra is None:
+        raise ValueError(f"{action.name} has no exact algebra")
+    B = killing_form(action.algebra)
     terms = {}
     g_dim = action.g_dim
     for a in range(g_dim):
@@ -168,15 +170,13 @@ def leibniz_check(step: float = 1e-3, seed: int = 0,
             "ok": worst <= TOL_LEIBNIZ}
 
 
-def inclusion_check(action: LinearAction | None = None,
-                    algebra=None) -> dict:
+def inclusion_check(action: LinearAction | None = None) -> dict:
     """The commuting square for invariant 0-cochains: the coboundary of
     the Killing quadratic must be the literal zero form at the exact group
     samples DYADIC_SL2_SAMPLES, and the total differential must agree with
     the geometric part coefficient for coefficient."""
     action = action or _default_action()
-    algebra = algebra or make_classical("sl", 2)
-    cochain = killing_quadratic_cochain(action, algebra)
+    cochain = killing_quadratic_cochain(action)
     dbar = op_dbar(cochain)
     dbar_worst = max_residual(dbar((np.asarray(g),)).norm()
                               for g in DYADIC_SL2_SAMPLES)

@@ -16,13 +16,17 @@ and an embedding file is
 with an optional JSON boolean "special_linear_target" (default true); both
 sizes are positive JSON integers, and a JSON boolean is never a number.  Parse
 errors raise ValueError with the offending field named, which the CLI maps
-to exit code 2.
+to exit code 2.  `load_embedding` reads its file once, so a pipe works as
+well as a regular file.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import re
+from dataclasses import dataclass
 
 from .anomaly import GaugeEmbedding, check_image_count
 from .exact import Matrix, scalar_from_json, scalar_to_json
@@ -33,11 +37,11 @@ __all__ = [
     "matrix_to_json",
     "algebra_from_json",
     "algebra_to_json",
+    "parse_label",
     "classical_from_label",
-    "label_dimension",
-    "label_size",
     "embedding_from_json",
     "embedding_to_json",
+    "LoadedEmbedding",
     "load_embedding",
 ]
 
@@ -100,7 +104,7 @@ def algebra_to_json(alg: MatrixLieAlgebra) -> dict:
     }
 
 
-def _parse_label(label: str) -> tuple[str, int]:
+def parse_label(label: str) -> tuple[str, int]:
     """The (family, size) of labels like "sl3", "so(4)", "su2"."""
     m = _CLASSICAL.match(label.strip().lower())
     if not m:
@@ -110,24 +114,13 @@ def _parse_label(label: str) -> tuple[str, int]:
     return m.group(1), int(m.group(2))
 
 
-def label_dimension(label: str) -> int:
-    """Dimension of a classical label's algebra, from its closed form; the
-    label is checked as `classical_from_label` checks it, and no basis is
-    built, so size ceilings can be checked first."""
-    return classical_dimension(*_parse_label(label))
-
-
-def label_size(label: str) -> int:
-    """Matrix size of a classical label's algebra, from the label alone."""
-    return _parse_label(label)[1]
-
-
 def classical_from_label(label: str) -> MatrixLieAlgebra:
     """Parse labels like "sl3", "so(4)", "su2"."""
-    return make_classical(*_parse_label(label))
+    return make_classical(*parse_label(label))
 
 
-def embedding_from_json(obj) -> GaugeEmbedding:
+def _embedding_fields(obj) -> dict:
+    """The GaugeEmbedding fields of an embedding object, each checked."""
     if not isinstance(obj, dict):
         raise ValueError("embedding: expected an object")
     for key in ("domain", "target_size", "T_L", "T_R"):
@@ -135,7 +128,8 @@ def embedding_from_json(obj) -> GaugeEmbedding:
             raise ValueError(f"embedding: missing key {key!r}")
     domain = obj["domain"]
     if isinstance(domain, str):
-        dim = label_dimension(domain)
+        label = parse_label(domain)
+        dim = classical_dimension(*label)
     else:
         domain = algebra_from_json(domain)
         dim = domain.dim
@@ -157,14 +151,13 @@ def embedding_from_json(obj) -> GaugeEmbedding:
     # a classical domain is built only once its image count is right
     check_image_count(dim, sides["T_L"], sides["T_R"])
     if isinstance(domain, str):
-        domain = classical_from_label(domain)
-    return GaugeEmbedding(
-        domain=domain,
-        target_size=n,
-        T_L=sides["T_L"],
-        T_R=sides["T_R"],
-        special_linear_target=special,
-    )
+        domain = make_classical(*label)
+    return dict(domain=domain, target_size=n, special_linear_target=special,
+                **sides)
+
+
+def embedding_from_json(obj) -> GaugeEmbedding:
+    return GaugeEmbedding(**_embedding_fields(obj))
 
 
 def embedding_to_json(emb: GaugeEmbedding, domain_label: str | None = None
@@ -178,10 +171,22 @@ def embedding_to_json(emb: GaugeEmbedding, domain_label: str | None = None
     }
 
 
-def load_embedding(path) -> GaugeEmbedding:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    return embedding_from_json(obj)
+@dataclass(frozen=True)
+class LoadedEmbedding(GaugeEmbedding):
+    """An embedding read from a file, with the SHA-256 of the bytes it was
+    parsed from."""
+
+    sha256: str = ""
+
+
+def load_embedding(path) -> LoadedEmbedding:
+    """Read an embedding file once: its bytes are both parsed, as UTF-8
+    text with universal newlines, and hashed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    return LoadedEmbedding(**_embedding_fields(obj),
+                           sha256=hashlib.sha256(raw).hexdigest())

@@ -21,8 +21,9 @@ value is reproducible:
   so(n): E_jk - E_kj for j < k, lexicographic.
   su(n): i(E_jj - E_(j+1)(j+1)) for j = 0..n-2 first, then for each j < k
          (lexicographic) the pair E_jk - E_kj, i(E_jk + E_kj).  Gaussian
-         rational entries; the algebra is real, so structure constants come
-         out with zero imaginary part.
+         rational entries, with every real entry (zeros among them) a
+         rational; the algebra is real, so structure constants are
+         rational.
   gl(n): all E_jk in lexicographic (j, k) order.
 """
 
@@ -35,7 +36,6 @@ from functools import cached_property
 from typing import Sequence
 
 from .exact import (
-    GaussianRational,
     I,
     Matrix,
     Scalar,
@@ -211,9 +211,8 @@ class ExpansionSolver:
         """Coefficients of m, a Matrix or its flat row-major entries, in
         the basis; ValueError if m is outside the span.
 
-        Coefficients are int-first, and a Gaussian coefficient with zero
-        imaginary part is its rational part, so a real algebra such as
-        su(n) gets rational structure constants.
+        Coefficients are normalized by `as_scalar`, so a real algebra such
+        as su(n) gets rational structure constants.
         """
         entries = m.entries() if isinstance(m, Matrix) else m
         if self.dim == 0:
@@ -230,19 +229,7 @@ class ExpansionSolver:
                     w[i] += v * x
         if any(w[self.dim:]):
             raise ValueError("matrix does not lie in the basis span")
-        out = w[:self.dim]
-        for i, x in enumerate(out):
-            if type(x) is not int:
-                out[i] = _real_first(x)
-        return tuple(out)
-
-
-def _real_first(x: Scalar) -> Scalar:
-    """An int-first scalar; a Gaussian rational on the real axis becomes
-    its rational part."""
-    if type(x) is GaussianRational and x.im == 0:
-        return x.re
-    return as_scalar(x)
+        return tuple(map(as_scalar, w[:self.dim]))
 
 
 def structure_constants(alg: MatrixLieAlgebra):

@@ -59,18 +59,6 @@ class PoincareSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 # In-place O(truncation) updates of a truncated series a(t) by one factor.
 # Multiplying by 1 +- t^d runs top down, so each a[i - d] read is still the
 # old coefficient; 1/(1 - t^d) and 1/(1 + t^d) run bottom up, so each read
@@ -186,14 +174,13 @@ def e1_page_series(n: int, truncation: int,
     if not from_computed_betti:
         odd = [2 * i - 1 for i in range(3, n + 1, 2)]
         return series_graded_algebra(odd, even, truncation)
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
     pair = cartan_complement(make_classical("sl", n), make_classical("so", n))
-    betti = relative_ce_cohomology(pair)
-    poly = [0] * (truncation + 1)
-    for q, b in enumerate(betti):
-        if q <= truncation:
-            poly[q] = b
-    out = _mul(poly, series_graded_algebra([], even, truncation).coeffs,
-               truncation)
+    out = list(relative_ce_cohomology(pair)[:truncation + 1])
+    out += [0] * (truncation + 1 - len(out))
+    for d in even:
+        _over_binomial(out, d, 1)
     return PoincareSeries(truncation, tuple(out))
 
 

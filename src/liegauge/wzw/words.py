@@ -26,7 +26,8 @@ Normal form:
     sort key.
 
 Coefficients are int-first: an integral coefficient is an `int`, any other
-a `fractions.Fraction`, in every expression the engine builds.
+a `fractions.Fraction`, in every expression the engine builds; a float
+coefficient is a TypeError.
 
 Canonicalization happens in one place, `_normalize_terms`, which cancels
 and rotates each distinct word once per build.  Expressions whose terms
@@ -71,12 +72,15 @@ def _inverse_pair(a: tuple, b: tuple) -> bool:
 
 
 def _int_first(c):
-    """An exact rational coefficient, an int when integral."""
+    """An exact rational coefficient, an int when integral; a float or any
+    other non-rational is a TypeError."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"not an exact rational coefficient: {c!r}")
 
 
 def _cancel_adjacent(letters, cyclic: bool) -> tuple:

@@ -106,6 +106,25 @@ class TestAnomalyCommand:
         assert "error:" in err
         assert "T_L" in err
 
+    def test_anomaly_reads_a_pipe(self, capsys):
+        # the file is read once, so a pipe, which can be read only once,
+        # gives the same exit code and bytes as the file path
+        path = f"{FIXTURES}/adjoint_sl3.json"
+        assert cli.main(["anomaly", path, "--output", "structured"]) == 0
+        want = capsys.readouterr().out
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        done = subprocess.run(
+            [sys.executable, "-m", "liegauge", "anomaly", "/dev/stdin",
+             "--output", "structured"],
+            input=data, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode() == want
+
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["anomaly", "no/such/file.json"]) == 2
         capsys.readouterr()
@@ -394,21 +413,42 @@ class TestGetzlerCheckCommand:
             assert time.perf_counter() - start < 1.0
             assert "step" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_residuals_fail_with_valid_json(self, capsys):
-        # exp(+-1e3 A) overflows, so d_G^2 and the Leibniz difference have
-        # NaN coefficients: their checks fail, and the report carries the
-        # residuals as strings, where JSON has no NaN
+    def test_out_of_range_step_is_invalid_input(self, capsys):
+        # exp(+-1e3 A) overflows, and so does the division by a subnormal
+        # step: steps above 1 or with an infinite reciprocal exit 2, naming
+        # the step, before any sampling
+        for step in ("1e3", "150", "1.5", "1e-310"):
+            start = time.perf_counter()
+            assert cli.main(["getzler-check", "--arity", "1", "--samples",
+                             "2", "--step", step, "--output",
+                             "structured"]) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: step must be" in captured.err
+            assert f"got {float(step)}" in captured.err
+
+    def test_non_finite_residuals_fail_with_valid_json(self, capsys,
+                                                       monkeypatch):
+        # NaN and infinite residuals fail their checks, and the report
+        # carries them as strings, where JSON has no NaN
+        from liegauge.getzler import checks
+
+        monkeypatch.setattr(checks, "square_residual", lambda *a: math.nan)
+        leibniz = checks.leibniz_check
+        monkeypatch.setattr(checks, "leibniz_check", lambda **kw: {
+            **leibniz(**kw), "residual": math.inf, "ok": False})
         assert cli.main(["getzler-check", "--arity", "1", "--samples", "2",
-                         "--step", "1e3", "--output", "structured"]) == 1
+                         "--output", "structured"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "fail"
         results = report["results"]
-        assert results["leibniz"] == {"max_residual": "nan", "ok": False,
+        assert results["leibniz"] == {"max_residual": "inf", "ok": False,
                                       "tolerance": 1e-4}
         for square in results["total_square"]:
             assert not square["ok"]
             assert square["max_residual"] == "nan"
+            assert square["reduction_ratio"] == "nan"
         # finite residuals stay floats
         assert results["associativity"]["ok"]
         assert isinstance(results["associativity"]["max_residual"], float)

@@ -194,8 +194,9 @@ def test_rref_pivot_tiebreak_is_first_nonzero():
 
 
 def test_scale_matches_the_entrywise_products():
-    # 0, 1 and -1 int entries take shared products; a Gaussian entry equal
-    # to 1 or 0 must still give a Gaussian product
+    # 0, 1 and -1 int entries take shared products; a Gaussian entry on
+    # the real axis is stored as its rational part, so its product with a
+    # Gaussian is a Gaussian and with a rational a rational
     entries = [0, 1, -1, 2, Fraction(1, 2), GaussianRational(1, 0),
                GaussianRational(0, 0), GaussianRational(0, -1), -1, 1]
     m = Matrix(2, 5, entries)
@@ -573,3 +574,33 @@ def test_exact_results_hold_no_floats():
     # integral rationals are stored as int
     for x in exact_leaves([r for r in results if isinstance(r, Matrix)]):
         assert not (isinstance(x, Fraction) and x.denominator == 1), x
+
+
+def test_no_exact_value_is_a_gaussian_on_the_real_axis():
+    from liegauge.liealg import (
+        invariant_symmetric_forms,
+        killing_form,
+        make_classical,
+    )
+    from liegauge.relcoh import cartan_complement
+
+    su2, su3 = make_classical("su", 2), make_classical("su", 3)
+    results = []
+    for alg in (su2, su3):
+        results += [alg.basis, alg.structure_constants, killing_form(alg),
+                    invariant_symmetric_forms(alg)]
+    results.append(cartan_complement(su3, make_classical("so", 3)).p_basis)
+    # a Gaussian matrix whose kernel has real and non-real entries
+    m = Matrix.from_rows([[1, I, GaussianRational(2, 0), 0],
+                          [I, -1, GaussianRational(0, 2), 3]])
+    results += [m.kernel_basis(), m.matvec((I, 1, 0, 0)),
+                su2.basis[0].trace()]
+    results += [scalar_from_json(["1", "0"]), scalar_from_json(["0", "0"]),
+                as_scalar(GaussianRational(Fraction(4, 2), 0))]
+
+    leaves = list(exact_leaves(results))
+    assert any(type(x) is GaussianRational for x in leaves)
+    for x in leaves:
+        assert type(x) is not GaussianRational or x.im != 0, repr(x)
+        assert_normalized(x)
+    assert type(scalar_from_json(["1", "0"])) is int

@@ -895,15 +895,13 @@ class TestCoboundary:
         assert result == expected
 
     def test_coboundary_of_invariant_cochain_is_bitwise_zero(self):
-        algebra = make_classical("sl", 2)
-        inv = checks.killing_quadratic_cochain(SL2, algebra)
+        inv = checks.killing_quadratic_cochain(SL2)
         bar = op_dbar(inv)
         for g in dyadic_samples():
             assert bar((g,)).is_zero()
 
     def test_killing_value_is_invariant_under_the_action(self):
-        algebra = make_classical("sl", 2)
-        value = checks.killing_quadratic_cochain(SL2, algebra)(())
+        value = checks.killing_quadratic_cochain(SL2)(())
         for g in dyadic_samples():
             assert SL2.group_action(g, value) == value
 

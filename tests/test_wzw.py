@@ -406,6 +406,19 @@ def test_coefficients_are_int_first():
     assert word((CL_A,), Fraction(4, 2)).terms[0].coeff == 2
 
 
+def test_coefficients_that_are_not_rationals_are_rejected():
+    # a float is not read as the binary fraction it stores: 0.1 would be
+    # 3602879701896397/36028797018963968
+    for bad in (0.1, 0.5, "1/2", 1j, None):
+        with pytest.raises(TypeError):
+            word((DG,), bad)
+        with pytest.raises(TypeError):
+            mu().scale(bad)
+    # an int subclass is read as the int it is
+    coeff = word((DG,), True).terms[0].coeff
+    assert type(coeff) is int and coeff == 1
+
+
 def _module_containers(modules):
     return {(m.__name__, name): len(value)
             for m in modules for name, value in vars(m).items()
