@@ -11,7 +11,7 @@ Subpackages and modules:
   relcoh      relative Chevalley-Eilenberg cohomology of reductive pairs
   series      Poincare series and transgression-style Koszul cancellation
   getzler     numeric equivariant cochain operators with self-checks
-  lgio        JSON loading and saving for algebras and embeddings
+  lgio        JSON input for algebras and embeddings
   report      canonical run-report container used by the CLI
   cli         the `liegauge` command-line interface
 

@@ -21,7 +21,7 @@ plus the homomorphism property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .conventions import warning
@@ -33,16 +33,13 @@ from .liealg import (
     sparse_rows,
     structure_constants,
 )
-from .wzw import evaluate, quadratic_residual
 
 __all__ = [
     "GaugeEmbedding",
     "AnomalyReport",
     "Verdict",
-    "fundamental_vector",
     "anomaly_form",
     "verdict",
-    "quadratic_form_via_words",
 ]
 
 
@@ -140,27 +137,6 @@ class Verdict:
     warnings: tuple[dict, ...]
     report: AnomalyReport
 
-    def as_dict(self) -> dict:
-        return {
-            "anomaly_free": self.anomaly_free,
-            "statements": list(self.statements),
-            "warnings": [dict(w) for w in self.warnings],
-        }
-
-
-def fundamental_vector(emb: GaugeEmbedding, a: int, g0: Matrix) -> Matrix:
-    """Value at g0 of the vector field generating gauge direction a.
-
-    The two-sided action g -> exp(-tT_L) g exp(tT_R) linearizes to
-    T_L(a) g0 - g0 T_R(a).
-    """
-    n = emb.target_size
-    if g0.rows != n or g0.cols != n:
-        raise ValueError(f"base point is {g0.rows}x{g0.cols}, expected {n}x{n}")
-    if g0.rank() != n:
-        raise ValueError("base point must be invertible")
-    return emb.T_L[a] * g0 - g0 * emb.T_R[a]
-
 
 def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
     """Exact anomaly quadratic form with an invariance check.
@@ -243,17 +219,3 @@ def verdict(emb: GaugeEmbedding) -> Verdict:
         report=report,
     )
 
-
-def quadratic_form_via_words(emb: GaugeEmbedding, a: int, b: int):
-    """Entry Q[a, b] recomputed through the symbolic trace-word engine.
-
-    Instantiates the engine's residual constant for iota_a lam_b +
-    iota_b lam_a at the embedding's images and returns the resulting
-    pi-graded scalar; cross-module oracle for anomaly_form.
-    """
-    expr = quadratic_residual("a", "b")
-    bindings = {
-        ("L", "a"): emb.T_L[a], ("R", "a"): emb.T_R[a],
-        ("L", "b"): emb.T_L[b], ("R", "b"): emb.T_R[b],
-    }
-    return evaluate(expr, Matrix.identity(emb.target_size), [], bindings)

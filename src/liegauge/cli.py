@@ -220,13 +220,11 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
         raise ValueError(f"arity must be >= 0, got {arity}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
     # central differences at exp(+-step A) overflow for large steps, and
-    # dividing by a subnormal step overflows to inf
-    if step > 1 or not math.isfinite(1 / step):
+    # dividing by a subnormal step overflows to inf; NaN fails 0 < step
+    if not (0 < step <= 1 and math.isfinite(1 / step)):
         raise ValueError(
-            f"step must be at most 1 with a finite reciprocal, got {step}")
+            f"step must be in (0, 1] with a finite reciprocal, got {step}")
     from .getzler import checks as getzler_checks
 
     squares = [getzler_checks.dg_square_check(k, samples=samples, step=step,

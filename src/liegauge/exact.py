@@ -195,14 +195,6 @@ def rational_from_string(s: str) -> Union[int, Fraction]:
     return _rational(Fraction(s))
 
 
-def scalar_to_json(x: Scalar):
-    """Inverse-parse a scalar into the file-format literal."""
-    x = as_scalar(x)
-    if isinstance(x, GaussianRational):
-        return [str(x.re), str(x.im)]
-    return str(x)
-
-
 def scalar_from_json(v) -> Scalar:
     """Parse a file-format scalar: a "p/q" string, a JSON integer (kept an
     int) or a two-element [re, im] list, normalized by `as_scalar`; a JSON
@@ -275,9 +267,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self._e[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
 
     def entries(self) -> tuple:
         return self._e

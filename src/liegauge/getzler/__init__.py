@@ -2,8 +2,8 @@
 
 Submodules: polyform (the value arithmetic), action (group plumbing and
 the exact dual frame), cochains (group cochains and families), operators
-(the four differentials and the cup product), checks (seeded verification
-routines shared by the test suite and the command line).
+(the four differentials and the cup product), checks (the four seeded
+checks that `getzler-check` reports).
 """
 
 from .action import FIELD_SIGN, GroupSampler, LinearAction
@@ -13,7 +13,6 @@ from .cochains import (
     constant_cochain,
     random_cochain,
     random_homogeneous_cochain,
-    unit_cochain,
     vanish_factor,
 )
 from .operators import (
@@ -38,7 +37,6 @@ __all__ = [
     "constant_cochain",
     "random_cochain",
     "random_homogeneous_cochain",
-    "unit_cochain",
     "vanish_factor",
     "cup",
     "cup_family",

@@ -36,13 +36,12 @@ FIELD_SIGN = 1.0
 
 
 class LinearAction:
-    def __init__(self, name: str, basis, m: int | None = None):
+    def __init__(self, name: str, basis):
         self.name = name
         mats = [np.asarray(b, dtype=float) for b in basis]
-        if m is None:
-            if not mats:
-                raise ValueError("cannot infer the ambient dimension")
-            m = mats[0].shape[0]
+        if not mats:
+            raise ValueError("cannot infer the ambient dimension")
+        m = mats[0].shape[0]
         for b in mats:
             if b.shape != (m, m):
                 raise ValueError(f"basis matrix of shape {b.shape}, "
@@ -71,13 +70,6 @@ class LinearAction:
     def sl2(cls) -> "LinearAction":
         """sl(2) on R^2, on the classical basis (h, e, f)."""
         return cls.from_exact_algebra(make_classical("sl", 2))
-
-    @classmethod
-    def abelian_point(cls, g_dim: int) -> "LinearAction":
-        """An abelian algebra acting on a point (m = 0): the degeneration
-        where the whole geometric differential d + iota vanishes."""
-        return cls(f"abelian rank {g_dim} on a point",
-                   [np.zeros((0, 0))] * g_dim, m=0)
 
     @classmethod
     def from_exact_algebra(cls, alg) -> "LinearAction":

@@ -34,7 +34,6 @@ __all__ = [
     "EquivariantCochain",
     "CochainFamily",
     "constant_cochain",
-    "unit_cochain",
     "vanish_factor",
     "random_cochain",
     "random_homogeneous_cochain",
@@ -96,13 +95,6 @@ def constant_cochain(action: LinearAction, form: PolyForm
     if (form.g_dim, form.m) != (action.g_dim, action.m):
         raise ValueError("form dimensions do not match the action")
     return EquivariantCochain(action, 0, lambda gs: form)
-
-
-def unit_cochain(action: LinearAction) -> EquivariantCochain:
-    """The formal multiplicative unit: the constant-one 0-cochain.  It does
-    not vanish at the identity; it is exempt from that normalization."""
-    return constant_cochain(
-        action, PolyForm.constant(action.g_dim, action.m, 1.0))
 
 
 def vanish_factor(gs) -> float:

@@ -233,18 +233,6 @@ class PolyForm:
     def zero(cls, g_dim: int, m: int) -> "PolyForm":
         return cls(g_dim, m)
 
-    @classmethod
-    def constant(cls, g_dim: int, m: int, value: float) -> "PolyForm":
-        key = ((0,) * g_dim, (0,) * m, ())
-        return cls(g_dim, m, {key: value})
-
-    @classmethod
-    def term(cls, g_dim: int, m: int, coeff: float, omega_exp=None,
-             x_exp=None, dx=()) -> "PolyForm":
-        omega = tuple(omega_exp) if omega_exp is not None else (0,) * g_dim
-        x = tuple(x_exp) if x_exp is not None else (0,) * m
-        return cls(g_dim, m, {(omega, x, tuple(dx)): coeff})
-
     @property
     def terms(self) -> dict:
         """The terms as (omega, x, dx) tuple keys, in insertion order."""

@@ -1,4 +1,4 @@
-"""File formats: exact scalars, matrices, algebras, and embeddings.
+"""JSON input: exact scalars, matrices, algebras, and embeddings.
 
 Scalars are strings "p/q" or "p" for rationals and two-element lists
 ["re", "im"] for Gaussian rationals.  A matrix is either a nested list of
@@ -29,18 +29,13 @@ import re
 from dataclasses import dataclass
 
 from .anomaly import GaugeEmbedding, check_image_count
-from .exact import Matrix, scalar_from_json, scalar_to_json
+from .exact import Matrix, scalar_from_json
 from .liealg import MatrixLieAlgebra, classical_dimension, make_classical
 
 __all__ = [
     "matrix_from_json",
-    "matrix_to_json",
     "algebra_from_json",
-    "algebra_to_json",
     "parse_label",
-    "classical_from_label",
-    "embedding_from_json",
-    "embedding_to_json",
     "LoadedEmbedding",
     "load_embedding",
 ]
@@ -73,11 +68,6 @@ def matrix_from_json(obj, size: int, where: str = "matrix") -> Matrix:
         raise ValueError(f"{where}: bad scalar entry ({exc})") from None
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(m[i, j]) for j in range(m.cols)]
-            for i in range(m.rows)]
-
-
 def algebra_from_json(obj) -> MatrixLieAlgebra:
     if not isinstance(obj, dict):
         raise ValueError("algebra: expected an object")
@@ -95,15 +85,6 @@ def algebra_from_json(obj) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(str(obj["name"]), n, tuple(basis), scalar)
 
 
-def algebra_to_json(alg: MatrixLieAlgebra) -> dict:
-    return {
-        "name": alg.name,
-        "matrix_size": alg.matrix_size,
-        "scalar": alg.scalar,
-        "basis": [matrix_to_json(b) for b in alg.basis],
-    }
-
-
 def parse_label(label: str) -> tuple[str, int]:
     """The (family, size) of labels like "sl3", "so(4)", "su2"."""
     m = _CLASSICAL.match(label.strip().lower())
@@ -112,11 +93,6 @@ def parse_label(label: str) -> tuple[str, int]:
             f"unknown algebra label {label!r}; expected sl/so/su/gl "
             "followed by a size, e.g. sl3")
     return m.group(1), int(m.group(2))
-
-
-def classical_from_label(label: str) -> MatrixLieAlgebra:
-    """Parse labels like "sl3", "so(4)", "su2"."""
-    return make_classical(*parse_label(label))
 
 
 def _embedding_fields(obj) -> dict:
@@ -154,21 +130,6 @@ def _embedding_fields(obj) -> dict:
         domain = make_classical(*label)
     return dict(domain=domain, target_size=n, special_linear_target=special,
                 **sides)
-
-
-def embedding_from_json(obj) -> GaugeEmbedding:
-    return GaugeEmbedding(**_embedding_fields(obj))
-
-
-def embedding_to_json(emb: GaugeEmbedding, domain_label: str | None = None
-                      ) -> dict:
-    return {
-        "domain": domain_label or algebra_to_json(emb.domain),
-        "target_size": emb.target_size,
-        "T_L": [matrix_to_json(t) for t in emb.T_L],
-        "T_R": [matrix_to_json(t) for t in emb.T_R],
-        "special_linear_target": emb.special_linear_target,
-    }
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 A MatrixLieAlgebra is a finite basis of square matrices over the rationals
 or Gaussian rationals, closed under the commutator bracket.  On top of the
-basis this module computes structure constants, adjoint matrices, the
-Killing form (defined through adjoint traces, never through matrix traces),
-ad-invariant symmetric bilinear forms, and dimensions of invariant
-polynomials in the symmetric algebra of the dual.
+basis this module computes structure constants, the Killing form (defined
+through adjoint traces, never through matrix traces), the ad-invariance
+test of a bilinear form, and dimensions of invariant polynomials in the
+symmetric algebra of the dual.
 
 The structure layer is sparse end to end: an algebra takes the sparse rows
 of its basis matrices once, when it builds its structure constants, and
@@ -40,7 +40,6 @@ from .exact import (
     Matrix,
     Scalar,
     as_scalar,
-    divide,
     joint_kernel,
 )
 
@@ -120,14 +119,6 @@ def bracket_entries(xr: list, yr: list, n: int) -> list:
             for j, b in xr[t]:
                 out[base + j] -= a * b
     return out
-
-
-def bracket(x: Matrix, y: Matrix) -> Matrix:
-    """Commutator [x, y] = xy - yx; integral entries are ints."""
-    n = x.rows
-    if x.cols != n or y.rows != n or y.cols != n:
-        raise ValueError("bracket needs two square matrices of one size")
-    return Matrix(n, n, bracket_entries(sparse_rows(x), sparse_rows(y), n))
 
 
 def _unit(n: int, j: int, k: int) -> Matrix:
@@ -241,59 +232,18 @@ def structure_constants(alg: MatrixLieAlgebra):
     return alg.structure_constants
 
 
-def verify_antisymmetry(c) -> bool:
-    dim = len(c)
-    return all(c[a][b][k] == -c[b][a][k]
-               for a in range(dim) for b in range(dim) for k in range(dim))
-
-
-def verify_jacobi(c) -> bool:
-    """[[a,b],c] + [[b,c],a] + [[c,a],b] == 0 for all basis triples."""
-    dim = len(c)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            cab = c[a][b]
-            for cc in range(b + 1, dim):
-                cbc = c[b][cc]
-                cca = c[cc][a]
-                for l in range(dim):
-                    s = 0
-                    for m in range(dim):
-                        s = (s + cab[m] * c[m][cc][l]
-                             + cbc[m] * c[m][a][l]
-                             + cca[m] * c[m][b][l])
-                    if s:
-                        return False
-    return True
-
-
-def adjoint_matrix(c, a: int) -> Matrix:
-    """Matrix of ad(e_a) in the basis: column l holds [e_a, e_l]."""
-    dim = len(c)
-    return Matrix(dim, dim,
-                  [c[a][l][m] for m in range(dim) for l in range(dim)])
-
-
-def killing_form(alg: MatrixLieAlgebra, c=None) -> Matrix:
+def killing_form(alg: MatrixLieAlgebra) -> Matrix:
     """B_ab = trace(ad e_a . ad e_b), computed from structure constants.
 
     With (ad e_a)[m, l] = c[a][l][m] the trace is the sum over l, m of
     c[a][l][m] c[b][m][l].  This is the definition; comparisons against
     multiples of the matrix trace form live in tests, not here.
     """
-    if c is None:
-        c = structure_constants(alg)
+    c = structure_constants(alg)
     dim = alg.dim
     nonzero = [[(l, m, x) for l in range(dim) for m, x in enumerate(c[a][l])
                 if x] for a in range(dim)]
     return Matrix(dim, dim, [sum(x * c[b][m][l] for l, m, x in nonzero[a])
-                             for a in range(dim) for b in range(dim)])
-
-
-def trace_form(alg: MatrixLieAlgebra) -> Matrix:
-    """T_ab = Tr(e_a e_b) in the defining representation."""
-    dim = alg.dim
-    return Matrix(dim, dim, [(alg.basis[a] * alg.basis[b]).trace()
                              for a in range(dim) for b in range(dim)])
 
 
@@ -330,11 +280,6 @@ def ad_invariance_failure(c, q: Matrix):
     return None
 
 
-def is_ad_invariant(c, q: Matrix) -> bool:
-    """Check Q([x,a],b) + Q(a,[x,b]) == 0 on all basis triples."""
-    return ad_invariance_failure(c, q) is None
-
-
 # -- symmetric powers of the dual -------------------------------------------
 
 
@@ -356,7 +301,7 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _derivation_ops(alg: MatrixLieAlgebra, degree: int):
-    """Structure constants, Sym^degree monomials and basis derivations.
+    """The Sym^degree monomials and the basis derivations on them.
 
     e_a acts on a dual generator by (a . xi_v)(e_j) = -xi_v([e_a, e_j]),
     so xi_v maps to -sum_j c[a][j][v] xi_j, and it extends to monomials
@@ -396,7 +341,7 @@ def _derivation_ops(alg: MatrixLieAlgebra, degree: int):
                   for v in range(dim)]
         ops.append([(raising[r][j], col, mult * x)
                     for col, v, mult, r in lowering for j, x in images[v]])
-    return c, monomials, ops
+    return monomials, ops
 
 
 def symmetric_power_dimension(dim: int, degree: int) -> int:
@@ -418,33 +363,6 @@ def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int) -> int:
     if nmono > SYM_CEILING:
         raise ValueError(
             f"Sym^{degree} dimension {nmono} exceeds ceiling {SYM_CEILING}")
-    _, _, ops = _derivation_ops(alg, degree)
+    _, ops = _derivation_ops(alg, degree)
     return len(joint_kernel(nmono, ops))
 
-
-def invariant_symmetric_forms(alg: MatrixLieAlgebra) -> list[Matrix]:
-    """Basis of ad-invariant symmetric bilinear forms Q on the algebra.
-
-    Solved as the joint kernel of the basis derivations on Sym^2 of the
-    dual; each kernel vector is converted to the symmetric matrix with
-    Q(x, y) = the polynomial's polarization.  Every returned form is
-    re-checked against the invariance identity.
-    """
-    c, monomials, ops = _derivation_ops(alg, 2)
-    dim = alg.dim
-    kernel = joint_kernel(len(monomials), ops)
-    forms = []
-    for vec in kernel:
-        q = [[0] * dim for _ in range(dim)]
-        for (i, j), coeff in zip(monomials, vec):
-            if i == j:
-                q[i][i] = coeff
-            else:
-                half = divide(coeff, 2)
-                q[i][j] = half
-                q[j][i] = half
-        qm = Matrix.from_rows(q)
-        if not is_ad_invariant(c, qm):
-            raise AssertionError("kernel vector failed invariance re-check")
-        forms.append(qm)
-    return forms

@@ -52,17 +52,6 @@ class RunReport:
             "warnings": self.warnings,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            inputs_digest=data["inputs_digest"],
-            results=data["results"],
-            verdict=data["verdict"],
-            warnings=data["warnings"],
-        )
-
     def exit_code(self) -> int:
         return 0 if self.verdict in ("pass", "warn") else 1
 

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import make_classical
-from .relcoh import cartan_complement, relative_ce_cohomology
-
 __all__ = [
     "PoincareSeries",
     "check_series_size",
@@ -28,8 +25,6 @@ __all__ = [
     "e1_page_series",
     "survivor_degrees",
     "transgression_pairs",
-    "abelian_point_series",
-    "even_case_report",
 ]
 
 # bound on the coefficient updates of one `series` command; see
@@ -158,60 +153,16 @@ def survivor_degrees(n: int) -> list[int]:
     return [2 * i for i in range(2, n + 1, 2)]
 
 
-def e1_page_series(n: int, truncation: int,
-                   from_computed_betti: bool = False) -> PoincareSeries:
+def e1_page_series(n: int, truncation: int) -> PoincareSeries:
     """First-page series for the rank n-1 special linear family, odd n >= 3.
 
     Closed form: exterior generators of degree 2i-1 for odd i in 3..n,
-    polynomial generators of degree 2i for i in 2..n.  With
-    from_computed_betti=True the odd-generator factor is replaced by the
-    Betti polynomial of the computed relative cohomology; that is
-    feasible up to n = 5, and larger n raises on the wedge ceiling.
+    polynomial generators of degree 2i for i in 2..n.  The exterior factor
+    is the relative cohomology of sl(n)/so(n); the tests compare the two.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("closed form needs odd n >= 3")
-    even = [2 * i for i in range(2, n + 1)]
-    if not from_computed_betti:
-        odd = [2 * i - 1 for i in range(3, n + 1, 2)]
-        return series_graded_algebra(odd, even, truncation)
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    pair = cartan_complement(make_classical("sl", n), make_classical("so", n))
-    out = list(relative_ce_cohomology(pair)[:truncation + 1])
-    out += [0] * (truncation + 1 - len(out))
-    for d in even:
-        _over_binomial(out, d, 1)
-    return PoincareSeries(truncation, tuple(out))
-
-
-def abelian_point_series(truncation: int) -> PoincareSeries:
-    """Rank-one abelian degeneration: all symmetric invariants survive and
-    the page series is that of one polynomial generator in degree 2."""
-    return series_graded_algebra([], [2], truncation)
-
-
-def even_case_report(n: int = 4) -> dict:
-    """Ground truth versus closed form for an even rank, not suppressed.
-
-    Computes the invariant-wedge Betti numbers of the special linear /
-    special orthogonal pair and compares them with the odd-rank closed form
-    (exterior generators 2i-1, odd i in 3..n); returns the computed
-    coefficients, the predicted ones, and the list of degrees where they
-    disagree.
-    """
-    if n % 2:
-        raise ValueError("this report is for even n")
-    pair = cartan_complement(make_classical("sl", n), make_classical("so", n))
-    betti = relative_ce_cohomology(pair)
-    m = pair.p_dim
     odd = [2 * i - 1 for i in range(3, n + 1, 2)]
-    predicted = series_graded_algebra(odd, [], m).coeffs
-    discrepancies = [
-        {"degree": q, "computed": betti[q], "closed_form": predicted[q]}
-        for q in range(m + 1) if betti[q] != predicted[q]]
-    return {
-        "n": n,
-        "computed": list(betti),
-        "closed_form": list(predicted),
-        "discrepancies": discrepancies,
-    }
+    even = [2 * i for i in range(2, n + 1)]
+    return series_graded_algebra(odd, even, truncation)
+

@@ -13,7 +13,6 @@ with exact scalars for traced expressions and exact matrices otherwise.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 
 from ..exact import Matrix

@@ -209,14 +209,6 @@ class FormExpression:
     def degrees(self) -> set[int]:
         return {t.degree() for t in self.terms}
 
-    def form_degree(self) -> int:
-        degs = self.degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous expression, degrees {sorted(degs)}")
-        return degs.pop()
-
     def components(self) -> dict[int, "FormExpression"]:
         """Split by form degree."""
         by_deg: dict[int, list[Term]] = {}

@@ -28,9 +28,6 @@ from liegauge.liealg import (
     invariant_polynomial_dimension,
     make_classical,
     structure_constants,
-    trace_form,
-    verify_antisymmetry,
-    verify_jacobi,
 )
 from liegauge.relcoh import cartan_complement, relative_ce_cohomology
 from liegauge.series import (
@@ -52,6 +49,7 @@ from liegauge.wzw.ops import (
     wzw_form,
 )
 from liegauge.wzw.words import C, DG, G, GINV, FormExpression, Term
+from reference import trace_form, verify_antisymmetry, verify_jacobi
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

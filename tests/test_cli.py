@@ -34,7 +34,7 @@ class TestRunReport:
             verdict="warn",
             warnings=[{"id": "W1", "message": "m"}],
         )
-        again = RunReport.from_json(report.to_json())
+        again = RunReport(**json.loads(report.to_json()))
         assert again == report
 
     def test_canonical_json_is_sorted_and_tight(self):
@@ -575,7 +575,7 @@ class TestOutputContract:
         assert cli.main(["relcoh", "--pair", "sl2/so2",
                          "--output", "structured"]) == 0
         out = capsys.readouterr().out
-        report = RunReport.from_json(out)
+        report = RunReport(**json.loads(out))
         assert report.to_json() == out.strip()
         assert report.results["betti_line"] == "1 0 1"
 

@@ -19,7 +19,6 @@ from liegauge.exact import (
     joint_kernel,
     rational_from_string,
     scalar_from_json,
-    scalar_to_json,
 )
 
 
@@ -122,8 +121,8 @@ def test_scalar_parsing_roundtrip():
     assert rational_from_string("-3/7") == Fraction(-3, 7)
     assert rational_from_string("5") == Fraction(5)
     assert scalar_from_json(["1/2", "-2"]) == GaussianRational(Fraction(1, 2), -2)
-    for v in (Fraction(-9, 4), GaussianRational(Fraction(0), Fraction(1, 3))):
-        assert scalar_from_json(scalar_to_json(v)) == v
+    assert scalar_from_json("-9/4") == Fraction(-9, 4)
+    assert scalar_from_json(["0", "1/3"]) == GaussianRational(0, Fraction(1, 3))
     with pytest.raises(ValueError):
         scalar_from_json({"re": 1})
     # a JSON integer stays an int; a JSON boolean is not a number
@@ -521,12 +520,11 @@ def test_exact_results_hold_no_floats():
     from liegauge.anomaly import anomaly_form, verdict
     from liegauge.liealg import (
         invariant_polynomial_dimension,
-        invariant_symmetric_forms,
         killing_form,
         make_classical,
         structure_constants,
     )
-    from liegauge.lgio import classical_from_label, load_embedding
+    from liegauge.lgio import load_embedding, parse_label
     from liegauge.relcoh import (
         cartan_complement,
         invariant_wedge_basis,
@@ -542,8 +540,8 @@ def test_exact_results_hold_no_floats():
         report = verdict(emb).report
         results += [report.Q, report.normalization, anomaly_form(emb).Q]
     for g, k in (("sl3", "so3"), ("sl2", "so2"), ("su2", None)):
-        pair = cartan_complement(classical_from_label(g),
-                                 classical_from_label(k) if k else None)
+        sub = make_classical(*parse_label(k)) if k else None
+        pair = cartan_complement(make_classical(*parse_label(g)), sub)
         results += [pair.p_basis, pair.complement_action,
                     pair.projected_constants, relative_ce_cohomology(pair)]
         results += [invariant_wedge_basis(pair, q)
@@ -554,8 +552,7 @@ def test_exact_results_hold_no_floats():
     # the exact primitives, on rational and Gaussian algebras
     for fam, n in (("sl", 3), ("so", 4), ("su", 2), ("gl", 2)):
         alg = make_classical(fam, n)
-        results += [structure_constants(alg), killing_form(alg),
-                    invariant_symmetric_forms(alg)]
+        results += [structure_constants(alg), killing_form(alg)]
     m = Matrix.from_rows([[2, 4, 1], [1, 3, 0], [0, 1, 5]])
     results += [m.inverse(), m.rref()[0], Matrix.from_rows(
         [[3, 1, 2], [6, 2, 4]]).kernel_basis()]
@@ -577,18 +574,13 @@ def test_exact_results_hold_no_floats():
 
 
 def test_no_exact_value_is_a_gaussian_on_the_real_axis():
-    from liegauge.liealg import (
-        invariant_symmetric_forms,
-        killing_form,
-        make_classical,
-    )
+    from liegauge.liealg import killing_form, make_classical
     from liegauge.relcoh import cartan_complement
 
     su2, su3 = make_classical("su", 2), make_classical("su", 3)
     results = []
     for alg in (su2, su3):
-        results += [alg.basis, alg.structure_constants, killing_form(alg),
-                    invariant_symmetric_forms(alg)]
+        results += [alg.basis, alg.structure_constants, killing_form(alg)]
     results.append(cartan_complement(su3, make_classical("so", 3)).p_basis)
     # a Gaussian matrix whose kernel has real and non-real entries
     m = Matrix.from_rows([[1, I, GaussianRational(2, 0), 0],

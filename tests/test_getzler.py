@@ -30,7 +30,6 @@ from liegauge.getzler.cochains import (
     constant_cochain,
     random_cochain,
     random_homogeneous_cochain,
-    unit_cochain,
     vanish_factor,
 )
 from liegauge.getzler.operators import (
@@ -57,97 +56,119 @@ def dyadic_samples():
     return [np.array(rows, dtype=float) for rows in checks.DYADIC_SL2_SAMPLES]
 
 
+def term(g_dim: int, m: int, coeff: float, omega_exp=None, x_exp=None,
+         dx=()) -> PolyForm:
+    """One monomial coeff * Omega^omega_exp x^x_exp dx; exponents default
+    to zero."""
+    omega = tuple(omega_exp) if omega_exp is not None else (0,) * g_dim
+    x = tuple(x_exp) if x_exp is not None else (0,) * m
+    return PolyForm(g_dim, m, {(omega, x, tuple(dx)): coeff})
+
+
+def unit_cochain(action: LinearAction) -> EquivariantCochain:
+    """The formal multiplicative unit: the constant-one 0-cochain.  It does
+    not vanish at the identity; it is exempt from that normalization."""
+    return constant_cochain(action, term(action.g_dim, action.m, 1.0))
+
+
+def abelian_point(g_dim: int) -> LinearAction:
+    """An abelian algebra acting on a point (m = 0): the degeneration
+    where the whole geometric differential d + iota vanishes."""
+    return LinearAction(f"abelian rank {g_dim} on a point",
+                        [np.zeros((0, 0))] * g_dim)
+
+
 # -- polynomial forms ---------------------------------------------------------
 
 
 class TestPolyForm:
     def test_wedge_antisymmetry_and_overlap(self):
-        a = PolyForm.term(1, 3, 1.0, dx=(0,))
-        b = PolyForm.term(1, 3, 1.0, dx=(1,))
+        a = term(1, 3, 1.0, dx=(0,))
+        b = term(1, 3, 1.0, dx=(1,))
         ab = a.wedge(b)
         ba = b.wedge(a)
-        assert ab == PolyForm.term(1, 3, 1.0, dx=(0, 1))
-        assert ba == PolyForm.term(1, 3, -1.0, dx=(0, 1))
+        assert ab == term(1, 3, 1.0, dx=(0, 1))
+        assert ba == term(1, 3, -1.0, dx=(0, 1))
         assert a.wedge(a).is_zero()
 
     def test_wedge_interleaving_sign(self):
         # dx1 wedge (dx0 ^ dx2) needs one transposition: -dx0^dx1^dx2.
-        left = PolyForm.term(1, 3, 1.0, dx=(1,))
-        right = PolyForm.term(1, 3, 1.0, dx=(0, 2))
-        assert left.wedge(right) == PolyForm.term(1, 3, -1.0, dx=(0, 1, 2))
+        left = term(1, 3, 1.0, dx=(1,))
+        right = term(1, 3, 1.0, dx=(0, 2))
+        assert left.wedge(right) == term(1, 3, -1.0, dx=(0, 1, 2))
 
     def test_exterior_d_basic(self):
         # d(x0 dx1) = dx0 ^ dx1, already in increasing order.
-        form = PolyForm.term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
-        assert form.exterior_d() == PolyForm.term(1, 2, 1.0, dx=(0, 1))
+        form = term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        assert form.exterior_d() == term(1, 2, 1.0, dx=(0, 1))
         # d(x0 x1) = x1 dx0 + x0 dx1.
-        fn = PolyForm.term(1, 2, 1.0, x_exp=(1, 1))
-        expected = (PolyForm.term(1, 2, 1.0, x_exp=(0, 1), dx=(0,))
-                    + PolyForm.term(1, 2, 1.0, x_exp=(1, 0), dx=(1,)))
+        fn = term(1, 2, 1.0, x_exp=(1, 1))
+        expected = (term(1, 2, 1.0, x_exp=(0, 1), dx=(0,))
+                    + term(1, 2, 1.0, x_exp=(1, 0), dx=(1,)))
         assert fn.exterior_d() == expected
 
     def test_exterior_d_squares_to_zero_exactly(self):
-        form = (PolyForm.term(2, 3, 0.5, x_exp=(2, 1, 0))
-                + PolyForm.term(2, 3, 1.25, x_exp=(1, 1, 1), dx=(2,))
-                + PolyForm.term(2, 3, -0.75, omega_exp=(1, 1),
+        form = (term(2, 3, 0.5, x_exp=(2, 1, 0))
+                + term(2, 3, 1.25, x_exp=(1, 1, 1), dx=(2,))
+                + term(2, 3, -0.75, omega_exp=(1, 1),
                                 x_exp=(0, 2, 1), dx=(0,)))
         assert form.exterior_d().exterior_d().is_zero()
 
     def test_contraction_is_an_exact_antiderivation_square_zero(self):
         field = np.array([[0.0, 1.0], [1.0, 0.0]])
-        form = (PolyForm.term(1, 2, 1.0, x_exp=(1, 0), dx=(0, 1))
-                + PolyForm.term(1, 2, -2.0, dx=(0,)))
+        form = (term(1, 2, 1.0, x_exp=(1, 0), dx=(0, 1))
+                + term(1, 2, -2.0, dx=(0,)))
         once = form.contract_linear_field(field)
         assert not once.is_zero()
         assert once.contract_linear_field(field).is_zero()
 
     def test_contraction_slot_sign(self):
         # iota_V (dx0 ^ dx1) = (Vx)_0 dx1 - (Vx)_1 dx0 for V = identity.
-        form = PolyForm.term(1, 2, 1.0, dx=(0, 1))
-        expected = (PolyForm.term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
-                    + PolyForm.term(1, 2, -1.0, x_exp=(0, 1), dx=(0,)))
+        form = term(1, 2, 1.0, dx=(0, 1))
+        expected = (term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
+                    + term(1, 2, -1.0, x_exp=(0, 1), dx=(0,)))
         assert form.contract_linear_field(np.eye(2)) == expected
 
     def test_substitution_of_generators_hand_expansion(self):
         # Generator rows (1,0,-1): Omega^0 -> Omega^0 - Omega^2, squared.
         M = [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        form = PolyForm.term(3, 0, 1.0, omega_exp=(2, 0, 0))
-        expected = (PolyForm.term(3, 0, 1.0, omega_exp=(2, 0, 0))
-                    + PolyForm.term(3, 0, -2.0, omega_exp=(1, 0, 1))
-                    + PolyForm.term(3, 0, 1.0, omega_exp=(0, 0, 2)))
+        form = term(3, 0, 1.0, omega_exp=(2, 0, 0))
+        expected = (term(3, 0, 1.0, omega_exp=(2, 0, 0))
+                    + term(3, 0, -2.0, omega_exp=(1, 0, 1))
+                    + term(3, 0, 1.0, omega_exp=(0, 0, 2)))
         assert form.substitute_omega(M) == expected
 
     def test_pullback_hand_expansion(self):
         # x0 dx1 under x -> Bx with B = [[1,1],[2,3]] (rows act on both
         # the coordinate and its differential).
         B = [[1.0, 1.0], [2.0, 3.0]]
-        form = PolyForm.term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
-        expected = (PolyForm.term(1, 2, 2.0, x_exp=(1, 0), dx=(0,))
-                    + PolyForm.term(1, 2, 3.0, x_exp=(1, 0), dx=(1,))
-                    + PolyForm.term(1, 2, 2.0, x_exp=(0, 1), dx=(0,))
-                    + PolyForm.term(1, 2, 3.0, x_exp=(0, 1), dx=(1,)))
+        form = term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        expected = (term(1, 2, 2.0, x_exp=(1, 0), dx=(0,))
+                    + term(1, 2, 3.0, x_exp=(1, 0), dx=(1,))
+                    + term(1, 2, 2.0, x_exp=(0, 1), dx=(0,))
+                    + term(1, 2, 3.0, x_exp=(0, 1), dx=(1,)))
         assert form.pullback_linear(B) == expected
 
     def test_pullback_composes_contravariantly(self):
         B1 = np.array([[1.0, 1.0], [0.0, 1.0]])
         B2 = np.array([[1.0, 0.0], [2.0, 1.0]])
-        form = (PolyForm.term(1, 2, 1.0, x_exp=(2, 0), dx=(1,))
-                + PolyForm.term(1, 2, -0.5, x_exp=(0, 1), dx=(0, 1)))
+        form = (term(1, 2, 1.0, x_exp=(2, 0), dx=(1,))
+                + term(1, 2, -0.5, x_exp=(0, 1), dx=(0, 1)))
         chained = form.pullback_linear(B1).pullback_linear(B2)
         assert chained == form.pullback_linear(B1 @ B2)
 
     def test_twist_signs_per_term_degree(self):
-        form = (PolyForm.term(1, 2, 1.0, dx=(0,))          # degree 1
-                + PolyForm.term(1, 2, 1.0, omega_exp=(1,)))  # degree 2
+        form = (term(1, 2, 1.0, dx=(0,))          # degree 1
+                + term(1, 2, 1.0, omega_exp=(1,)))  # degree 2
         twisted = form.twist(1)
-        expected = (PolyForm.term(1, 2, -1.0, dx=(0,))
-                    + PolyForm.term(1, 2, 1.0, omega_exp=(1,)))
+        expected = (term(1, 2, -1.0, dx=(0,))
+                    + term(1, 2, 1.0, omega_exp=(1,)))
         assert twisted == expected
         assert form.twist(2) == form
 
     def test_degrees_and_norm(self):
-        form = (PolyForm.term(2, 2, -3.0, omega_exp=(1, 1), dx=(0,))
-                + PolyForm.term(2, 2, 0.25, x_exp=(1, 1)))
+        form = (term(2, 2, -3.0, omega_exp=(1, 1), dx=(0,))
+                + term(2, 2, 0.25, x_exp=(1, 1)))
         assert form.degrees() == {5, 0}
         assert form.norm() == 3.0
         assert PolyForm.zero(2, 2).degrees() == set()
@@ -162,13 +183,13 @@ class TestPolyForm:
         assert max_residual([]) == 0.0
 
     def test_zero_terms_are_pruned(self):
-        form = PolyForm.term(1, 1, 1.0) + PolyForm.term(1, 1, -1.0)
+        form = term(1, 1, 1.0) + term(1, 1, -1.0)
         assert form.is_zero()
         assert form == PolyForm.zero(1, 1)
 
     def test_incompatible_shapes_rejected(self):
         with pytest.raises(ValueError):
-            PolyForm.term(1, 1, 1.0) + PolyForm.term(2, 1, 1.0)
+            term(1, 1, 1.0) + term(2, 1, 1.0)
 
     @pytest.mark.parametrize("key", [
         ((1,), (0, 0), ()),           # omega exponents longer than g_dim
@@ -203,14 +224,14 @@ class TestPolyForm:
 
     def test_constructor_accepts_the_largest_exponent(self):
         top = EXPONENT_LIMIT - 1
-        form = PolyForm.term(2, 2, 1.0, omega_exp=(top, 0), x_exp=(0, top))
+        form = term(2, 2, 1.0, omega_exp=(top, 0), x_exp=(0, top))
         assert form.terms == {((top, 0), (0, top), ()): 1.0}
 
     def test_exponent_overflow_raises_instead_of_carrying(self):
         top = EXPONENT_LIMIT - 1
-        high_omega = PolyForm.term(2, 2, 1.0, omega_exp=(top, 0), dx=(0,))
-        high_x = PolyForm.term(2, 2, 1.0, x_exp=(top, 1), dx=(1,))
-        one_omega = PolyForm.term(2, 2, 1.0, omega_exp=(1, 0))
+        high_omega = term(2, 2, 1.0, omega_exp=(top, 0), dx=(0,))
+        high_x = term(2, 2, 1.0, x_exp=(top, 1), dx=(1,))
+        one_omega = term(2, 2, 1.0, omega_exp=(1, 0))
         # row 1 sends dx1 to x0 and x1 to x0, onto the top exponent
         onto_x0 = [[1.0, 0.0], [1.0, 0.0]]
         raising = [
@@ -219,7 +240,7 @@ class TestPolyForm:
             lambda: high_omega.multiply_omega_linear([1.0, 0.0]),
             lambda: high_x.contract_linear_field(onto_x0),
             lambda: high_x.pullback_linear(onto_x0),
-            lambda: PolyForm.term(2, 0, 1.0, omega_exp=(top, 1))
+            lambda: term(2, 0, 1.0, omega_exp=(top, 1))
             .substitute_omega(onto_x0),
         ]
         for op in raising:
@@ -529,9 +550,9 @@ class TestLinearAction:
         assert np.array_equal(lhs, rhs)
 
     def test_group_action_is_a_left_action_bitwise(self):
-        form = (PolyForm.term(3, 2, 1.0, omega_exp=(1, 0, 1),
+        form = (term(3, 2, 1.0, omega_exp=(1, 0, 1),
                               x_exp=(1, 0), dx=(1,))
-                + PolyForm.term(3, 2, -0.5, x_exp=(0, 2), dx=(0,)))
+                + term(3, 2, -0.5, x_exp=(0, 2), dx=(0,)))
         for g1 in dyadic_samples()[:3]:
             for g2 in dyadic_samples()[3:]:
                 nested = SL2.group_action(g2, SL2.group_action(g1, form))
@@ -539,7 +560,7 @@ class TestLinearAction:
                 assert nested == joint
 
     def test_identity_action_returns_the_form_unchanged(self):
-        form = PolyForm.term(3, 2, 1.5, omega_exp=(0, 1, 0), dx=(0,))
+        form = term(3, 2, 1.5, omega_exp=(0, 1, 0), dx=(0,))
         assert SL2.group_action(np.eye(2), form) is form
 
     def test_dyadic_inverse_is_exact(self):
@@ -564,13 +585,13 @@ class TestLinearAction:
             assert abs(np.linalg.det(ga)) > 1e-8
 
     def test_point_action_has_no_coordinates(self):
-        point = LinearAction.abelian_point(2)
+        point = abelian_point(2)
         assert point.m == 0
         g = GroupSampler(point, seed=0).draw()
         assert g.shape == (0, 0)
         assert point.inverse(g).shape == (0, 0)
         assert point.coefficients(np.zeros((0, 0))) == [0.0, 0.0]
-        one = PolyForm.constant(2, 0, 1.0)
+        one = term(2, 0, 1.0)
         c = EquivariantCochain(point, 1, lambda gs: one)
         assert op_ibar(c)(()).is_zero()
 
@@ -610,7 +631,7 @@ class TestCochains:
 
     def test_unit_cochain_is_one_everywhere(self):
         one = unit_cochain(SL2)
-        assert one(()) == PolyForm.constant(3, 2, 1.0)
+        assert one(()) == term(3, 2, 1.0)
 
     def test_vanish_factor_is_zero_only_at_the_identity(self):
         assert vanish_factor((np.eye(2),)) == 0.0
@@ -722,7 +743,7 @@ class TestEvaluationScope:
 
         def evaluate(gs):
             evaluated.append(gs[0])
-            return PolyForm.constant(3, 2, float(len(evaluated)))
+            return term(3, 2, float(len(evaluated)))
 
         inner = EquivariantCochain(action, 1, evaluate)
         values, transports = [], []
@@ -852,10 +873,10 @@ class TestGeometricOperators:
     def test_contraction_of_a_coordinate_differential(self):
         # iota(dx0) is the first component of the field of the symbolic
         # generator: Omega^0 x0 + Omega^1 x1 for the standard basis.
-        c = constant_cochain(SL2, PolyForm.term(3, 2, 1.0, dx=(0,)))
-        expected = (PolyForm.term(3, 2, 1.0, omega_exp=(1, 0, 0),
+        c = constant_cochain(SL2, term(3, 2, 1.0, dx=(0,)))
+        expected = (term(3, 2, 1.0, omega_exp=(1, 0, 0),
                                   x_exp=(1, 0))
-                    + PolyForm.term(3, 2, 1.0, omega_exp=(0, 1, 0),
+                    + term(3, 2, 1.0, omega_exp=(0, 1, 0),
                                     x_exp=(0, 1)))
         assert op_iota(c)(()) == expected
 
@@ -875,9 +896,9 @@ class TestGeometricOperators:
             assert op_d(op_d(c))((sampler.draw(),)).is_zero()
 
     def test_d_carries_the_arity_sign(self):
-        form = PolyForm.term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        form = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         flat = EquivariantCochain(SL2, 1, lambda gs: form)
-        expected = PolyForm.term(3, 2, -1.0, dx=(0, 1))
+        expected = term(3, 2, -1.0, dx=(0, 1))
         assert op_d(flat)((UNIPOTENT_UP,)) == expected
 
 
@@ -888,10 +909,10 @@ class TestCoboundary:
         # O^2, O^2), so the square of the first coordinate picks up
         # -2 O^0 O^2 + (O^2)^2 under the coboundary.
         quad = constant_cochain(
-            SL2, PolyForm.term(3, 2, 1.0, omega_exp=(2, 0, 0)))
+            SL2, term(3, 2, 1.0, omega_exp=(2, 0, 0)))
         result = op_dbar(quad)((UNIPOTENT_UP,))
-        expected = (PolyForm.term(3, 2, -2.0, omega_exp=(1, 0, 1))
-                    + PolyForm.term(3, 2, 1.0, omega_exp=(0, 0, 2)))
+        expected = (term(3, 2, -2.0, omega_exp=(1, 0, 1))
+                    + term(3, 2, 1.0, omega_exp=(0, 0, 2)))
         assert result == expected
 
     def test_coboundary_of_invariant_cochain_is_bitwise_zero(self):
@@ -931,7 +952,7 @@ class TestGroupContraction:
         # The vanish factor is quadratic at the identity, so inserting a
         # one-parameter subgroup and differentiating gives zero up to the
         # second-order finite-difference error.
-        payload = PolyForm.term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
             SL2, 1, lambda gs: payload.scale(vanish_factor(gs)))
         assert op_ibar(c)(()).norm() <= 1e-5
@@ -939,7 +960,7 @@ class TestGroupContraction:
     def test_linear_entry_profile_gives_the_generator_coordinate(self):
         # f(g) = g[0,1] * P differentiates to the coefficient of the
         # raising element, that is Omega^1 P.
-        payload = PolyForm.term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
             SL2, 1, lambda gs: payload.scale(float(gs[0][0, 1])))
         expected = payload.multiply_omega_linear([0.0, 1.0, 0.0])
@@ -953,7 +974,7 @@ class TestGroupContraction:
         # this element are (-4, -1, 4), contributing
         # -g[0,1] (-4 O^0 - O^1 + 4 O^2) P.  Hand total, frozen before the
         # engine ran: (2 O^0 + 3/2 O^1 - 2 O^2) P.
-        payload = PolyForm.term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
             SL2, 2,
             lambda gs: payload.scale(float(gs[0][0, 1]) * float(gs[1][1, 0])))
@@ -967,7 +988,7 @@ class TestGroupContraction:
         # where the central difference of exp carries the classic
         # sinh(s)/s - 1 = s^2/6 + ... error; successive step halvings must
         # shrink the change by a factor of about four.
-        payload = PolyForm.term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
+        payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
             SL2, 1, lambda gs: payload.scale(float(gs[0][0, 0])))
         coarse = op_ibar(c, step=2e-3)(())
@@ -977,6 +998,82 @@ class TestGroupContraction:
         second_gap = (fine - finest).norm()
         assert second_gap > 1e-9
         assert 3.0 < first_gap / second_gap < 5.0
+
+
+# -- self-checks that no report runs ---------------------------------------------
+
+TOL_VANISH = 1e-12
+
+
+def vanish_check() -> dict:
+    """All four operators preserve vanish-at-identity: outputs evaluated
+    at 10 sampled tuples with one slot pinned to the identity stay below
+    TOL_VANISH."""
+    action = LinearAction.sl2()
+    rng = random.Random(0)
+    worst = 0.0
+    for arity in (1, 2):
+        cochain = random_cochain(action, rng, arity)
+        outputs = [op_d(cochain), op_iota(cochain), op_dbar(cochain),
+                   op_ibar(cochain)]
+        sampler = GroupSampler(action, 0.5, arity)
+        for out in outputs:
+            if out.arity == 0:
+                continue
+            for _ in range(10):
+                gs = list(sampler.draw_tuple(out.arity))
+                slot = rng.randrange(out.arity)
+                gs[slot] = action.identity()
+                worst = max_residual((worst, out(tuple(gs)).norm()))
+    return {"residual": worst, "tolerance": TOL_VANISH,
+            "ok": worst <= TOL_VANISH}
+
+
+def degree_shift_check() -> dict:
+    """Structural degree bookkeeping: with deg1 the arity and deg2 the
+    polynomial degree, the shifts are d (0,+1), iota (0,+1), dbar (+1,0),
+    ibar (-1,+2)."""
+    action = LinearAction.sl2()
+    cochain = random_homogeneous_cochain(action, random.Random(0), 1, 1, 1)
+    base_degree = 2 * 1 + 1
+    sampler = GroupSampler(action, 0.5, 7)
+    shifts = {
+        "d": (op_d(cochain), 1, base_degree + 1),
+        "iota": (op_iota(cochain), 1, base_degree + 1),
+        "dbar": (op_dbar(cochain), 2, base_degree),
+        "ibar": (op_ibar(cochain), 0, base_degree + 2),
+    }
+    table = {}
+    for name, (out, want_arity, want_degree) in shifts.items():
+        degrees = set()
+        for _ in range(5):
+            degrees |= out(sampler.draw_tuple(out.arity)).degrees()
+        table[name] = (out.arity == want_arity
+                       and degrees <= {want_degree})
+    return {"shifts": table, "ok": all(table.values())}
+
+
+def abelian_point_check(g_dim: int = 1) -> dict:
+    """Abelian algebra on a point: the geometric differential d + iota is
+    identically zero on generator polynomials, and the coboundary of any
+    0-cochain vanishes because the trivial group acts trivially."""
+    action = abelian_point(g_dim)
+    rng = random.Random(0)
+    terms = {}
+    for _ in range(4):
+        omega = [0] * g_dim
+        for _ in range(rng.randint(0, 3)):
+            omega[rng.randrange(g_dim)] += 1
+        terms[(tuple(omega), (), ())] = rng.uniform(-1.0, 1.0)
+    cochain = constant_cochain(action, PolyForm(g_dim, 0, terms))
+    geometric = (op_d(cochain) + op_iota(cochain))(())
+    empty = np.zeros((0, 0))
+    bar = op_dbar(cochain)((empty,))
+    return {
+        "geometric_zero": geometric.is_zero(),
+        "bar_zero": bar.is_zero(),
+        "ok": geometric.is_zero() and bar.is_zero(),
+    }
 
 
 # -- the total differential ----------------------------------------------------
@@ -996,13 +1093,13 @@ class TestTotalDifferential:
         assert fam.arities() == [0, 1, 2]
 
     def test_degree_shifts(self):
-        report = checks.degree_shift_check()
+        report = degree_shift_check()
         assert report["ok"]
         assert report["shifts"] == {"d": True, "iota": True,
                                     "dbar": True, "ibar": True}
 
     def test_vanishing_at_identity_slots_for_all_operators(self):
-        report = checks.vanish_check()
+        report = vanish_check()
         assert report["ok"]
         assert report["residual"] == 0.0
 
@@ -1014,7 +1111,7 @@ class TestTotalDifferential:
         assert report["cartan_match"]
 
     def test_point_action_kills_the_geometric_pair(self):
-        report = checks.abelian_point_check(g_dim=2)
+        report = abelian_point_check(g_dim=2)
         assert report["ok"]
         assert report["geometric_zero"]
         assert report["bar_zero"]

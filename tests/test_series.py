@@ -10,11 +10,10 @@ import time
 import pytest
 
 from liegauge.liealg import make_classical, invariant_polynomial_dimension
+from liegauge.relcoh import cartan_complement, relative_ce_cohomology
 from liegauge.series import (
     PoincareSeries,
-    abelian_point_series,
     e1_page_series,
-    even_case_report,
     koszul_cancellation,
     series_graded_algebra,
     survivor_degrees,
@@ -124,10 +123,20 @@ def test_e1_series_n3_hand_expansion():
     assert s.coeffs == (1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1)
 
 
+def computed_page(n, truncation):
+    """The first page with its exterior factor replaced by the computed
+    Betti numbers of sl(n)/so(n): coefficient d sums betti[k] times the
+    even-generator monomials of degree d - k."""
+    pair = cartan_complement(make_classical("sl", n), make_classical("so", n))
+    betti = relative_ce_cohomology(pair)
+    even = [2 * i for i in range(2, n + 1)]
+    return tuple(sum(b * count_monomials([], even, d - k)
+                     for k, b in enumerate(betti[:d + 1]))
+                 for d in range(truncation + 1))
+
+
 def test_e1_series_closed_form_matches_computed_betti():
-    closed = e1_page_series(3, 12)
-    computed = e1_page_series(3, 12, from_computed_betti=True)
-    assert closed.coeffs == computed.coeffs
+    assert e1_page_series(3, 12).coeffs == computed_page(3, 12)
 
 
 def test_e1_series_guards():
@@ -138,14 +147,13 @@ def test_e1_series_guards():
     # sl5/so5 is symmetric, so its computed Betti numbers need only the
     # invariant wedges: (1 + t^5)(1 + t^9), the closed form's factor
     t0 = time.monotonic()
-    assert (e1_page_series(5, 16, from_computed_betti=True)
-            == e1_page_series(5, 16))
+    assert computed_page(5, 16) == e1_page_series(5, 16).coeffs
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"sl5/so5 series took {elapsed:.1f}s (budget 60s)"
     # sl7/so7 has a 27-dimensional complement, over the wedge ceiling
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="wedge degree 5 needs 80730"):
-        e1_page_series(7, 10, from_computed_betti=True)
+        computed_page(7, 10)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"sl7/so7 refusal took {elapsed:.2f}s (budget 1s)"
 
@@ -154,18 +162,9 @@ def test_e1_series_guards():
 
 
 def test_abelian_point_series():
-    s = abelian_point_series(9)
+    # rank-one abelian degeneration: one polynomial generator in degree 2
+    s = series_graded_algebra([], [2], 9)
     assert s.coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
     gl1 = make_classical("gl", 1)
     for d in range(5):
         assert s[2 * d] == invariant_polynomial_dimension(gl1, d) == 1
-
-
-def test_even_case_report_defaults():
-    report = even_case_report()
-    assert report["n"] == 4
-    assert report["computed"] == [1, 0, 0, 0, 1, 1, 0, 0, 0, 1]
-    assert report["closed_form"] == [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
-    assert [d["degree"] for d in report["discrepancies"]] == [4, 9]
-    with pytest.raises(ValueError, match="even"):
-        even_case_report(3)
