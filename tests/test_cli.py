@@ -559,11 +559,29 @@ class TestOutputContract:
          "0318c93dcb57019eec356d055a1fdcaabd0489622c0d81824a931c5817522344"),
         (["series", "--n", "5", "--truncate", "40"], 0,
          "309e57a88caa89f4810b4bc27bd503339e19d64f2d198789148e7370a2983027"),
+        (["relcoh", "--pair", "sl3"], 0,
+         "cd7f6aade4b69c37d701f2607ff2dd8281b4e0e0fc359cd59942ec6857f58ea6"),
+        (["relcoh", "--pair", "gl2"], 0,
+         "ac06b6658536aa9037dddb042583b2f8a63e153994eca44d8be2d55145fea155"),
+        (["relcoh", "--pair", "so4"], 0,
+         "f64bf304dc60b308df1890f5226f0be08db60880df829ab64c9d42da373b70f9"),
+        (["relcoh", "--pair", "sl4/so4"], 0,
+         "8e72c96b10b88b3691a0c13e5112c8bfe8165e651d06813017920a28c221e4e4"),
+        (["relcoh", "--pair", "su3/so3"], 0,
+         "7f37c65def9e2a5450010fc9f262169f79772d3c01e4fb9834da7cda8d4b64b0"),
+        (["invariants", "--algebra", "sl3", "--max-degree", "4"], 0,
+         "038d3d19e2b8a70591479faf4bca898b34c8d72e09d1d2c4cf37dabc820ee025"),
+        (["invariants", "--algebra", "su3", "--max-degree", "3"], 0,
+         "ac5e2ccf50ba8663ddca53d80032d164b7bc480abfa9312573f5c22248ef2be2"),
+        (["invariants", "--algebra", "so5", "--max-degree", "4"], 0,
+         "ee915376fd5e0d21a5d23007ce0245e6bb395da16d3c8f2a226d99519f68aeb4"),
     ])
     def test_exact_reports_keep_their_bytes(self, capsys, argv, code,
                                             digest):
-        # bytes of a reference build, the ten README commands; the anomaly
-        # digest hashes the fixture's content, not its path.  Each command
+        # bytes of a reference build: the ten README commands, then plain
+        # complexes that build the differential, the even and Gaussian
+        # pairs, and Sym^d past degree 2; the anomaly digest hashes the
+        # fixture's content, not its path.  Each command
         # runs twice in one process, so state left by a first run cannot
         # change the bytes.
         for _ in range(2):
