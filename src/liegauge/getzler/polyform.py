@@ -181,12 +181,12 @@ def max_residual(values) -> float:
 
 
 class Substitution:
-    """A matrix, which substitute_omega, pullback_linear,
-    contract_linear_field and multiply_omega_linear take in its place, with
-    the tables they build from it for forms over one (g_dim, m): nonzero
-    rows by unit set, and expansions by the key part they expand (the
-    Omega, x and dx parts are disjoint bits, and 0 is the empty product in
-    each).  Reused, it gives the floats of a fresh one."""
+    """A matrix in the form that substitute_omega, pullback_linear,
+    contract_linear_field and multiply_omega_linear take, with the tables
+    they build from it for forms over one (g_dim, m): nonzero rows by unit
+    set, and expansions by the key part they expand (the Omega, x and dx
+    parts are disjoint bits, and 0 is the empty product in each).  Reused,
+    it gives the floats of a fresh one."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -347,15 +347,11 @@ class PolyForm:
         return self._like(self._layout.check(
             {k + unit: c for k, c in self._terms.items()}))
 
-    def multiply_omega_linear(self, coeffs, b: int = 0) -> "PolyForm":
+    def multiply_omega_linear(self, M: Substitution, b: int) -> "PolyForm":
         """Product with the linear generator combination
-        sum_a M[b][a] Omega^a, b picking a row of the matrix M: M is the
-        matrix of a Substitution, or the one-row matrix (coeffs,) of a
-        plain coefficient list, whose only row is b = 0."""
+        sum_a M[b][a] Omega^a, b picking a row of the matrix of M."""
         layout = self._layout
-        table = (coeffs if isinstance(coeffs, Substitution)
-                 else Substitution((coeffs,)))
-        row = table.rows(self.g_dim, layout.omega_units)[b]
+        row = M.rows(self.g_dim, layout.omega_units)[b]
         out: dict = {}
         for k, c in self._terms.items():
             for unit, ca in row:
@@ -384,13 +380,12 @@ class PolyForm:
                 out[key] = out.get(key, 0.0) + c * e * sign
         return self._like(out)
 
-    def contract_linear_field(self, V) -> "PolyForm":
-        """Interior product with the vector field x -> V x (an m-by-m matrix
-        or a Substitution of one): each dx_i becomes the linear polynomial
-        (V x)_i, extended as an antiderivation over the wedge factors."""
+    def contract_linear_field(self, V: Substitution) -> "PolyForm":
+        """Interior product with the vector field x -> V x (V of an m-by-m
+        matrix): each dx_i becomes the linear polynomial (V x)_i, extended
+        as an antiderivation over the wedge factors."""
         layout = self._layout
-        table = V if isinstance(V, Substitution) else Substitution(V)
-        rows = table.rows(self.m, layout.x_units)
+        rows = V.rows(self.m, layout.x_units)
         slots, dx_mask = layout.slots, layout.dx_mask
         out: dict = {}
         for k, c in self._terms.items():
@@ -403,13 +398,12 @@ class PolyForm:
 
     # -- substitutions --------------------------------------------------------
 
-    def substitute_omega(self, M) -> "PolyForm":
+    def substitute_omega(self, M: Substitution) -> "PolyForm":
         """Replace each generator: Omega^a -> sum_b M[a][b] Omega^b."""
         layout = self._layout
         below = layout.below_omega
-        table = M if isinstance(M, Substitution) else Substitution(M)
-        rows = table.rows(self.g_dim, layout.omega_units)
-        expansions = table.expansions
+        rows = M.rows(self.g_dim, layout.omega_units)
+        expansions = M.expansions
         out: dict = {}
         for k, c in self._terms.items():
             rest = k & below
@@ -423,17 +417,16 @@ class PolyForm:
                 out[key] = out.get(key, 0.0) + c * factor
         return self._like(out)
 
-    def pullback_linear(self, B) -> "PolyForm":
+    def pullback_linear(self, B: Substitution) -> "PolyForm":
         """Pull back along the linear map x -> B x: substitute the monomials
         and expand each dx_i into sum_j B[i][j] dx_j with wedge signs."""
         layout = self._layout
         m, dx_mask = self.m, layout.dx_mask
         omega_part = ~layout.below_omega
         x_part = layout.below_omega ^ dx_mask
-        table = B if isinstance(B, Substitution) else Substitution(B)
-        x_rows = table.rows(m, layout.x_units)
-        dx_rows = table.rows(m, layout.dx_units)
-        expansions = table.expansions
+        x_rows = B.rows(m, layout.x_units)
+        dx_rows = B.rows(m, layout.dx_units)
+        expansions = B.expansions
         out: dict = {}
         for k, c in self._terms.items():
             x = k & x_part

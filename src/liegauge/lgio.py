@@ -40,7 +40,8 @@ __all__ = [
     "load_embedding",
 ]
 
-_CLASSICAL = re.compile(r"^(sl|so|su|gl)\s*\(?\s*(\d+)\s*\)?$")
+# the size is bare or in both parentheses, never in one of them
+_CLASSICAL = re.compile(r"^(sl|so|su|gl)\s*(\d+|\(\s*\d+\s*\))$")
 
 
 def matrix_from_json(obj, size: int, where: str = "matrix") -> Matrix:
@@ -92,7 +93,7 @@ def parse_label(label: str) -> tuple[str, int]:
         raise ValueError(
             f"unknown algebra label {label!r}; expected sl/so/su/gl "
             "followed by a size, e.g. sl3")
-    return m.group(1), int(m.group(2))
+    return m.group(1), int(m.group(2).strip("()"))
 
 
 def _embedding_fields(obj) -> dict:

@@ -7,6 +7,11 @@ through adjoint traces, never through matrix traces), the ad-invariance
 test of a bilinear form, and dimensions of invariant polynomials in the
 symmetric algebra of the dual.
 
+One Leibniz builder, `graded_derivations`, gives the derivations of
+symmetric and exterior powers as sparse triples: here the coadjoint action
+on Sym^d g*, whose joint kernel is the invariant polynomials, and in
+`relcoh` the action on wedges of p* and the relative differential.
+
 The structure layer is sparse end to end: an algebra takes the sparse rows
 of its basis matrices once, when it builds its structure constants, and
 each bracket goes from those rows straight to flat entries, which its
@@ -30,9 +35,10 @@ value is reproducible:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .exact import (
@@ -280,68 +286,98 @@ def ad_invariance_failure(c, q: Matrix):
     return None
 
 
-# -- symmetric powers of the dual -------------------------------------------
+# -- graded derivations on Sym and wedge powers -----------------------------
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Weakly increasing index tuples of the given length (monomial basis)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, start, left):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(start, nvars):
-            prefix.append(v)
-            rec(prefix, v, left - 1)
-            prefix.pop()
-
-    rec([], 0, degree)
+def coadjoint_images(c, offset: int) -> list:
+    """Generator images for `graded_derivations` of the dual action of each
+    row c[a] of a structure-constant table on the basis elements from
+    `offset` on: xi_v -> -sum_j c[a][offset + j][offset + v] xi_j, from
+    (a . xi)(e_j) = -xi([e_a, e_j]).  All rows at offset 0 give g*; the k
+    rows at offset dim k of a table on k + p give p*."""
+    out = []
+    for ca in c:
+        cols = zip(*(row[offset:] for row in ca[offset:]))
+        out.append([[((j,), -x) for j, x in enumerate(col) if x]
+                    for col in cols])
     return out
 
 
-def _derivation_ops(alg: MatrixLieAlgebra, degree: int):
-    """The Sym^degree monomials and the basis derivations on them.
+def _raising(elements, index: dict, n: int, alternating: bool) -> list:
+    """For each sorted tuple of `elements` and each letter j, the index in
+    `index` of the tuple with j inserted and the sign (-1)^(letters below
+    j) of moving it there from the front, or None when an alternating
+    tuple already holds j."""
+    table = []
+    for e in elements:
+        row = []
+        for j in range(n):
+            p = bisect_left(e, j)
+            if alternating and p < len(e) and e[p] == j:
+                row.append(None)
+            else:
+                row.append((index[e[:p] + (j,) + e[p:]],
+                            -1 if alternating and p % 2 else 1))
+        table.append(row)
+    return table
 
-    e_a acts on a dual generator by (a . xi_v)(e_j) = -xi_v([e_a, e_j]),
-    so xi_v maps to -sum_j c[a][j][v] xi_j, and it extends to monomials
-    by the Leibniz rule: a monomial holding v with multiplicity mult gets
-    mult times that image, with one v replaced by j.  The replacements
-    come from one table per call, shared by all dim operators: each
-    monomial lists its (v, mult, index of the monomial without one v)
-    lowerings, and each monomial of degree - 1 lists, for every j, the
-    index of the monomial with j inserted.
 
-    Each derivation is a list of [(row, col, value)] triples over the
-    monomial basis.
+def graded_derivations(images, n: int, degree: int,
+                       alternating: bool) -> list[list]:
+    """Derivations of Sym(V), or of the exterior algebra of V when
+    `alternating`, on the sorted `degree`-tuples of a basis xi_0..xi_(n-1)
+    of V (in the order of itertools.combinations_with_replacement or
+    combinations), as [(row, col, value)] triples whose repeats sum, one
+    list per derivation.
+
+    images[v] lists (word, value) pairs, xi_v mapping to the sum of value *
+    xi_word; a word of two letters, an even 2-form as for a differential,
+    raises the degree by one.  The Leibniz rule takes xi_v out of a tuple
+    at position t, with factor its multiplicity in Sym or (-1)^t in the
+    exterior algebra, and inserts the word's letters, last first, through
+    one raising table per degree; an exterior letter already held kills
+    the term.
     """
-    c = structure_constants(alg)
-    dim = alg.dim
-    monomials = _monomials(dim, degree)
-    index = {m: i for i, m in enumerate(monomials)}
-    rests = _monomials(dim, degree - 1) if degree else []
-    raising = []
-    for rest in rests:
-        targets = []
-        for j in range(dim):
-            p = bisect_right(rest, j)
-            targets.append(index[rest[:p] + (j,) + rest[p:]])
-        raising.append(targets)
-    rest_index = {m: i for i, m in enumerate(rests)}
+    if not images or not degree:
+        return [[] for _ in images]
+    choose = combinations if alternating else combinations_with_replacement
+    letters = range(n)
+    rests = list(choose(letters, degree - 1))
+    rest_index = {e: i for i, e in enumerate(rests)}
+    elements = list(choose(letters, degree))
+    index = {e: i for i, e in enumerate(elements)}
+    # (col, v, factor, index of the tuple without that v), once per
+    # distinct v in Sym since equal letters give equal terms
     lowering = []
-    for col, mono in enumerate(monomials):
-        for pos, v in enumerate(mono):
-            if pos and mono[pos - 1] == v:
+    for col, e in enumerate(elements):
+        for t, v in enumerate(e):
+            if alternating:
+                factor = -1 if t % 2 else 1
+            elif t and e[t - 1] == v:
                 continue
-            rest = mono[:pos] + mono[pos + 1:]
-            lowering.append((col, v, mono.count(v), rest_index[rest]))
+            else:
+                factor = e.count(v)
+            lowering.append((col, v, factor, rest_index[e[:t] + e[t + 1:]]))
+    up = _raising(rests, index, n, alternating)
+    top = None
+    if any(len(w) == 2 for gens in images for terms in gens for w, _ in terms):
+        top = _raising(elements, {e: i for i, e in enumerate(
+            choose(letters, degree + 1))}, n, alternating)
     ops = []
-    for ca in c:
-        images = [[(j, -ca[j][v]) for j in range(dim) if ca[j][v]]
-                  for v in range(dim)]
-        ops.append([(raising[r][j], col, mult * x)
-                    for col, v, mult, r in lowering for j, x in images[v]])
-    return monomials, ops
+    for gens in images:
+        ones = [[(w[0], x) for w, x in terms if len(w) == 1] for terms in gens]
+        out = [(hit[0], col, factor * hit[1] * x)
+               for col, v, factor, r in lowering
+               for j, x in ones[v] if (hit := up[r][j]) is not None]
+        if top is not None:
+            twos = [[(w[0], w[1], x) for w, x in terms if len(w) == 2]
+                    for terms in gens]
+            out += [(second[0], col, factor * hit[1] * second[1] * x)
+                    for col, v, factor, r in lowering for a, b, x in twos[v]
+                    if (hit := up[r][b]) is not None
+                    and (second := top[hit[0]][a]) is not None]
+        ops.append(out)
+    return ops
 
 
 def symmetric_power_dimension(dim: int, degree: int) -> int:
@@ -357,12 +393,10 @@ def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int) -> int:
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if degree == 0:
-        return 1
     nmono = symmetric_power_dimension(alg.dim, degree)
     if nmono > SYM_CEILING:
         raise ValueError(
             f"Sym^{degree} dimension {nmono} exceeds ceiling {SYM_CEILING}")
-    _, ops = _derivation_ops(alg, degree)
+    ops = graded_derivations(coadjoint_images(structure_constants(alg), 0),
+                             alg.dim, degree, alternating=False)
     return len(joint_kernel(nmono, ops))
-

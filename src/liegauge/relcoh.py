@@ -13,20 +13,26 @@ adapted to subalgebra plus complement (`ReductivePair.split`), where
 `cartan_complement` also verifies closure and stability.
 
 Everything here is exact.  The wedge spaces are indexed by sorted index
-subsets and the subalgebra acts through sparse derivation operators, so the
-joint-invariant computation stays within the iterative kernel refinement of
-`exact.joint_kernel`.
+subsets.  `liealg.graded_derivations` builds both the sparse subalgebra
+action, from the coadjoint images on the split table, and the
+differential, from the images d xi_l of the dual generators, so the
+joint-invariant computation stays within the iterative kernel refinement
+of `exact.joint_kernel`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import Matrix, _columns, _combination, joint_kernel
-from .liealg import MatrixLieAlgebra, killing_form
+from .liealg import (
+    MatrixLieAlgebra,
+    coadjoint_images,
+    graded_derivations,
+    killing_form,
+)
 
 __all__ = [
     "ReductivePair",
@@ -74,14 +80,6 @@ class ReductivePair:
             return self.g
         return MatrixLieAlgebra(self.g.name, self.g.matrix_size,
                                 self.k.basis + self.p_basis, self.g.scalar)
-
-    @cached_property
-    def complement_action(self) -> tuple[Matrix, ...]:
-        """One matrix R per subalgebra basis element, with
-        bracket(kappa, p_i) = sum_j R[j, i] p_j."""
-        c, kd = self.split.structure_constants, self.k_dim
-        return tuple(Matrix.from_columns([col[kd:] for col in c[a][kd:]])
-                     for a in range(kd))
 
     @cached_property
     def projected_constants(self):
@@ -146,10 +144,6 @@ def is_symmetric_pair(pair: ReductivePair) -> bool:
     return all(not any(c) for row in cbar for c in row)
 
 
-def _subsets(m: int, q: int):
-    return list(itertools.combinations(range(m), q))
-
-
 def _check_ceiling(m: int, q: int) -> None:
     count = math.comb(m, q)
     if count > WEDGE_CEILING:
@@ -158,68 +152,31 @@ def _check_ceiling(m: int, q: int) -> None:
             f"ceiling {WEDGE_CEILING}")
 
 
-def _derivation_triples(R: Matrix, subsets, index_of) -> list:
-    """Sparse action of one subalgebra element on a wedge power of the dual
-    complement: generators transform as xi_i -> -sum_l R[i, l] xi_l and the
-    action extends by the Leibniz rule."""
-    m, e = R.cols, R.entries()
-    images = [[(l, -x) for l, x in enumerate(e[s * m:(s + 1) * m]) if x]
-              for s in range(R.rows)]
-    triples = []
-    for col, S in enumerate(subsets):
-        inside = set(S)
-        for t, s in enumerate(S):
-            for l, val in images[s]:
-                if l in inside and l != s:
-                    continue
-                replaced = tuple(sorted(inside - {s} | {l}))
-                below = sum(1 for u in S if u != s and u < l)
-                sign = -1 if (t - below) % 2 else 1
-                triples.append((index_of[replaced], col, val * sign))
-    return triples
-
-
 def invariant_wedge_basis(pair: ReductivePair, q: int) -> list[tuple]:
     """Coordinate vectors (in the sorted-subset basis) spanning the
-    subalgebra-invariant part of the q-wedge of the dual complement."""
+    subalgebra-invariant part of the q-wedge of the dual complement; the
+    plain complex has no acting rows, so every vector is invariant."""
     m = pair.p_dim
     if q < 0 or q > m:
         raise ValueError(f"wedge degree {q} outside 0..{m}")
     _check_ceiling(m, q)
-    subsets = _subsets(m, q)
-    if pair.k is None:
-        n = len(subsets)
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    index_of = {S: i for i, S in enumerate(subsets)}
-    ops = [_derivation_triples(R, subsets, index_of)
-           for R in pair.complement_action]
-    return joint_kernel(len(subsets), ops)
+    c, kd = pair.split.structure_constants, pair.k_dim
+    ops = graded_derivations(coadjoint_images(c[:kd], kd), m, q,
+                             alternating=True)
+    return joint_kernel(math.comb(m, q), ops)
 
 
 def invariant_wedge_dimension(pair: ReductivePair, q: int) -> int:
     return len(invariant_wedge_basis(pair, q))
 
 
-def _differential_triples(cbar, subsets_q1, index_of) -> list:
-    """Relative differential from q-wedges (indexed by index_of) to the
-    (q+1)-wedges subsets_q1, as (row, col, value) triples whose repeats
-    sum: (d phi)(x_0..x_q) = sum_{i<j} (-1)^{i+j} phi(proj[x_i, x_j],
-    others)."""
-    triples = []
-    for row, T in enumerate(subsets_q1):
-        for i in range(len(T)):
-            for j in range(i + 1, len(T)):
-                rest = T[:i] + T[i + 1:j] + T[j + 1:]
-                rest_set = set(rest)
-                pair_sign = -1 if (i + j) % 2 else 1
-                for l, val in enumerate(cbar[T[i]][T[j]]):
-                    if val == 0 or l in rest_set:
-                        continue
-                    S = tuple(sorted(rest_set | {l}))
-                    below = sum(1 for u in rest if u < l)
-                    sign = -pair_sign if below % 2 else pair_sign
-                    triples.append((row, index_of[S], val * sign))
-    return triples
+def _differential_images(pair: ReductivePair) -> list:
+    """The relative differential as generator images for
+    `graded_derivations`: d xi_l = -sum_{a<b} cbar[a][b][l] xi_a ^ xi_b,
+    the dual of (d xi)(x, y) = -xi(proj[x, y])."""
+    cbar, m = pair.projected_constants, pair.p_dim
+    return [[[((a, b), -cbar[a][b][l]) for a in range(m)
+              for b in range(a + 1, m) if cbar[a][b][l]] for l in range(m)]]
 
 
 def check_complex_size(m: int) -> None:
@@ -253,18 +210,16 @@ def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
             raise ValueError(
                 f"differential from wedge degree {q} needs {entries} "
                 f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
-    cbar = pair.projected_constants
+    d_images = _differential_images(pair)
     invariants = [invariant_wedge_basis(pair, q) for q in range(m + 1)]
-    subset_lists = [_subsets(m, q) for q in range(m + 1)]
     # ranks[q + 1] is the rank of d on the invariant q-cochains
     ranks = [0] * (m + 2)
     for q in range(m):
         if not invariants[q]:
             continue
-        index_of = {S: i for i, S in enumerate(subset_lists[q])}
-        cols = _columns(_differential_triples(
-            cbar, subset_lists[q + 1], index_of), len(index_of))
-        rows = range(len(subset_lists[q + 1]))
+        (d,) = graded_derivations(d_images, m, q, alternating=True)
+        cols = _columns(d, math.comb(m, q))
+        rows = range(math.comb(m, q + 1))
         images = [_combination((x, cols[j]) for j, x in enumerate(w) if x)
                   for w in invariants[q]]
         ranks[q + 1] = Matrix.from_columns(

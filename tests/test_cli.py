@@ -194,7 +194,7 @@ class TestRelcohCommand:
         report = cli.cmd_relcoh("su2")
         assert report.results["betti_line"] == "1 0 0 1"
 
-    def test_pair_parse_errors(self, capsys):
+    def test_pair_parse_errors(self, capsys, monkeypatch):
         assert cli.main(["relcoh", "--pair", "a/b/c"]) == 2
         assert cli.main(["relcoh", "--pair", "sp4/so3"]) == 2
         capsys.readouterr()
@@ -205,6 +205,25 @@ class TestRelcohCommand:
             assert time.perf_counter() - start < 1.0
             err = capsys.readouterr().err
             assert "pair must look like" in err and repr(label) in err
+        # a size takes both parentheses or neither, and a bad label fails
+        # before any basis is built
+        def refuse(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(cli, "make_classical", refuse)
+        for pair, bad in (("sl(3/so3)", "sl(3"), ("sl3/so3)", "so3)"),
+                          ("sl(3", "sl(3"), ("so3)", "so3)"),
+                          ("sl(3/so(3)", "sl(3")):
+            start = time.perf_counter()
+            assert cli.main(["relcoh", "--pair", pair]) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert "unknown algebra label" in err and repr(bad) in err
+        for bad in ("sl(3", "so3)"):
+            assert cli.main(["invariants", "--algebra", bad,
+                             "--max-degree", "2"]) == 2
+            err = capsys.readouterr().err
+            assert "unknown algebra label" in err and repr(bad) in err
 
     def test_wedge_ceiling_fails_up_front(self, capsys):
         # sl5's plain complex needs C(24, 5) = 42504 subsets in degree 5,

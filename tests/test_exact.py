@@ -519,6 +519,8 @@ def test_exact_results_hold_no_floats():
 
     from liegauge.anomaly import anomaly_form, verdict
     from liegauge.liealg import (
+        coadjoint_images,
+        graded_derivations,
         invariant_polynomial_dimension,
         killing_form,
         make_classical,
@@ -526,6 +528,7 @@ def test_exact_results_hold_no_floats():
     )
     from liegauge.lgio import load_embedding, parse_label
     from liegauge.relcoh import (
+        _differential_images,
         cartan_complement,
         invariant_wedge_basis,
         relative_ce_cohomology,
@@ -542,17 +545,24 @@ def test_exact_results_hold_no_floats():
     for g, k in (("sl3", "so3"), ("sl2", "so2"), ("su2", None)):
         sub = make_classical(*parse_label(k)) if k else None
         pair = cartan_complement(make_classical(*parse_label(g)), sub)
-        results += [pair.p_basis, pair.complement_action,
-                    pair.projected_constants, relative_ce_cohomology(pair)]
-        results += [invariant_wedge_basis(pair, q)
-                    for q in range(pair.p_dim + 1)]
+        results += [pair.p_basis, pair.projected_constants,
+                    relative_ce_cohomology(pair)]
+        c, kd, m = pair.split.structure_constants, pair.k_dim, pair.p_dim
+        for q in range(m + 1):
+            results += [invariant_wedge_basis(pair, q), graded_derivations(
+                coadjoint_images(c[:kd], kd), m, q, alternating=True)]
+            results.append(graded_derivations(
+                _differential_images(pair), m, q, alternating=True))
     sl2 = make_classical("sl", 2)
     results.append([invariant_polynomial_dimension(sl2, d)
                     for d in range(5)])
     # the exact primitives, on rational and Gaussian algebras
     for fam, n in (("sl", 3), ("so", 4), ("su", 2), ("gl", 2)):
         alg = make_classical(fam, n)
-        results += [structure_constants(alg), killing_form(alg)]
+        results += [structure_constants(alg), killing_form(alg),
+                    graded_derivations(coadjoint_images(
+                        structure_constants(alg), 0), alg.dim, 2,
+                        alternating=False)]
     m = Matrix.from_rows([[2, 4, 1], [1, 3, 0], [0, 1, 5]])
     results += [m.inverse(), m.rref()[0], Matrix.from_rows(
         [[3, 1, 2], [6, 2, 4]]).kernel_basis()]

@@ -43,7 +43,12 @@ from liegauge.getzler.operators import (
     total_differential,
 )
 from liegauge.getzler import checks
-from liegauge.getzler.polyform import EXPONENT_LIMIT, PolyForm, max_residual
+from liegauge.getzler.polyform import (
+    EXPONENT_LIMIT,
+    PolyForm,
+    Substitution,
+    max_residual,
+)
 from liegauge.liealg import make_classical
 
 SL2 = LinearAction.sl2()
@@ -115,7 +120,7 @@ class TestPolyForm:
         assert form.exterior_d().exterior_d().is_zero()
 
     def test_contraction_is_an_exact_antiderivation_square_zero(self):
-        field = np.array([[0.0, 1.0], [1.0, 0.0]])
+        field = Substitution(np.array([[0.0, 1.0], [1.0, 0.0]]))
         form = (term(1, 2, 1.0, x_exp=(1, 0), dx=(0, 1))
                 + term(1, 2, -2.0, dx=(0,)))
         once = form.contract_linear_field(field)
@@ -127,7 +132,7 @@ class TestPolyForm:
         form = term(1, 2, 1.0, dx=(0, 1))
         expected = (term(1, 2, 1.0, x_exp=(1, 0), dx=(1,))
                     + term(1, 2, -1.0, x_exp=(0, 1), dx=(0,)))
-        assert form.contract_linear_field(np.eye(2)) == expected
+        assert form.contract_linear_field(Substitution(np.eye(2))) == expected
 
     def test_substitution_of_generators_hand_expansion(self):
         # Generator rows (1,0,-1): Omega^0 -> Omega^0 - Omega^2, squared.
@@ -136,7 +141,7 @@ class TestPolyForm:
         expected = (term(3, 0, 1.0, omega_exp=(2, 0, 0))
                     + term(3, 0, -2.0, omega_exp=(1, 0, 1))
                     + term(3, 0, 1.0, omega_exp=(0, 0, 2)))
-        assert form.substitute_omega(M) == expected
+        assert form.substitute_omega(Substitution(M)) == expected
 
     def test_pullback_hand_expansion(self):
         # x0 dx1 under x -> Bx with B = [[1,1],[2,3]] (rows act on both
@@ -147,15 +152,16 @@ class TestPolyForm:
                     + term(1, 2, 3.0, x_exp=(1, 0), dx=(1,))
                     + term(1, 2, 2.0, x_exp=(0, 1), dx=(0,))
                     + term(1, 2, 3.0, x_exp=(0, 1), dx=(1,)))
-        assert form.pullback_linear(B) == expected
+        assert form.pullback_linear(Substitution(B)) == expected
 
     def test_pullback_composes_contravariantly(self):
         B1 = np.array([[1.0, 1.0], [0.0, 1.0]])
         B2 = np.array([[1.0, 0.0], [2.0, 1.0]])
         form = (term(1, 2, 1.0, x_exp=(2, 0), dx=(1,))
                 + term(1, 2, -0.5, x_exp=(0, 1), dx=(0, 1)))
-        chained = form.pullback_linear(B1).pullback_linear(B2)
-        assert chained == form.pullback_linear(B1 @ B2)
+        chained = (form.pullback_linear(Substitution(B1))
+                   .pullback_linear(Substitution(B2)))
+        assert chained == form.pullback_linear(Substitution(B1 @ B2))
 
     def test_twist_signs_per_term_degree(self):
         form = (term(1, 2, 1.0, dx=(0,))          # degree 1
@@ -237,11 +243,12 @@ class TestPolyForm:
         raising = [
             lambda: high_omega.wedge(one_omega),
             lambda: high_omega.multiply_omega(0),
-            lambda: high_omega.multiply_omega_linear([1.0, 0.0]),
-            lambda: high_x.contract_linear_field(onto_x0),
-            lambda: high_x.pullback_linear(onto_x0),
+            lambda: high_omega.multiply_omega_linear(
+                Substitution([[1.0, 0.0]]), 0),
+            lambda: high_x.contract_linear_field(Substitution(onto_x0)),
+            lambda: high_x.pullback_linear(Substitution(onto_x0)),
             lambda: term(2, 0, 1.0, omega_exp=(top, 1))
-            .substitute_omega(onto_x0),
+            .substitute_omega(Substitution(onto_x0)),
         ]
         for op in raising:
             with pytest.raises(ValueError, match="exponent reached"):
@@ -249,8 +256,9 @@ class TestPolyForm:
         # below the limit the same operations go through
         swap = [[0.0, 1.0], [1.0, 0.0]]
         assert not high_omega.multiply_omega(1).is_zero()
-        assert not high_x.contract_linear_field(np.eye(2)).is_zero()
-        assert not high_x.pullback_linear(swap).is_zero()
+        assert not high_x.contract_linear_field(
+            Substitution(np.eye(2))).is_zero()
+        assert not high_x.pullback_linear(Substitution(swap)).is_zero()
 
 
 # -- bitwise reference: the tuple-keyed PolyForm --------------------------------
@@ -504,12 +512,15 @@ def test_packed_keys_match_the_tuple_reference_bitwise(g_dim, m):
             unit = [1.0 if b == a else 0.0 for b in range(g_dim)]
             same(form.multiply_omega(a), ref.multiply_omega_linear(unit))
         for M in _reference_matrices(rng, g_dim):
-            same(form.multiply_omega_linear(M[0]),
+            same(form.multiply_omega_linear(Substitution(M), 0),
                  ref.multiply_omega_linear(M[0]))
-            same(form.substitute_omega(M), ref.substitute_omega(M))
+            same(form.substitute_omega(Substitution(M)),
+                 ref.substitute_omega(M))
         for B in _reference_matrices(rng, m):
-            same(form.contract_linear_field(B), ref.contract_linear_field(B))
-            same(form.pullback_linear(B), ref.pullback_linear(B))
+            same(form.contract_linear_field(Substitution(B)),
+                 ref.contract_linear_field(B))
+            same(form.pullback_linear(Substitution(B)),
+                 ref.pullback_linear(B))
     for form1, ref1 in pairs:
         for form2, ref2 in pairs:
             same(form1 + form2, ref1 + ref2)
@@ -963,7 +974,8 @@ class TestGroupContraction:
         payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
             SL2, 1, lambda gs: payload.scale(float(gs[0][0, 1])))
-        expected = payload.multiply_omega_linear([0.0, 1.0, 0.0])
+        expected = payload.multiply_omega_linear(
+            Substitution([[0.0, 1.0, 0.0]]), 0)
         assert (op_ibar(c)(()) - expected).norm() <= 1e-6
 
     def test_two_argument_transport_oracle(self):
@@ -980,7 +992,8 @@ class TestGroupContraction:
             lambda gs: payload.scale(float(gs[0][0, 1]) * float(gs[1][1, 0])))
         g = np.array([[2.0, 0.5], [1.0, 0.75]])
         result = op_ibar(c)((g,))
-        expected = payload.multiply_omega_linear([2.0, 1.5, -2.0])
+        expected = payload.multiply_omega_linear(
+            Substitution([[2.0, 1.5, -2.0]]), 0)
         assert (result - expected).norm() <= 1e-6
 
     def test_finite_difference_error_is_second_order(self):

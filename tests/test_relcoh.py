@@ -8,14 +8,18 @@ reference it replaced, and the Betti numbers against closed forms.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from liegauge.exact import Matrix
 from liegauge.lgio import parse_label
+from liegauge.exact import GaussianRational
 from liegauge.liealg import (
     MatrixLieAlgebra,
+    coadjoint_images,
+    graded_derivations,
     make_classical,
     structure_constants,
 )
@@ -178,43 +182,76 @@ def dense_wedge_action(R, m, q):
     return Matrix(n, n, flat)
 
 
+def complement_matrices(pair):
+    """One matrix R per subalgebra basis element, read from the split
+    table: bracket(kappa, p_i) = sum_j R[j, i] p_j."""
+    c, kd = pair.split.structure_constants, pair.k_dim
+    return [Matrix.from_columns([col[kd:] for col in c[a][kd:]])
+            for a in range(kd)]
+
+
+def dense(triples, rows, cols):
+    """A (row, col, value) triple list, repeats summed, as a Matrix."""
+    flat = [0] * (rows * cols)
+    for i, j, v in triples:
+        flat[i * cols + j] += v
+    return Matrix(rows, cols, flat)
+
+
+def wedge_ops(pair, q):
+    """The builder's subalgebra derivations on the q-wedge of the dual
+    complement."""
+    c, kd = pair.split.structure_constants, pair.k_dim
+    return graded_derivations(coadjoint_images(c[:kd], kd), pair.p_dim, q,
+                              alternating=True)
+
+
 def module_action_matrices(pair, q):
-    """Recover the module's sparse action as dense matrices by probing."""
-    from liegauge.relcoh import _derivation_triples, _subsets
-    subsets = _subsets(pair.p_dim, q)
-    index_of = {s: i for i, s in enumerate(subsets)}
-    n = len(subsets)
-    out = []
-    for R in pair.complement_action:
-        flat = [Fraction(0)] * (n * n)
-        for i, j, v in _derivation_triples(R, subsets, index_of):
-            flat[i * n + j] += v
-        out.append(Matrix(n, n, flat))
-    return out
+    """Recover the module's sparse action as dense matrices."""
+    n = math.comb(pair.p_dim, q)
+    return [dense(op, n, n) for op in wedge_ops(pair, q)]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_sparse_action_matches_dense_oracle(q):
     pair = cartan_complement(SL3, SO3)
-    actions = pair.complement_action
-    dense = [dense_wedge_action(R, pair.p_dim, q) for R in actions]
-    assert module_action_matrices(pair, q) == dense
+    dense_ops = [dense_wedge_action(R, pair.p_dim, q)
+                 for R in complement_matrices(pair)]
+    assert module_action_matrices(pair, q) == dense_ops
 
 
-def test_complement_action_is_a_representation():
-    # the action matrices must reproduce the subalgebra's own brackets:
-    # [R_a, R_b] = sum_c c_ab^c R_c
-    pair = cartan_complement(SL3, SO3)
-    R = pair.complement_action
-    c = structure_constants(SO3)
-    for a in range(3):
-        for b in range(3):
-            lhs = R[a] * R[b] - R[b] * R[a]
-            rhs = Matrix.zero(5, 5)
+def isl2():
+    # i*h, e, f spans sl(2) over Q(i) with Gaussian structure constants
+    h, e, f = SL2.basis
+    return MatrixLieAlgebra("isl(2)", 2, (h.scale(GaussianRational(0, 1)),
+                                         e, f), "gaussian")
+
+
+@pytest.mark.parametrize("case", ["wedge2_sl3_so3", "sym2_sl3", "sym2_isl2"])
+def test_builder_operators_are_a_representation(case):
+    # [D_a, D_b] = sum_k c_ab^k D_k: the derivations reproduce the
+    # brackets of the acting algebra, which a wrong Leibniz sign or
+    # multiplicity breaks
+    if case.startswith("wedge2"):
+        pair = cartan_complement(SL3, SO3)
+        c = structure_constants(SO3)
+        n = math.comb(pair.p_dim, 2)
+        ops = wedge_ops(pair, 2)
+    else:
+        alg = SL3 if case.endswith("sl3") else isl2()
+        c = structure_constants(alg)
+        n = math.comb(alg.dim + 1, 2)
+        ops = graded_derivations(coadjoint_images(c, 0), alg.dim, 2,
+                                 alternating=False)
+    D = [dense(op, n, n) for op in ops]
+    assert any(not d.is_zero() for d in D)
+    for a in range(len(D)):
+        for b in range(a + 1, len(D)):
+            rhs = Matrix.zero(n, n)
             for k, coeff in enumerate(c[a][b]):
                 if coeff:
-                    rhs = rhs + R[k].scale(coeff)
-            assert lhs == rhs
+                    rhs = rhs + D[k].scale(coeff)
+            assert D[a] * D[b] - D[b] * D[a] == rhs
 
 
 # -- invariant wedges -------------------------------------------------------------
@@ -341,15 +378,11 @@ def ref_differential_matrix(cbar, subsets_q, subsets_q1) -> Matrix:
 def sparse_differential(pair, q) -> Matrix:
     """The module's sparse differential from q-wedges, repeats summed into
     a dense matrix."""
-    from liegauge.relcoh import _differential_triples, _subsets
+    from liegauge.relcoh import _differential_images
     m = pair.p_dim
-    subsets_q, subsets_q1 = _subsets(m, q), _subsets(m, q + 1)
-    index_of = {S: i for i, S in enumerate(subsets_q)}
-    flat = [0] * (len(subsets_q1) * len(subsets_q))
-    for r, c, v in _differential_triples(pair.projected_constants,
-                                         subsets_q1, index_of):
-        flat[r * len(subsets_q) + c] += v
-    return Matrix(len(subsets_q1), len(subsets_q), flat)
+    (d,) = graded_derivations(_differential_images(pair), m, q,
+                              alternating=True)
+    return dense(d, math.comb(m, q + 1), math.comb(m, q))
 
 
 def torus_pair():
@@ -359,24 +392,30 @@ def torus_pair():
 
 @pytest.mark.parametrize("label", ["sl2", "su2", "so3", "gl2", "so4", "sl3/t1"])
 def test_sparse_differential_matches_reference(label):
-    from liegauge.relcoh import _subsets
     pair = (torus_pair() if label == "sl3/t1"
             else cartan_complement(make_classical(*parse_label(label)), None))
     m = pair.p_dim
     for q in range(m):
-        ref = ref_differential_matrix(pair.projected_constants,
-                                      _subsets(m, q), _subsets(m, q + 1))
+        ref = ref_differential_matrix(
+            pair.projected_constants,
+            list(itertools.combinations(range(m), q)),
+            list(itertools.combinations(range(m), q + 1)))
         assert sparse_differential(pair, q) == ref
 
 
 def test_full_differential_squares_to_zero_plain_ce():
-    # d.d = 0 on the whole wedge complex, not just invariants
-    for alg in (SL2, make_classical("su", 2), SO3):
-        pair = cartan_complement(alg, None)
-        for q in range(pair.p_dim - 1):
-            d1 = sparse_differential(pair, q)
-            d2 = sparse_differential(pair, q + 1)
+    # d.d = 0 on the whole wedge complex, not just invariants.  A wrong
+    # sign can show only where two consecutive d_q are nonzero: rank one
+    # has a single nonzero d_1, while gl2, so4 and sl3 have several.
+    for label, consecutive in (("sl2", False), ("su2", False),
+                               ("so3", False), ("gl2", True), ("so4", True),
+                               ("sl3", True)):
+        pair = cartan_complement(make_classical(*parse_label(label)), None)
+        d = [sparse_differential(pair, q) for q in range(pair.p_dim)]
+        for d1, d2 in zip(d, d[1:]):
             assert (d2 * d1).is_zero()
+        assert any(not d1.is_zero() and not d2.is_zero()
+                   for d1, d2 in zip(d, d[1:])) == consecutive, label
 
 
 def test_relative_differential_squares_on_nonsymmetric_pair():
@@ -401,7 +440,7 @@ def test_symmetric_pairs_report_zero_differential(monkeypatch):
     def refuse(*args):
         raise AssertionError("symmetric pair built a differential")
 
-    monkeypatch.setattr(relcoh, "_differential_triples", refuse)
+    monkeypatch.setattr(relcoh, "_differential_images", refuse)
     pair = cartan_complement(SL3, SO3)
     assert is_symmetric_pair(pair)
     assert relative_ce_cohomology(pair) == tuple(
