@@ -13,6 +13,11 @@ Exit codes are uniform: 0 the checks pass (possibly with documented
 convention warnings), 1 a check fails, 2 the input is invalid.  With
 `--output structured` the report is canonical JSON, byte-identical for
 identical inputs; the default text form is line oriented.
+
+Each classical algebra comes from `lgio.classical` and each classical pair
+from `_classical_pair`, both built once per process, so repeated in-process
+calls share their structure data; a one-shot run builds them as before.
+Answers are never cached: every call recomputes its report.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from .liealg import (
     SYM_CEILING,
     classical_dimension,
     invariant_polynomial_dimension,
-    make_classical,
     symmetric_power_dimension,
 )
-from .lgio import load_embedding, parse_label
+from .lgio import classical, load_embedding, parse_label
 from .relcoh import (
+    ReductivePair,
     cartan_complement,
     check_complex_size,
     is_symmetric_pair,
@@ -120,6 +125,14 @@ def _parse_pair(label: str):
         f"pair must look like 'sl3/so3' or a single algebra, got {label!r}")
 
 
+@functools.cache
+def _classical_pair(g: tuple[str, int], k: tuple[str, int] | None
+                    ) -> ReductivePair:
+    """The pair of parsed labels g and k (None for the plain complex),
+    built and verified once per process; a pair that fails is not cached."""
+    return cartan_complement(classical(*g), classical(*k) if k else None)
+
+
 def cmd_relcoh(pair_label: str) -> RunReport:
     g_label, k_label = _parse_pair(pair_label)
     # labels of one matrix size give the complement dimension dim g - dim k,
@@ -132,9 +145,8 @@ def cmd_relcoh(pair_label: str) -> RunReport:
         if k_size != n:
             raise ValueError("subalgebra matrices must match the ambient size")
     check_complex_size(m)
-    ambient = make_classical(g_family, n)
-    sub = make_classical(k_family, k_size) if k_label else None
-    pair = cartan_complement(ambient, sub)
+    pair = _classical_pair((g_family, n),
+                           (k_family, k_size) if k_label else None)
     betti = relative_ce_cohomology(pair)
     digest = inputs_digest({"command": "relcoh", "pair": pair_label})
     results = {
@@ -159,7 +171,7 @@ def cmd_invariants(algebra_label: str, max_degree: int) -> RunReport:
         raise ValueError(
             f"max degree {max_degree}: Sym^{max_degree} dimension {nmono} "
             f"exceeds ceiling {SYM_CEILING}")
-    algebra = make_classical(family, n)
+    algebra = classical(family, n)
     dims = [invariant_polynomial_dimension(algebra, d)
             for d in range(max_degree + 1)]
     digest = inputs_digest({

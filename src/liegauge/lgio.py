@@ -18,10 +18,15 @@ sizes are positive JSON integers, and a JSON boolean is never a number.  Parse
 errors raise ValueError with the offending field named, which the CLI maps
 to exit code 2.  `load_embedding` reads its file once, so a pipe works as
 well as a regular file.
+
+`classical` is how a label becomes an algebra: it is built once per process
+for each parsed (family, size), so "sl3" and "SL(3)" share one algebra and
+its memoized structure data.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -36,6 +41,7 @@ __all__ = [
     "matrix_from_json",
     "algebra_from_json",
     "parse_label",
+    "classical",
     "LoadedEmbedding",
     "load_embedding",
 ]
@@ -96,6 +102,17 @@ def parse_label(label: str) -> tuple[str, int]:
     return m.group(1), int(m.group(2).strip("()"))
 
 
+@functools.cache
+def classical(family: str, n: int) -> MatrixLieAlgebra:
+    """The classical algebra of a parsed label, built once per process.
+
+    Only structure data is shared: the algebra and what it memoizes (its
+    expansion solver and structure constants), never an answer computed
+    from it.  Errors are those of `make_classical` and are not cached.
+    """
+    return make_classical(family, n)
+
+
 def _embedding_fields(obj) -> dict:
     """The GaugeEmbedding fields of an embedding object, each checked."""
     if not isinstance(obj, dict):
@@ -128,7 +145,7 @@ def _embedding_fields(obj) -> dict:
     # a classical domain is built only once its image count is right
     check_image_count(dim, sides["T_L"], sides["T_R"])
     if isinstance(domain, str):
-        domain = make_classical(*label)
+        domain = classical(*label)
     return dict(domain=domain, target_size=n, special_linear_target=special,
                 **sides)
 

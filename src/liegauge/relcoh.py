@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import Matrix, _columns, _combination, joint_kernel
+from .exact import (
+    GaussianRational,
+    Matrix,
+    _columns,
+    _combination,
+    joint_kernel,
+)
 from .liealg import (
     MatrixLieAlgebra,
     coadjoint_images,
@@ -85,20 +91,23 @@ class ReductivePair:
     def projected_constants(self):
         """cbar[i][j] = complement component of bracket(p_i, p_j) in
         complement coordinates; the subalgebra component is projected
-        away."""
+        away.  Tuples throughout, like the table they are cut from, so a
+        pair shared between callers cannot be altered by one of them."""
         c, kd = self.split.structure_constants, self.k_dim
-        return [[col[kd:] for col in row[kd:]] for row in c[kd:]]
+        return tuple(tuple(col[kd:] for col in row[kd:]) for row in c[kd:])
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
                       ) -> ReductivePair:
     """Killing-orthogonal complement of k in g, with invariants verified.
 
-    Raises ValueError when the restricted Killing form is degenerate
-    (reporting the radical dimension), when k is not a subalgebra (some
-    bracket of k has a complement part), or when the complement fails
-    stability (some bracket of k with the complement has a subalgebra
-    part); both are read from the pair's `split` structure constants.
+    Raises ValueError when k is outside the real span of g (some basis
+    element of k has a coordinate in g that is not rational), when the
+    restricted Killing form is degenerate (reporting the radical
+    dimension), when k is not a subalgebra (some bracket of k has a
+    complement part), or when the complement fails stability (some
+    bracket of k with the complement has a subalgebra part); both are
+    read from the pair's `split` structure constants.
     """
     if k is None or k.dim == 0:
         return ReductivePair(g=g, k=None, p_basis=tuple(g.basis))
@@ -108,7 +117,12 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
     try:
         k_coords = [solver.expand(x) for x in k.basis]
     except ValueError:
-        raise ValueError("subalgebra basis does not lie in the span") from None
+        k_coords = None
+    # g is a real algebra: the solver expands over Q(i), so i*h has a
+    # coordinate in sl(2, R), but only rational coordinates are in its span
+    if k_coords is None or any(type(x) is GaussianRational
+                               for kc in k_coords for x in kc):
+        raise ValueError("subalgebra basis does not lie in the span")
     B = killing_form(g)
     pairing_rows = [[sum(kc[r] * B[r, s] for r in range(g.dim))
                      for s in range(g.dim)] for kc in k_coords]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from liegauge import cli, series
+from liegauge import cli, lgio, series
 from liegauge.report import RunReport, canonical_json, inputs_digest
 from liegauge.series import check_series_size
 
@@ -206,11 +206,13 @@ class TestRelcohCommand:
             err = capsys.readouterr().err
             assert "pair must look like" in err and repr(label) in err
         # a size takes both parentheses or neither, and a bad label fails
-        # before any basis is built
+        # before any basis is built.  The refusal replaces the cached entry
+        # points themselves, so a cache hit raises as a miss would.
         def refuse(*args):
             raise AssertionError("a basis was built")
 
-        monkeypatch.setattr(cli, "make_classical", refuse)
+        monkeypatch.setattr(cli, "classical", refuse)
+        monkeypatch.setattr(cli, "_classical_pair", refuse)
         for pair, bad in (("sl(3/so3)", "sl(3"), ("sl3/so3)", "so3)"),
                           ("sl(3", "sl(3"), ("so3)", "so3)"),
                           ("sl(3/so(3)", "sl(3")):
@@ -268,6 +270,16 @@ class TestRelcohCommand:
             assert cli.main(["relcoh", "--pair", label]) == 2
             assert time.perf_counter() - start < 1.0
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["sl3/su3", "sl2/su2", "gl2/su2",
+                                       "gl3/su3"])
+    def test_compact_form_is_not_a_real_subalgebra(self, capsys, label):
+        # su(n) has Gaussian coordinates in a real algebra, so it lies in
+        # no real span; gl2/su2 used to print Betti numbers 1 1
+        assert cli.main(["relcoh", "--pair", label]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "subalgebra basis does not lie in the span" in captured.err
 
     def test_differential_ceiling_fails_up_front(self, capsys):
         # sl4's plain complex passes the wedge ceiling (C(15, 7) = 6435),
@@ -588,6 +600,8 @@ class TestOutputContract:
          "8e72c96b10b88b3691a0c13e5112c8bfe8165e651d06813017920a28c221e4e4"),
         (["relcoh", "--pair", "su3/so3"], 0,
          "7f37c65def9e2a5450010fc9f262169f79772d3c01e4fb9834da7cda8d4b64b0"),
+        (["relcoh", "--pair", "su2/so2"], 0,
+         "2685d3bd62cc5e6609fc37ef525f67594408863395b23acf9eb46149f6a4112d"),
         (["invariants", "--algebra", "sl3", "--max-degree", "4"], 0,
          "038d3d19e2b8a70591479faf4bca898b34c8d72e09d1d2c4cf37dabc820ee025"),
         (["invariants", "--algebra", "su3", "--max-degree", "3"], 0,
@@ -638,3 +652,58 @@ class TestOutputContract:
                          "--max-degree", "2", "--output", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["results"][
             "dimension_line"] == "1 0 1"
+
+
+# -- structure data built once per process -------------------------------------
+
+
+class TestStructureCache:
+    @pytest.mark.parametrize("argv", [
+        ["relcoh", "--pair", "sl3/so3"],
+        ["invariants", "--algebra", "sl3", "--max-degree", "2"],
+        ["anomaly", f"{FIXTURES}/adjoint_sl3.json"],
+    ])
+    def test_a_repeated_call_builds_no_solver(self, capsys, solver_builds,
+                                              argv):
+        lgio.classical.cache_clear()
+        cli._classical_pair.cache_clear()
+        argv = argv + ["--output", "structured"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert solver_builds
+        solver_builds.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert solver_builds == []
+
+    def test_labels_of_one_algebra_share_an_entry(self, capsys):
+        lgio.classical.cache_clear()
+        cli._classical_pair.cache_clear()
+        for label in ("sl3", "SL(3)", "sl(3)"):
+            assert cli.main(["invariants", "--algebra", label,
+                             "--max-degree", "2"]) == 0
+        assert lgio.classical.cache_info().currsize == 1
+        assert lgio.classical(*lgio.parse_label("SL(3)")) is \
+            lgio.classical(*lgio.parse_label("sl3"))
+        for label in ("sl3/so3", "SL(3)/SO(3)"):
+            assert cli.main(["relcoh", "--pair", label]) == 0
+        assert cli._classical_pair.cache_info().currsize == 1
+        capsys.readouterr()
+
+    def test_a_failing_pair_is_not_cached(self, capsys):
+        pairs = cli._classical_pair.cache_info().currsize
+        errors = []
+        for _ in range(2):
+            assert cli.main(["relcoh", "--pair", "so3/sl3"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "subalgebra basis does not lie in the span" in errors[0]
+        assert cli._classical_pair.cache_info().currsize == pairs
+
+    def test_a_shared_pair_is_immutable(self):
+        pair = cli._classical_pair(("sl", 3), ("so", 3))
+        cbar = pair.projected_constants
+        assert type(cbar) is tuple
+        assert all(type(row) is tuple for row in cbar)
+        with pytest.raises(TypeError):
+            cbar[0][1] = (1,) * pair.p_dim

@@ -95,6 +95,40 @@ def test_complement_rejects_wrong_size_and_outside_span():
         cartan_complement(SL2, proj)
 
 
+def test_complement_rejects_a_compact_form_in_a_real_algebra():
+    # the solver expands over Q(i), where i*h has the coordinate i in sl2;
+    # a coordinate off the real axis is outside the real span of g
+    su2 = make_classical("su", 2)
+    for g in (SL2, make_classical("gl", 2)):
+        with pytest.raises(ValueError, match="does not lie in the span"):
+            cartan_complement(g, su2)
+    ih = MatrixLieAlgebra("ih", 2, (su2.basis[0],))
+    with pytest.raises(ValueError, match="does not lie in the span"):
+        cartan_complement(SL2, ih)
+    # a real subalgebra of a Gaussian algebra keeps its rational coordinates
+    assert cartan_complement(su2, SO2).p_dim == 2
+
+
+def test_classical_algebras_and_pairs_are_built_afresh(solver_builds):
+    # the library layer caches nothing: only the command layer shares
+    # classical structure data, so hand-built algebras never pile up
+    assert make_classical("sl", 2) is not make_classical("sl", 2)
+    for _ in range(2):
+        # equal algebras as new objects: ambient and split solvers each time
+        solver_builds.clear()
+        cartan_complement(MatrixLieAlgebra("g", 3, SL3.basis),
+                          MatrixLieAlgebra("k", 3, SO3.basis))
+        assert solver_builds == [8, 8]
+    # the same objects: the ambient solver is memoized on g, the split is
+    # rebuilt with the pair
+    g, k = MatrixLieAlgebra("g", 3, SL3.basis), MatrixLieAlgebra(
+        "k", 3, SO3.basis)
+    first = cartan_complement(g, k)
+    solver_builds.clear()
+    assert cartan_complement(g, k) is not first
+    assert solver_builds == [8]
+
+
 def test_symmetric_pair_detection():
     assert is_symmetric_pair(cartan_complement(SL2, SO2))
     assert is_symmetric_pair(cartan_complement(SL3, SO3))
@@ -125,23 +159,14 @@ def test_each_bracket_is_expanded_once(monkeypatch):
 @pytest.mark.parametrize("g, k, solvers", [
     (("sl", 3), ("so", 3), 2), (("sl", 2), ("so", 2), 2),
     (("su", 3), ("so", 3), 2), (("sl", 3), None, 1)])
-def test_expansion_solvers_per_pair(monkeypatch, g, k, solvers):
+def test_expansion_solvers_per_pair(solver_builds, g, k, solvers):
     # one for the ambient basis and one for the split (k, p) basis, whose
     # structure constants hold every bracket of the pair; the plain
     # complex reads the ambient table itself
-    from liegauge.liealg import ExpansionSolver
-    built = []
-    init = ExpansionSolver.__init__
-
-    def counting(self, basis):
-        built.append(len(basis))
-        init(self, basis)
-
-    monkeypatch.setattr(ExpansionSolver, "__init__", counting)
     pair = cartan_complement(make_classical(*g),
                              make_classical(*k) if k else None)
     relative_ce_cohomology(pair)
-    assert len(built) == solvers
+    assert len(solver_builds) == solvers
 
 
 # -- independent wedge-action oracle ---------------------------------------------
