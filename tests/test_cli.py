@@ -622,6 +622,37 @@ class TestOutputContract:
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["anomaly", f"{FIXTURES}/adjoint_sl3.json"], 0,
+         "72c980ea935696e72a1c5f60a1a4227d2889394c68e478ffc52f8fe2eff4afdc"),
+        (["anomaly", f"{FIXTURES}/left_only_sl3.json"], 1,
+         "3fe7c8285fe06fad86cbef26071c6e012c0e5cbc99d4faa322ce88b44da21eb0"),
+        (["anomaly", f"{FIXTURES}/left_only_sl2.json"], 1,
+         "3a0956d2ea8fc107c69ad41256a0f6dd85cd0ff8942b27ae57139ad2af9f4a43"),
+        (["anomaly", f"{FIXTURES}/block_dup_sl2_in_sl4.json"], 0,
+         "e62509da8d6bd1df57b918f1c0aee171ff51b250bbbdb5a396d77d16469252cd"),
+        (["wzw-verify"], 0,
+         "b30b4b88a306df5c44f1419b481bc1c2266c0012b3b911fe3f54545346837fd9"),
+        (["relcoh", "--pair", "sl3/so3"], 0,
+         "c90c21f14decbc4e1754e9efa18eec58ac4fb1241f3ef7d1a041bfcdf7b0333d"),
+        (["relcoh", "--pair", "sl2/so2"], 0,
+         "19725e90156e6e281e93b7901a93b0b834e61811d8e3d21b404a31569106794b"),
+        (["relcoh", "--pair", "su2"], 0,
+         "24628c37ddf98d961bcd2bf4f2b1ea8fdd182ae46df1595a13c8d2d2d606f75f"),
+        (["invariants", "--algebra", "sl2", "--max-degree", "4"], 0,
+         "0306b063427388b516aae7c424c491e13e3fc57b9a71bce26d5940efaa233f40"),
+        (["series", "--n", "5", "--truncate", "40"], 0,
+         "aa3f98f6eb230988762d12601792095b829835d69e166db35819e47f378b98e5"),
+    ])
+    def test_text_reports_keep_their_bytes(self, capsys, argv, code, digest):
+        # default text output of the ten README commands other than
+        # getzler-check, from a reference build; text mode prints the
+        # residual and detail strings of every wzw-verify row
+        for _ in range(2):
+            assert cli.main(argv) == code
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_structured_output_round_trips(self, capsys):
         assert cli.main(["relcoh", "--pair", "sl2/so2",
                          "--output", "structured"]) == 0
