@@ -14,10 +14,10 @@ adapted to subalgebra plus complement (`ReductivePair.split`), where
 
 Everything here is exact.  The wedge spaces are indexed by sorted index
 subsets.  `liealg.graded_derivations` builds both the sparse subalgebra
-action, from the coadjoint images on the split table, and the
-differential, from the images d xi_l of the dual generators, so the
-joint-invariant computation stays within the iterative kernel refinement
-of `exact.joint_kernel`.
+action, from the coadjoint images on the split table (computed once per
+pair, `ReductivePair.subalgebra_images`), and the differential, from the
+images d xi_l of the dual generators, so the joint-invariant computation
+stays within the iterative kernel refinement of `exact.joint_kernel`.
 """
 
 from __future__ import annotations
@@ -95,6 +95,16 @@ class ReductivePair:
         pair shared between callers cannot be altered by one of them."""
         c, kd = self.split.structure_constants, self.k_dim
         return tuple(tuple(col[kd:] for col in row[kd:]) for row in c[kd:])
+
+    @cached_property
+    def subalgebra_images(self):
+        """The subalgebra's action on the dual complement as generator
+        images for `graded_derivations`, one entry per subalgebra basis
+        element, the same for every wedge degree; empty for the plain
+        complex.  Tuples throughout, like `projected_constants`."""
+        c, kd = self.split.structure_constants, self.k_dim
+        return tuple(tuple(tuple(terms) for terms in gens)
+                     for gens in coadjoint_images(c[:kd], kd))
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
@@ -174,9 +184,7 @@ def invariant_wedge_basis(pair: ReductivePair, q: int) -> list[tuple]:
     if q < 0 or q > m:
         raise ValueError(f"wedge degree {q} outside 0..{m}")
     _check_ceiling(m, q)
-    c, kd = pair.split.structure_constants, pair.k_dim
-    ops = graded_derivations(coadjoint_images(c[:kd], kd), m, q,
-                             alternating=True)
+    ops = graded_derivations(pair.subalgebra_images, m, q, alternating=True)
     return joint_kernel(math.comb(m, q), ops)
 
 

@@ -18,7 +18,6 @@ from .ops import (
     mu,
     power,
     quadratic_expected_constant,
-    quadratic_residual,
     theta,
     wzw_form,
 )
@@ -28,6 +27,5 @@ __all__ = [
     "C", "DG", "G", "GINV", "FormExpression", "Term", "PiValue",
     "IdentityResult", "SuiteReport", "contract", "differential", "evaluate",
     "lambda_commutator", "lambda_form", "lie_derivative", "mu", "power",
-    "quadratic_expected_constant", "quadratic_residual", "run_identity_suite",
-    "theta", "wzw_form",
+    "quadratic_expected_constant", "run_identity_suite", "theta", "wzw_form",
 ]

@@ -70,16 +70,25 @@ def contract(expr: FormExpression, label, *, normalize: bool = True
     return _derive(expr, rules, normalize=normalize)
 
 
+def cartan(expr: FormExpression, label, *, normalize: bool = True
+           ) -> tuple[FormExpression, FormExpression, FormExpression]:
+    """Cartan formula L_a = d iota_a + iota_a d, the one place it is
+    written: returns (iota_a expr, d expr, L_a expr), so a caller that
+    also needs iota_a expr or d expr derives each once."""
+    contracted = contract(expr, label, normalize=normalize)
+    differentiated = differential(expr, normalize=normalize)
+    a = differential(contracted, normalize=normalize)
+    b = contract(differentiated, label, normalize=normalize)
+    if normalize:
+        return contracted, differentiated, a + b
+    return contracted, differentiated, FormExpression(
+        expr.kind, a.terms + b.terms, normalized=True)
+
+
 def lie_derivative(expr: FormExpression, label, *, normalize: bool = True
                    ) -> FormExpression:
-    """Cartan formula: L_a = d iota_a + iota_a d (degree 0)."""
-    a = differential(contract(expr, label, normalize=normalize),
-                     normalize=normalize)
-    b = contract(differential(expr, normalize=normalize), label,
-                 normalize=normalize)
-    if normalize:
-        return a + b
-    return FormExpression(expr.kind, a.terms + b.terms, normalized=True)
+    """Lie derivative L_a by the Cartan formula (degree 0)."""
+    return cartan(expr, label, normalize=normalize)[2]
 
 
 # -- named forms --------------------------------------------------------------
@@ -124,11 +133,6 @@ def lambda_commutator(b, a) -> FormExpression:
         const = cb * ca - ca * cb
         out = out + (const * body).trace()
     return out.scale(Fraction(1, 4), -1)
-
-
-def quadratic_residual(a, b) -> FormExpression:
-    """iota_a(lam_b) + iota_b(lam_a); a pure constant for any labels."""
-    return contract(lambda_form(b), a) + contract(lambda_form(a), b)
 
 
 def quadratic_expected_constant(a, b) -> FormExpression:

@@ -3,6 +3,8 @@
 None of these runs in a command: each recomputes a value that `liegauge`
 computes another way, so a test can check the two against each other.
 
+  quadratic_residual         iota_a(lam_b) + iota_b(lam_a) from freshly
+                             built lambda forms, against the suite's row
   quadratic_form_via_words   the anomaly form Q through the trace-word
                              engine, against `anomaly.anomaly_form`
   verify_antisymmetry,       the defining identities of a Lie bracket, on
@@ -14,7 +16,12 @@ computes another way, so a test can check the two against each other.
 from liegauge.anomaly import GaugeEmbedding
 from liegauge.exact import Matrix
 from liegauge.liealg import MatrixLieAlgebra
-from liegauge.wzw import evaluate, quadratic_residual
+from liegauge.wzw import contract, evaluate, lambda_form
+
+
+def quadratic_residual(a, b):
+    """iota_a(lam_b) + iota_b(lam_a); a pure constant for any labels."""
+    return contract(lambda_form(b), a) + contract(lambda_form(a), b)
 
 
 def quadratic_form_via_words(emb: GaugeEmbedding, a: int, b: int):

@@ -45,11 +45,15 @@ from liegauge.wzw.ops import (
     lambda_form,
     lie_derivative,
     quadratic_expected_constant,
-    quadratic_residual,
     wzw_form,
 )
 from liegauge.wzw.words import C, DG, G, GINV, FormExpression, Term
-from reference import trace_form, verify_antisymmetry, verify_jacobi
+from reference import (
+    quadratic_residual,
+    trace_form,
+    verify_antisymmetry,
+    verify_jacobi,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

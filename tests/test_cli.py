@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from liegauge import cli, lgio, series
+from liegauge import cli, lgio, relcoh, series
 from liegauge.report import RunReport, canonical_json, inputs_digest
 from liegauge.series import check_series_size
+from liegauge.wzw import identities, ops
+from liegauge.wzw.words import DG, GINV
 
 FIXTURES = "fixtures"
 # the sl2 basis (h, e, f) as file-format matrices
@@ -178,6 +180,61 @@ class TestWzwVerifyCommand:
         assert {w["id"] for w in report.warnings} == {"W1", "W2", "W3"}
         assert report.verdict == "warn"
         assert report.exit_code() == 0
+
+    def test_every_call_proves_the_identities_afresh(self, capsys,
+                                                     monkeypatch):
+        argv = ["wzw-verify", "--output", "structured"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # d(g^-1) = +g^-1 dg g^-1 is the wrong sign: a suite that reused
+        # a derived answer from the first call would still pass
+        monkeypatch.setitem(ops._D_RULES, GINV, [(1, (GINV, DG, GINV))])
+        assert cli.main(argv) == 1
+        rows = json.loads(capsys.readouterr().out)["results"]["identities"]
+        failing = {row["name"] for row in rows if not row["ok"]}
+        assert {"d(mu^3) + mu^4 = 0", "L_b(lam_a) - lam_([a,b]) = 0",
+                "iota_a(omega) - d(lam_a) = 0"} <= failing
+        monkeypatch.undo()
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == "15a2daeb5dd065d6dd885fc132322f415b60657cab198ca5c4c76e0d474b10fe"
+
+    def test_a_repeated_call_builds_no_named_form(self, capsys, monkeypatch):
+        builds = []
+        for name in ("wzw_form", "lambda_form", "lambda_commutator",
+                     "quadratic_expected_constant"):
+            def counting(*args, _name=name, _real=getattr(identities, name)):
+                builds.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(identities, name, counting)
+        identities._fixed_forms.cache_clear()
+        assert cli.main(["wzw-verify"]) == 0
+        first = capsys.readouterr().out
+        assert set(builds) == {"wzw_form", "lambda_form",
+                               "lambda_commutator",
+                               "quadratic_expected_constant"}
+        builds.clear()
+        assert cli.main(["wzw-verify"]) == 0
+        assert capsys.readouterr().out == first
+        assert builds == []
+        assert identities._fixed_forms.cache_info().currsize == 1
+
+    def test_each_derivation_runs_once_per_call(self, capsys, monkeypatch):
+        calls = []
+        derive = ops._derive
+
+        def counting(expr, rules, **kwargs):
+            calls.append((expr, str(rules)))
+            return derive(expr, rules, **kwargs)
+
+        monkeypatch.setattr(ops, "_derive", counting)
+        for _ in range(2):
+            calls.clear()
+            assert cli.main(["wzw-verify"]) == 0
+            # 20 distinct (expression, rule) pairs, each derived once;
+            # without sharing a call derived 30 times
+            assert len(calls) == len(set(calls)) == 20
+        capsys.readouterr()
 
 
 # -- cohomology subcommands ----------------------------------------------------
@@ -738,3 +795,29 @@ class TestStructureCache:
         assert all(type(row) is tuple for row in cbar)
         with pytest.raises(TypeError):
             cbar[0][1] = (1,) * pair.p_dim
+        images = pair.subalgebra_images
+        assert len(images) == pair.k_dim
+        assert type(images) is tuple
+        assert all(type(gens) is tuple and all(type(terms) is tuple
+                                                for terms in gens)
+                   for gens in images)
+
+    def test_a_pair_builds_its_subalgebra_images_once(self, capsys,
+                                                      monkeypatch):
+        built = []
+        images = relcoh.coadjoint_images
+
+        def counting(c, offset):
+            built.append(offset)
+            return images(c, offset)
+
+        monkeypatch.setattr(relcoh, "coadjoint_images", counting)
+        cli._classical_pair.cache_clear()
+        argv = ["relcoh", "--pair", "sl3/so3", "--output", "structured"]
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()
+                                  ).hexdigest() == (
+                "f94dc9e792a6f23107bb77d63a8e53c1f646552c02e3f87ac3a4478be0438fe9")
+        # one build for all six wedge degrees and both calls
+        assert built == [3]

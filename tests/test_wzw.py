@@ -29,11 +29,11 @@ from liegauge.wzw import (
     mu,
     power,
     quadratic_expected_constant,
-    quadratic_residual,
     run_identity_suite,
     theta,
     wzw_form,
 )
+from reference import quadratic_residual
 
 CL_A, CR_A = C("L", "a"), C("R", "a")
 CL_B, CR_B = C("L", "b"), C("R", "b")
