@@ -17,7 +17,8 @@ with an optional JSON boolean "special_linear_target" (default true); both
 sizes are positive JSON integers, and a JSON boolean is never a number.  Parse
 errors raise ValueError with the offending field named, which the CLI maps
 to exit code 2.  `load_embedding` reads its file once, so a pipe works as
-well as a regular file.
+well as a regular file, and parses each distinct string literal in it
+once.
 
 `classical` is how a label becomes an algebra: it is built once per process
 for each parsed (family, size), so "sl3" and "SL(3)" share one algebra and
@@ -50,32 +51,50 @@ __all__ = [
 _CLASSICAL = re.compile(r"^(sl|so|su|gl)\s*(\d+|\(\s*\d+\s*\))$")
 
 
-def matrix_from_json(obj, size: int, where: str = "matrix") -> Matrix:
+def matrix_from_json(obj, size: int, where: str = "matrix",
+                     literals: dict | None = None) -> Matrix:
     """A size x size matrix from nested rows or a flat row-major list.
 
     The two shapes are told apart by length alone (size rows versus
     size*size entries), so rational rows of length two are never mistaken
-    for Gaussian scalar literals.
+    for Gaussian scalar literals.  `literals` maps each string literal
+    parsed so far to its scalar; the matrices of one file share one, so
+    each distinct literal is parsed once.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty list")
+    if literals is None:
+        literals = {}
     try:
         if len(obj) == size and all(
                 isinstance(r, list) and len(r) == size for r in obj):
-            return Matrix.from_rows(
-                [[scalar_from_json(e) for e in row] for row in obj])
-        if len(obj) == size * size:
-            return Matrix(size, size, [scalar_from_json(e) for e in obj])
-        raise ValueError(
-            f"expected {size} rows or {size * size} flat entries, "
-            f"got {len(obj)} elements")
+            flat = [e for row in obj for e in row]
+        elif len(obj) == size * size:
+            flat = obj
+        else:
+            raise ValueError(
+                f"expected {size} rows or {size * size} flat entries, "
+                f"got {len(obj)} elements")
+        entries = []
+        for e in flat:
+            if type(e) is str:
+                x = literals.get(e)
+                if x is None:
+                    x = literals[e] = scalar_from_json(e)
+            else:
+                x = scalar_from_json(e)
+            entries.append(x)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: bad scalar entry ({exc})") from None
+    # scalar_from_json returns normalized scalars
+    return Matrix._of(size, size, tuple(entries))
 
 
-def algebra_from_json(obj) -> MatrixLieAlgebra:
+def algebra_from_json(obj, literals: dict) -> MatrixLieAlgebra:
+    """An algebra object, its basis matrices parsed through `literals` as
+    by `matrix_from_json`."""
     if not isinstance(obj, dict):
         raise ValueError("algebra: expected an object")
     for key in ("name", "matrix_size", "basis"):
@@ -87,7 +106,8 @@ def algebra_from_json(obj) -> MatrixLieAlgebra:
     scalar = obj.get("scalar", "rational")
     if scalar not in ("rational", "gaussian"):
         raise ValueError(f"algebra: unknown scalar field {scalar!r}")
-    basis = [matrix_from_json(b, size=n, where=f"algebra basis[{i}]")
+    basis = [matrix_from_json(b, size=n, where=f"algebra basis[{i}]",
+                              literals=literals)
              for i, b in enumerate(obj["basis"])]
     return MatrixLieAlgebra(str(obj["name"]), n, tuple(basis), scalar)
 
@@ -120,12 +140,14 @@ def _embedding_fields(obj) -> dict:
     for key in ("domain", "target_size", "T_L", "T_R"):
         if key not in obj:
             raise ValueError(f"embedding: missing key {key!r}")
+    # one file's matrices parse each distinct string literal once
+    literals: dict = {}
     domain = obj["domain"]
     if isinstance(domain, str):
         label = parse_label(domain)
         dim = classical_dimension(*label)
     else:
-        domain = algebra_from_json(domain)
+        domain = algebra_from_json(domain, literals)
         dim = domain.dim
     special = obj.get("special_linear_target", True)
     if not isinstance(special, bool):
@@ -140,7 +162,8 @@ def _embedding_fields(obj) -> dict:
         if not isinstance(raw, list):
             raise ValueError(f"embedding: {side} must be a list of matrices")
         sides[side] = tuple(
-            matrix_from_json(mat, size=n, where=f"{side}[{i}]")
+            matrix_from_json(mat, size=n, where=f"{side}[{i}]",
+                             literals=literals)
             for i, mat in enumerate(raw))
     # a classical domain is built only once its image count is right
     check_image_count(dim, sides["T_L"], sides["T_R"])

@@ -10,7 +10,11 @@ symmetric algebra of the dual.
 One Leibniz builder, `graded_derivations`, gives the derivations of
 symmetric and exterior powers as sparse triples: here the coadjoint action
 on Sym^d g*, whose joint kernel is the invariant polynomials, and in
-`relcoh` the action on wedges of p* and the relative differential.
+`relcoh` the action on wedges of p* and the relative differential.  The
+operators depend only on the algebra (or pair) and the degree, so each
+object builds them once per degree, on first request, and keeps them as
+tuples (`MatrixLieAlgebra.coadjoint_derivations`); every kernel is still
+computed on each call.
 
 The structure layer is sparse end to end: an algebra takes the sparse rows
 of its basis matrices once, when it builds its structure constants, and
@@ -101,6 +105,23 @@ class MatrixLieAlgebra:
                         "is outside the span; not a Lie subalgebra") from None
             c.append(tuple(row))
         return tuple(c)
+
+    @cached_property
+    def _coadjoint_derivations(self) -> dict:
+        return {}
+
+    def coadjoint_derivations(self, degree: int) -> tuple:
+        """The coadjoint derivations on Sym^degree g*, one tuple of
+        `graded_derivations` triples per basis element, built once per
+        algebra and degree, on first request; tuples throughout, so a
+        shared algebra's operators cannot be altered by one caller."""
+        memo = self._coadjoint_derivations
+        ops = memo.get(degree)
+        if ops is None:
+            ops = memo[degree] = tuple(map(tuple, graded_derivations(
+                coadjoint_images(structure_constants(self), 0), self.dim,
+                degree, alternating=False)))
+        return ops
 
 
 def sparse_rows(m: Matrix) -> list[list]:
@@ -397,6 +418,4 @@ def invariant_polynomial_dimension(alg: MatrixLieAlgebra, degree: int) -> int:
     if nmono > SYM_CEILING:
         raise ValueError(
             f"Sym^{degree} dimension {nmono} exceeds ceiling {SYM_CEILING}")
-    ops = graded_derivations(coadjoint_images(structure_constants(alg), 0),
-                             alg.dim, degree, alternating=False)
-    return len(joint_kernel(nmono, ops))
+    return len(joint_kernel(nmono, alg.coadjoint_derivations(degree)))

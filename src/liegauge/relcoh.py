@@ -14,10 +14,14 @@ adapted to subalgebra plus complement (`ReductivePair.split`), where
 
 Everything here is exact.  The wedge spaces are indexed by sorted index
 subsets.  `liealg.graded_derivations` builds both the sparse subalgebra
-action, from the coadjoint images on the split table (computed once per
-pair, `ReductivePair.subalgebra_images`), and the differential, from the
-images d xi_l of the dual generators, so the joint-invariant computation
-stays within the iterative kernel refinement of `exact.joint_kernel`.
+action, from the coadjoint images on the split table, and the
+differential, from the images d xi_l of the dual generators, so the
+joint-invariant computation stays within the iterative kernel refinement
+of `exact.joint_kernel`.  Both depend only on the pair and the wedge
+degree, so a pair builds each once per degree, on first request, and
+keeps it as tuples (`ReductivePair.subalgebra_action`,
+`ReductivePair.differential`); every kernel and rank is still computed on
+each call.
 """
 
 from __future__ import annotations
@@ -97,14 +101,39 @@ class ReductivePair:
         return tuple(tuple(col[kd:] for col in row[kd:]) for row in c[kd:])
 
     @cached_property
-    def subalgebra_images(self):
-        """The subalgebra's action on the dual complement as generator
-        images for `graded_derivations`, one entry per subalgebra basis
-        element, the same for every wedge degree; empty for the plain
-        complex.  Tuples throughout, like `projected_constants`."""
-        c, kd = self.split.structure_constants, self.k_dim
-        return tuple(tuple(tuple(terms) for terms in gens)
-                     for gens in coadjoint_images(c[:kd], kd))
+    def _subalgebra_actions(self) -> dict:
+        return {}
+
+    @cached_property
+    def _differentials(self) -> dict:
+        return {}
+
+    def subalgebra_action(self, q: int) -> tuple:
+        """The subalgebra's action on the q-wedge of the dual complement,
+        one tuple of `graded_derivations` triples per subalgebra basis
+        element (none for the plain complex), built once per pair and
+        degree, on first request.  Tuples throughout, like
+        `projected_constants`."""
+        memo = self._subalgebra_actions
+        ops = memo.get(q)
+        if ops is None:
+            c, kd = self.split.structure_constants, self.k_dim
+            ops = memo[q] = tuple(map(tuple, graded_derivations(
+                coadjoint_images(c[:kd], kd), self.p_dim, q,
+                alternating=True)))
+        return ops
+
+    def differential(self, q: int) -> tuple:
+        """The relative differential from the q-wedge to the (q+1)-wedge of
+        the dual complement as a tuple of `graded_derivations` triples,
+        built once per pair and degree, on first request."""
+        memo = self._differentials
+        d = memo.get(q)
+        if d is None:
+            (d,) = graded_derivations(_differential_images(self), self.p_dim,
+                                      q, alternating=True)
+            d = memo[q] = tuple(d)
+        return d
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
@@ -179,13 +208,15 @@ def _check_ceiling(m: int, q: int) -> None:
 def invariant_wedge_basis(pair: ReductivePair, q: int) -> list[tuple]:
     """Coordinate vectors (in the sorted-subset basis) spanning the
     subalgebra-invariant part of the q-wedge of the dual complement; the
-    plain complex has no acting rows, so every vector is invariant."""
+    plain complex has no acting rows, so every vector is invariant.  Each
+    call computes the kernel afresh; the pair's action on the q-wedge is
+    built on the first call for q and kept
+    (`ReductivePair.subalgebra_action`)."""
     m = pair.p_dim
     if q < 0 or q > m:
         raise ValueError(f"wedge degree {q} outside 0..{m}")
     _check_ceiling(m, q)
-    ops = graded_derivations(pair.subalgebra_images, m, q, alternating=True)
-    return joint_kernel(math.comb(m, q), ops)
+    return joint_kernel(math.comb(m, q), pair.subalgebra_action(q))
 
 
 def invariant_wedge_dimension(pair: ReductivePair, q: int) -> int:
@@ -232,15 +263,13 @@ def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
             raise ValueError(
                 f"differential from wedge degree {q} needs {entries} "
                 f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
-    d_images = _differential_images(pair)
     invariants = [invariant_wedge_basis(pair, q) for q in range(m + 1)]
     # ranks[q + 1] is the rank of d on the invariant q-cochains
     ranks = [0] * (m + 2)
     for q in range(m):
         if not invariants[q]:
             continue
-        (d,) = graded_derivations(d_images, m, q, alternating=True)
-        cols = _columns(d, math.comb(m, q))
+        cols = _columns(pair.differential(q), math.comb(m, q))
         rows = range(math.comb(m, q + 1))
         images = [_combination((x, cols[j]) for j, x in enumerate(w) if x)
                   for w in invariants[q]]

@@ -37,14 +37,13 @@ def _derive(expr: FormExpression, rules, *, normalize: bool = True
     """Apply a degree-changing derivation given by per-letter rules.
 
     rules maps a letter to a list of (sign, replacement letters); missing
-    letters contribute nothing.  Rules may be keyed by the full letter or
-    by its kind tag (first component).
+    letters contribute nothing.
     """
     out = []
     for t in expr.terms:
         prefix_deg = 0
         for i, letter in enumerate(t.letters):
-            repl = rules.get(letter) or rules.get(letter[0])
+            repl = rules.get(letter)
             if repl:
                 koszul = -1 if prefix_deg % 2 else 1
                 for sign, mid in repl:

@@ -314,6 +314,24 @@ def test_matrix_from_json_shapes():
         matrix_from_json(["1", "0", "0"], size=2)
 
 
+def test_matrices_of_one_file_share_parsed_literals():
+    literals = {}
+    a = matrix_from_json([["1/2", "0"], ["0", "-1/2"]], size=2,
+                         literals=literals)
+    b = matrix_from_json(["-1/2", "2/4", "0", ["0", "1"]], size=2,
+                         literals=literals)
+    assert set(literals) == {"1/2", "0", "-1/2", "2/4"}
+    assert a == matrix_from_json([["1/2", "0"], ["0", "-1/2"]], size=2)
+    assert b.entries() == (Fraction(-1, 2), Fraction(1, 2), 0,
+                           matrix_from_json([["0", "1"]], size=1)[0, 0])
+    assert type(a[0, 1]) is int
+    # a literal that fails to parse names its field and is not kept
+    with pytest.raises(ValueError, match=r"^T_R\[1\]: bad scalar entry"):
+        matrix_from_json(["1/2", "1/0", "0", "0"], size=2, where="T_R[1]",
+                         literals=literals)
+    assert "1/0" not in literals
+
+
 def test_embedding_json_diagnostics(tmp_path):
     good = json.loads((FIXTURES / "left_only_sl2.json").read_text())
     path = tmp_path / "bad.json"

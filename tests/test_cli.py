@@ -795,12 +795,27 @@ class TestStructureCache:
         assert all(type(row) is tuple for row in cbar)
         with pytest.raises(TypeError):
             cbar[0][1] = (1,) * pair.p_dim
-        images = pair.subalgebra_images
-        assert len(images) == pair.k_dim
-        assert type(images) is tuple
-        assert all(type(gens) is tuple and all(type(terms) is tuple
-                                                for terms in gens)
-                   for gens in images)
+        for q in range(pair.p_dim + 1):
+            ops = pair.subalgebra_action(q)
+            assert len(ops) == pair.k_dim
+            assert type(ops) is tuple
+            assert all(type(op) is tuple for op in ops)
+            assert type(pair.differential(q)) is tuple
+        with pytest.raises(TypeError):
+            pair.subalgebra_action(2)[0][0] = (0, 0, 1)
+        with pytest.raises(TypeError):
+            pair.subalgebra_action(2)[0] = ()
+        with pytest.raises(TypeError):
+            pair.differential(2)[0] = (0, 0, 1)
+
+    def test_a_shared_algebras_operators_are_immutable(self):
+        ops = lgio.classical("sl", 2).coadjoint_derivations(4)
+        assert type(ops) is tuple
+        assert all(type(op) is tuple for op in ops)
+        with pytest.raises(TypeError):
+            ops[0][0] = (0, 0, 1)
+        with pytest.raises(TypeError):
+            ops[0] = ()
 
     def test_a_pair_builds_its_subalgebra_images_once(self, capsys,
                                                       monkeypatch):
@@ -819,5 +834,44 @@ class TestStructureCache:
             assert hashlib.sha256(capsys.readouterr().out.encode()
                                   ).hexdigest() == (
                 "f94dc9e792a6f23107bb77d63a8e53c1f646552c02e3f87ac3a4478be0438fe9")
-        # one build for all six wedge degrees and both calls
-        assert built == [3]
+        # one build per wedge degree on the first call, none on the second
+        assert built == [3] * 6
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["relcoh", "--pair", "sl3/so3"],
+         "f94dc9e792a6f23107bb77d63a8e53c1f646552c02e3f87ac3a4478be0438fe9"),
+        (["relcoh", "--pair", "su2"],
+         "0318c93dcb57019eec356d055a1fdcaabd0489622c0d81824a931c5817522344"),
+        (["invariants", "--algebra", "sl2", "--max-degree", "4"],
+         "c6c12efe33591141e52facf482c7775f4848616c53089dbe1c95369638fd1152"),
+    ], ids=["sl3/so3", "su2", "sl2-degree-4"])
+    def test_a_repeated_call_builds_no_operators(self, capsys, monkeypatch,
+                                                 argv, digest):
+        from liegauge import liealg
+        builds, kernels = [], []
+        build, kernel = liealg.graded_derivations, liealg.joint_kernel
+
+        def counting_build(images, n, degree, alternating):
+            builds.append(degree)
+            return build(images, n, degree, alternating)
+
+        def counting_kernel(dim, ops):
+            kernels.append(dim)
+            return kernel(dim, ops)
+
+        for module in (liealg, relcoh):
+            monkeypatch.setattr(module, "graded_derivations", counting_build)
+            monkeypatch.setattr(module, "joint_kernel", counting_kernel)
+        lgio.classical.cache_clear()
+        cli._classical_pair.cache_clear()
+        runs = []
+        for _ in range(2):
+            builds.clear()
+            kernels.clear()
+            assert cli.main(argv + ["--output", "structured"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            runs.append((len(builds), list(kernels)))
+        assert runs[0][0] > 0 and runs[0][1]
+        # every kernel is computed again; no operator is built again
+        assert runs[1] == (0, runs[0][1])

@@ -470,3 +470,64 @@ def test_symmetric_pairs_report_zero_differential(monkeypatch):
     assert is_symmetric_pair(pair)
     assert relative_ce_cohomology(pair) == tuple(
         invariant_wedge_dimension(pair, q) for q in range(6))
+
+
+# -- graded operators built once per object and degree --------------------------
+
+
+def _fresh_pair(label):
+    g, _, k = label.partition("/")
+    return cartan_complement(make_classical(*parse_label(g)),
+                             make_classical(*parse_label(k)) if k else None)
+
+
+@pytest.mark.parametrize("label", ["sl3/so3", "su2"])
+def test_memoized_wedge_operators_match_a_fresh_build(label):
+    from liegauge.relcoh import _differential_images
+    pair = _fresh_pair(label)
+    c, kd, m = pair.split.structure_constants, pair.k_dim, pair.p_dim
+    for q in range(m + 1):
+        ops = pair.subalgebra_action(q)
+        assert [list(op) for op in ops] == graded_derivations(
+            coadjoint_images(c[:kd], kd), m, q, alternating=True)
+        assert pair.subalgebra_action(q) is ops
+        d = pair.differential(q)
+        assert [list(d)] == graded_derivations(
+            _differential_images(pair), m, q, alternating=True)
+        assert pair.differential(q) is d
+
+
+def test_memoized_sym_operators_match_a_fresh_build():
+    alg = make_classical("sl", 2)
+    for d in range(5):
+        ops = alg.coadjoint_derivations(d)
+        assert [list(op) for op in ops] == graded_derivations(
+            coadjoint_images(structure_constants(alg), 0), alg.dim, d,
+            alternating=False)
+        assert alg.coadjoint_derivations(d) is ops
+
+
+def test_equal_objects_build_their_own_operators(monkeypatch):
+    from liegauge import liealg, relcoh
+    built = []
+    build = liealg.graded_derivations
+
+    def counting(images, n, degree, alternating):
+        built.append(degree)
+        return build(images, n, degree, alternating)
+
+    monkeypatch.setattr(liealg, "graded_derivations", counting)
+    monkeypatch.setattr(relcoh, "graded_derivations", counting)
+    algs = [make_classical("sl", 2) for _ in range(2)]
+    assert algs[0] == algs[1] and algs[0] is not algs[1]
+    ops = [alg.coadjoint_derivations(2) for alg in algs]
+    assert ops[0] == ops[1] and ops[0] is not ops[1]
+    assert built == [2, 2]
+    built.clear()
+    pairs = [cartan_complement(alg, make_classical("so", 2)) for alg in algs]
+    assert pairs[0] == pairs[1]
+    actions = [pair.subalgebra_action(1) for pair in pairs]
+    differentials = [pair.differential(1) for pair in pairs]
+    assert actions[0] == actions[1] and actions[0] is not actions[1]
+    assert differentials[0] == differentials[1]
+    assert built == [1, 1, 1, 1]
