@@ -30,7 +30,6 @@ from .liealg import (
     MatrixLieAlgebra,
     ad_invariance_failure,
     bracket_entries,
-    sparse_rows,
     structure_constants,
 )
 
@@ -97,9 +96,9 @@ def _check_homomorphism(side: str, images, c) -> None:
     if not images:
         return
     dim, n = len(images), images[0].rows
-    rows = [sparse_rows(m) for m in images]
-    nonzero = [[(i * n + j, x) for i, row in enumerate(r) for j, x in row]
-               for r in rows]
+    rows = [m.sparse_rows() for m in images]
+    nonzero = [[(i * n + j, x) for i, row in enumerate(r)
+                for j, x in row.items()] for r in rows]
     for a in range(dim):
         for b in range(a + 1, dim):
             residual = bracket_entries(rows[a], rows[b], n)

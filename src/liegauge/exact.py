@@ -14,12 +14,14 @@ Division goes through `divide`, which returns an exact Fraction where
 exact (structure constants, Killing forms, anomaly matrices, kernel
 computations) runs on top of this module; no floats enter here.
 
-Matrices are stored densely, but elimination works on sparse rows (a
-`{column: value}` dict of the nonzero entries), so pivot scaling and row
-updates touch only nonzero entries.  Each column is indexed to the rows
-that hold it, so a pivot visits only the rows it meets rather than every
-row.  The pivot of a column is the first unused row in its index with a
-nonzero entry; the reduced row echelon form of a matrix is unique, so
+A matrix keeps the form it was built from, flat entries or sparse rows (a
+`{column: value}` dict of the nonzero entries), and derives the other on
+request.  Elimination reads and writes sparse rows, so pivot scaling and
+row updates touch only nonzero entries, and kernels and ranks hand their
+images over as sparse rows.  Each column is indexed to the rows that hold
+it, so a pivot visits only the rows it meets rather than every row.  The
+pivot of a column is the first unused row in its index with a nonzero
+entry; the reduced row echelon form of a matrix is unique, so
 that rule decides the order of the work only, never R or the pivots.
 The operators of `joint_kernel` are indexed by column for the same
 reason.  Results are deterministic and reproducible across runs and
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Sequence, Union
 
 
@@ -210,7 +211,8 @@ def scalar_from_json(v) -> Scalar:
 
 
 class Matrix:
-    """Immutable dense matrix over exact scalars."""
+    """Immutable matrix over exact scalars, kept as the flat entries of the
+    public constructors or as the sparse rows of `_of_rows`."""
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -225,12 +227,19 @@ class Matrix:
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
         """Trusted constructor: `entries` is a tuple of rows * cols scalars
-        already normalized by `as_scalar` (a zero may be the int 0)."""
+        already normalized by `as_scalar` (a zero may be the int 0), or the
+        list of sparse rows that `_of_rows` hands over."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_e", entries)
         return m
+
+    @classmethod
+    def _of_rows(cls, cols: int, rows: list) -> "Matrix":
+        """Trusted constructor: a list of one `{column: value}` dict of
+        nonzero scalars normalized by `as_scalar` per row, kept as given."""
+        return cls._of(len(rows), cols, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -261,18 +270,31 @@ class Matrix:
 
     # -- access ------------------------------------------------------------
 
+    def entries(self) -> tuple:
+        """The flat row-major entries; a sparse-built matrix builds them on
+        each call."""
+        e = self._e
+        if type(e) is tuple:
+            return e
+        return tuple(row.get(k, 0) for row in e for k in range(self.cols))
+
+    def sparse_rows(self) -> list[dict]:
+        """The nonzero entries of each row as a `{column: value}` dict; a
+        sparse-built matrix hands over its own dicts, to be read only."""
+        e = self._e
+        if type(e) is not tuple:
+            return list(e)
+        nc = self.cols
+        return [{k: x for k, x in enumerate(e[i * nc:(i + 1) * nc]) if x}
+                for i in range(self.rows)]
+
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self._e[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self._e[i * self.cols:(i + 1) * self.cols]
-
-    def entries(self) -> tuple:
-        return self._e
+        return self.entries()[i * self.cols + j]
 
     def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        e, nc = self.entries(), self.cols
+        return [list(e[i * nc:(i + 1) * nc]) for i in range(self.rows)]
 
     # -- algebra -----------------------------------------------------------
 
@@ -280,16 +302,16 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self._e, other._e)])
+                      [a + b for a, b in zip(self.entries(), other.entries())])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self._e, other._e)])
+                      [a - b for a, b in zip(self.entries(), other.entries())])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return Matrix(self.rows, self.cols, [-a for a in self.entries()])
 
     def scale(self, c: Scalar) -> "Matrix":
         """c times this matrix.  The products by the int entries 0, 1 and
@@ -299,7 +321,7 @@ class Matrix:
         unit = {0: c * 0, 1: c, -1: -c}
         return Matrix(self.rows, self.cols,
                       [unit[a] if type(a) is int and -1 <= a <= 1 else c * a
-                       for a in self._e])
+                       for a in self.entries()])
 
     def __mul__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -307,7 +329,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, m, k = self.rows, other.cols, self.cols
-        a, b = self._e, other._e
+        a, b = self.entries(), other.entries()
         out = []
         for i in range(n):
             arow = a[i * k:(i + 1) * k]
@@ -327,7 +349,7 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("length mismatch")
         nonzero = [(t, x) for t, x in enumerate(v) if x]
-        e, n = self._e, self.cols
+        e, n = self.entries(), self.cols
         out = []
         for i in range(self.rows):
             s = 0
@@ -338,75 +360,68 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
+        e = self.entries()
         return Matrix(self.cols, self.rows,
-                      [self._e[i * self.cols + j]
+                      [e[i * self.cols + j]
                        for j in range(self.cols) for i in range(self.rows)])
 
     def conjugate(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [conj(a) for a in self._e])
+        return Matrix(self.rows, self.cols, [conj(a) for a in self.entries()])
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
+        e = self.entries()
         s = 0
         for i in range(self.rows):
-            s = s + self._e[i * self.cols + i]
+            s = s + e[i * self.cols + i]
         return as_scalar(s)
 
     def is_zero(self) -> bool:
-        return all(not x for x in self._e)
+        return all(not x for x in self.entries())
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and all(a == b for a, b in zip(self._e, other._e)))
+                and all(a == b for a, b in zip(self.entries(),
+                                               other.entries())))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self.entries()))
 
     def __repr__(self):
         return "Matrix(%s)" % "; ".join(
-            " ".join(repr(x) for x in self.row(i)) for i in range(self.rows))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(rows)
+            " ".join(map(repr, row)) for row in self.to_lists())
 
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form.
 
-        Returns (R, pivot_columns).  Rows are eliminated as sparse
-        `{column: value}` dicts, built from the dense entries by
-        `itertools.compress`, and each column is indexed to the rows that
-        hold it, so a pivot visits only the rows it meets and a row update
-        touches only nonzero entries.  The index is kept lazily: fill-in
-        adds a row to its columns, cancellation leaves a stale entry that
-        is skipped.  Pivot choice: scan columns left to right; in each
-        column take the first unused row listed in its index with a
-        nonzero entry.  The reduced row echelon form of a matrix is unique,
-        so this rule orders the work only: R and the pivots are the same
-        for any choice of pivot rows.
+        Returns (R, pivot_columns), R built from sparse rows.  A copy of
+        each of `sparse_rows()` is eliminated, so this matrix is unchanged,
+        and each column is indexed to the rows that hold it, so a pivot
+        visits only the rows it meets and a row update touches only nonzero
+        entries.  The index is kept lazily: fill-in adds a row to its
+        columns, cancellation leaves a stale entry that is skipped.  Pivot
+        choice: scan columns left to right; in each column take the first
+        unused row listed in its index with a nonzero entry.  The reduced
+        row echelon form of a matrix is unique, so this rule orders the
+        work only: R and the pivots are the same for any choice of pivot
+        rows.
         """
-        nr, nc, e = self.rows, self.cols, self._e
+        nr, nc = self.rows, self.cols
         if not nr:
             return self, []
-        span = range(nc)
-        rows = []
-        holders: list = [[] for _ in span]
-        for i in range(nr):
-            seg = e[i * nc:(i + 1) * nc]
-            cols = list(compress(span, seg))
-            rows.append(dict(zip(cols, compress(seg, seg))))
-            for k in cols:
+        rows = [row.copy() for row in self.sparse_rows()]
+        holders: list = [[] for _ in range(nc)]
+        for i, row in enumerate(rows):
+            for k in row:
                 holders[k].append(i)
         used = [False] * nr
         order: list[int] = []
         pivots: list[int] = []
-        for j in span:
+        for j in range(nc):
             meets = holders[j]
             holders[j] = None
             sel = None
@@ -446,12 +461,10 @@ class Matrix:
             pivots.append(j)
             if len(order) == nr:
                 break
-        flat = [0] * (nr * nc)
-        for r, i in enumerate(order):
-            base = r * nc
-            for k, x in rows[i].items():
-                flat[base + k] = x if type(x) is int else as_scalar(x)
-        return Matrix._of(nr, nc, tuple(flat)), pivots
+        reduced = [{k: x if type(x) is int else as_scalar(x)
+                    for k, x in rows[i].items()} for i in order]
+        reduced += [{} for _ in range(nr - len(order))]
+        return Matrix._of_rows(nc, reduced), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -475,10 +488,13 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        R, pivots = self.hstack(Matrix.identity(n)).rref()
+        R, pivots = Matrix._of_rows(2 * n, [
+            {**row, n + i: 1} for i, row in enumerate(self.sparse_rows())
+        ]).rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._of(n, n, tuple(R[i, n + j] for i in range(n)
+        e = R.entries()
+        return Matrix._of(n, n, tuple(e[2 * n * i + n + j] for i in range(n)
                                       for j in range(n)))
 
 
@@ -509,21 +525,17 @@ def _combination(terms) -> dict:
 
 
 def _free_columns(R: Matrix, pivots: list[int]) -> dict:
-    """The kernel of a reduced row echelon form R, read from its flat
-    entries: each free column j, in column order, maps to the nonzero
+    """The kernel of a reduced row echelon form R, read from its sparse
+    rows: each free column j, in column order, maps to the nonzero
     (pivot column, -R[r, j]) pairs of the kernel vector that has a 1 at j.
-    In pivot row r the nonzero entries besides the pivot's 1 all lie in
-    free columns, so `itertools.compress` finds them and nothing else is
-    visited."""
-    nc, e = R.cols, R.entries()
+    In pivot row r the entries besides the pivot's 1 all lie in free
+    columns."""
     pivot_set = set(pivots)
-    free: dict = {j: [] for j in range(nc) if j not in pivot_set}
-    span = range(nc)
-    for r, pj in enumerate(pivots):
-        seg = e[r * nc:(r + 1) * nc]
-        for k in compress(span, seg):
+    free: dict = {j: [] for j in range(R.cols) if j not in pivot_set}
+    for pj, row in zip(pivots, R.sparse_rows()):
+        for k, x in row.items():
             if k != pj:
-                free[k].append((pj, -seg[k]))
+                free[k].append((pj, -x))
     return free
 
 
@@ -536,26 +548,22 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
     eliminations cheap.  The basis is kept sparse and each operator is
     indexed by column once, so an image costs the nonzeros of the basis
     vector times those of the columns it meets.  The images are the
-    columns of one Matrix per operator, reduced by one `Matrix.rref`; the
-    list they are gathered in is dropped once the Matrix holds them, and
-    the next basis is read from the free columns of R, a free column with
-    no entries keeping its basis vector as it is.  Returns basis vectors
-    (tuples of length dim).
+    columns of one Matrix per operator, built from its sparse rows and
+    reduced by one `Matrix.rref`, and the next basis is read from the free
+    columns of R, a free column with no entries keeping its basis vector
+    as it is.  Returns basis vectors (tuples of length dim).
     """
     basis: list[dict] = [{j: 1} for j in range(dim)]
     for op in ops:
         if not basis:
             return []
         cols = _columns(op, dim)
-        k = len(basis)
-        flat = [0] * (dim * k)
+        images: list[dict] = [{} for _ in range(dim)]
         for c, v in enumerate(basis):
             image = _combination((x, cols[j]) for j, x in v.items())
             for i, x in image.items():
-                flat[i * k + c] = x
-        images = Matrix._of(dim, k, tuple(flat))
-        del flat
-        free = _free_columns(*images.rref())
+                images[i][c] = x
+        free = _free_columns(*Matrix._of_rows(len(basis), images).rref())
         del images
         basis = [_combination([(1, basis[j].items())]
                               + [(x, basis[p].items()) for p, x in entries])

@@ -91,8 +91,6 @@ class LinearAction:
         """Left inverse P of the flattened basis, so that coefficients of a
         matrix M inside the span are P @ vec(M).  Computed with rationals:
         P = (F^T F)^(-1) F^T for F the m^2-by-g_dim basis matrix."""
-        if self.m == 0:
-            return None
         cols = [[Fraction(float(b[i, j])) for i in range(self.m)
                  for j in range(self.m)] for b in self.basis]
         F = Matrix.from_columns(cols)
@@ -107,8 +105,6 @@ class LinearAction:
     def coefficients(self, M) -> list[float]:
         """Expansion coefficients of an m-by-m matrix in the basis; exact
         when the dual frame and the matrix have dyadic entries."""
-        if self.m == 0:
-            return [0.0] * self.g_dim
         vec = np.asarray(M, dtype=float).reshape(self.m * self.m)
         return [float(row @ vec) for row in self._dual]
 
@@ -133,9 +129,6 @@ class LinearAction:
         """Rows a, columns b with Ad(h)[a][b] = coefficient a of h A_b h^(-1);
         the argument substitution X -> Ad(h) X acts on coordinates by this
         matrix."""
-        if self.m == 0:
-            return [[1.0 if a == b else 0.0 for b in range(self.g_dim)]
-                    for a in range(self.g_dim)]
         h = np.asarray(h, dtype=float)
         hinv = self.inverse(h)
         columns = [self.coefficients(h @ A @ hinv) for A in self.basis]

@@ -49,6 +49,7 @@ from .exact import (
     I,
     Matrix,
     Scalar,
+    _columns,
     as_scalar,
     joint_kernel,
 )
@@ -83,7 +84,7 @@ class MatrixLieAlgebra:
         see the module-level `structure_constants`."""
         solver = self.expansion_solver
         n, dim = self.matrix_size, self.dim
-        rows = [sparse_rows(b) for b in self.basis]
+        rows = [b.sparse_rows() for b in self.basis]
         c = []
         for a in range(dim):
             row = []
@@ -124,26 +125,18 @@ class MatrixLieAlgebra:
         return ops
 
 
-def sparse_rows(m: Matrix) -> list[list]:
-    """The nonzero entries of each row of a square matrix, as (column,
-    value) pairs."""
-    n, e = m.cols, m.entries()
-    return [[(j, x) for j, x in enumerate(e[i * n:(i + 1) * n]) if x]
-            for i in range(n)]
-
-
 def bracket_entries(xr: list, yr: list, n: int) -> list:
     """Flat row-major entries of [x, y] = xy - yx for n x n matrices given
-    by their `sparse_rows`, in one pass over the nonzero entries; sums are
-    not normalized."""
+    by their `Matrix.sparse_rows`, in one pass over the nonzero entries;
+    sums are not normalized."""
     out = [0] * (n * n)
     for i in range(n):
         base = i * n
-        for t, a in xr[i]:
-            for j, b in yr[t]:
+        for t, a in xr[i].items():
+            for j, b in yr[t].items():
                 out[base + j] += a * b
-        for t, a in yr[i]:
-            for j, b in xr[t]:
+        for t, a in yr[i].items():
+            for j, b in xr[t].items():
                 out[base + j] -= a * b
     return out
 
@@ -196,7 +189,8 @@ def make_classical(family: str, n: int) -> MatrixLieAlgebra:
 class ExpansionSolver:
     """Expands matrices in a fixed matrix basis, exactly and repeatedly.
 
-    One row reduction of [flattened basis | identity] gives a transform
+    One row reduction of [flattened basis | identity], built as sparse
+    rows, gives a transform
     that maps a flattened matrix to its basis coefficients followed by
     consistency residues.  The transform is held as sparse columns, one
     per matrix entry, so an expansion touches only the transform entries
@@ -210,20 +204,17 @@ class ExpansionSolver:
             return
         n2 = basis[0].rows * basis[0].cols
         dim = self.dim = len(basis)
-        width = dim + n2
-        aug = [0] * (n2 * width)
+        aug = [{dim + t: 1} for t in range(n2)]
         for k, b in enumerate(basis):
             for t, x in enumerate(b.entries()):
-                aug[t * width + k] = x
-        for t in range(n2):
-            aug[t * width + dim + t] = 1
-        R, pivots = Matrix._of(n2, width, tuple(aug)).rref()
+                if x:
+                    aug[t][k] = x
+        R, pivots = Matrix._of_rows(dim + n2, aug).rref()
         if pivots[:dim] != list(range(dim)):
             raise ValueError("basis matrices are linearly dependent")
-        e = R.entries()
-        self._columns = [
-            [(i, e[i * width + dim + t]) for i in range(n2)
-             if e[i * width + dim + t]] for t in range(n2)]
+        self._columns = _columns(
+            [(i, k - dim, x) for i, row in enumerate(R.sparse_rows())
+             for k, x in row.items() if k >= dim], n2)
 
     def expand(self, m) -> tuple[Scalar, ...]:
         """Coefficients of m, a Matrix or its flat row-major entries, in
@@ -283,7 +274,7 @@ def ad_invariance_failure(c, q: Matrix):
     """
     dim = len(c)
     qe = q.entries()
-    qrows = sparse_rows(q)
+    qrows = q.sparse_rows()
     for x in range(dim):
         cx = c[x]
         nonzero = [[(k, v) for k, v in enumerate(cx[a]) if v]
@@ -294,7 +285,7 @@ def ad_invariance_failure(c, q: Matrix):
             # c[x][a], then row a of Q paired with each c[x][b]
             row = [0] * dim
             for k, v in nonzero[a]:
-                for b, w in qrows[k]:
+                for b, w in qrows[k].items():
                     row[b] += v * w
             base = a * dim
             for b, k, v in triples:

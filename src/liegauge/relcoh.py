@@ -18,10 +18,10 @@ action, from the coadjoint images on the split table, and the
 differential, from the images d xi_l of the dual generators, so the
 joint-invariant computation stays within the iterative kernel refinement
 of `exact.joint_kernel`.  Both depend only on the pair and the wedge
-degree, so a pair builds each once per degree, on first request, and
-keeps it as tuples (`ReductivePair.subalgebra_action`,
-`ReductivePair.differential`); every kernel and rank is still computed on
-each call.
+degree, so a pair builds each once per degree, on first request, from
+generator images it builds once, and keeps it as tuples
+(`ReductivePair.subalgebra_action`, `ReductivePair.differential`); every
+kernel and rank is still computed on each call.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ __all__ = [
 ]
 
 WEDGE_CEILING = 20000
-# largest differential, C(m, q) * C(m, q + 1) entries, whose images on
-# the invariant cochains relative_ce_cohomology ranks as a dense Matrix
-# for a non-symmetric pair; every complement with m <= 10 fits
+# largest differential, C(m, q) * C(m, q + 1) entries if dense, whose
+# images on the invariant cochains of a non-symmetric pair
+# relative_ce_cohomology ranks as sparse rows; every m <= 10 fits
 DIFFERENTIAL_CEILING = 100000
 
 
@@ -101,6 +101,15 @@ class ReductivePair:
         return tuple(tuple(col[kd:] for col in row[kd:]) for row in c[kd:])
 
     @cached_property
+    def _action_images(self) -> list:
+        c, kd = self.split.structure_constants, self.k_dim
+        return coadjoint_images(c[:kd], kd)
+
+    @cached_property
+    def _d_images(self) -> list:
+        return _differential_images(self)
+
+    @cached_property
     def _subalgebra_actions(self) -> dict:
         return {}
 
@@ -117,10 +126,8 @@ class ReductivePair:
         memo = self._subalgebra_actions
         ops = memo.get(q)
         if ops is None:
-            c, kd = self.split.structure_constants, self.k_dim
             ops = memo[q] = tuple(map(tuple, graded_derivations(
-                coadjoint_images(c[:kd], kd), self.p_dim, q,
-                alternating=True)))
+                self._action_images, self.p_dim, q, alternating=True)))
         return ops
 
     def differential(self, q: int) -> tuple:
@@ -130,7 +137,7 @@ class ReductivePair:
         memo = self._differentials
         d = memo.get(q)
         if d is None:
-            (d,) = graded_derivations(_differential_images(self), self.p_dim,
+            (d,) = graded_derivations(self._d_images, self.p_dim,
                                       q, alternating=True)
             d = memo[q] = tuple(d)
         return d
@@ -264,16 +271,15 @@ def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
                 f"differential from wedge degree {q} needs {entries} "
                 f"matrix entries, over the ceiling {DIFFERENTIAL_CEILING}")
     invariants = [invariant_wedge_basis(pair, q) for q in range(m + 1)]
-    # ranks[q + 1] is the rank of d on the invariant q-cochains
+    # ranks[q + 1] is the rank of d on the invariant q-cochains: that of
+    # their images, taken as the sparse rows of a Matrix
     ranks = [0] * (m + 2)
     for q in range(m):
         if not invariants[q]:
             continue
         cols = _columns(pair.differential(q), math.comb(m, q))
-        rows = range(math.comb(m, q + 1))
-        images = [_combination((x, cols[j]) for j, x in enumerate(w) if x)
-                  for w in invariants[q]]
-        ranks[q + 1] = Matrix.from_columns(
-            [[img.get(i, 0) for i in rows] for img in images]).rank()
+        ranks[q + 1] = Matrix._of_rows(math.comb(m, q + 1), [
+            _combination((x, cols[j]) for j, x in enumerate(w) if x)
+            for w in invariants[q]]).rank()
     return tuple(len(invariants[q]) - ranks[q] - ranks[q + 1]
                  for q in range(m + 1))

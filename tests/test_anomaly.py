@@ -140,8 +140,8 @@ def test_block_duplication_cancels():
 
 def test_equal_sides_always_cancel():
     rng = random.Random(100)
-    block = [m.hstack(Matrix.zero(2, 1)) for m in SL2.basis]
-    embed3 = [Matrix.from_rows(b.to_lists() + [[0, 0, 0]]) for b in block]
+    embed3 = [Matrix.from_rows([row + [0] for row in m.to_lists()]
+                               + [[0, 0, 0]]) for m in SL2.basis]
     for _ in range(6):
         s = random_invertible(rng, 3)
         sinv = s.inverse()

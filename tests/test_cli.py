@@ -710,6 +710,40 @@ class TestOutputContract:
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest, peak_mib", [
+        (["invariants", "--algebra", "sl4", "--max-degree", "4"],
+         "352fb6931c4e93f5d177b28dfeaabbaca49e8272ff2ed973f060c59c2597d5b5",
+         50),
+        (["relcoh", "--pair", "sl5/so5"],
+         "0ae15f8af1a02d3d73ad75684c9edadd57e24d05a0facfdd9e461634d6a5e424",
+         342),
+    ], ids=["sl4-degree-4", "sl5/so5"])
+    def test_large_reports_keep_their_bytes_in_bounded_memory(
+            self, argv, digest, peak_mib):
+        # structured bytes of a reference build for the two largest exact
+        # commands, each run once in a fresh interpreter that prints the
+        # peak resident set of its own address space (VmHWM, in KiB).  Not
+        # ru_maxrss: Linux carries the spawning process's peak into it at
+        # exec, so this test process's memory would count
+        script = ("import re, sys\n"
+                  "from liegauge import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "sys.stdout.flush()\n"
+                  "with open('/proc/self/status') as f:\n"
+                  "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read())[1],\n"
+                  "          file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--output", "structured"],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+        assert int(done.stderr.split()[-1]) < peak_mib * 1024
+
     def test_structured_output_round_trips(self, capsys):
         assert cli.main(["relcoh", "--pair", "sl2/so2",
                          "--output", "structured"]) == 0
@@ -834,8 +868,8 @@ class TestStructureCache:
             assert hashlib.sha256(capsys.readouterr().out.encode()
                                   ).hexdigest() == (
                 "f94dc9e792a6f23107bb77d63a8e53c1f646552c02e3f87ac3a4478be0438fe9")
-        # one build per wedge degree on the first call, none on the second
-        assert built == [3] * 6
+        # one build on the first call, none on the second
+        assert built == [3]
 
     @pytest.mark.parametrize("argv, digest", [
         (["relcoh", "--pair", "sl3/so3"],

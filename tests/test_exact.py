@@ -189,7 +189,7 @@ def test_rref_pivot_tiebreak_is_first_nonzero():
     m = Matrix.from_rows([[0, 2], [3, 1], [6, 1]])
     R, pivots = m.rref()
     assert pivots == [0, 1]
-    assert R.row(0) == (Fraction(1), Fraction(0))
+    assert R.to_lists()[0] == [1, 0]
 
 
 def test_scale_matches_the_entrywise_products():
@@ -498,6 +498,64 @@ def test_sparse_joint_kernel_matches_dense_reference(gaussian):
             assert len(v) == dim
             for x in v:
                 assert_normalized(x)
+
+
+# -- a matrix built from flat entries and from sparse rows -------------------
+
+
+def both_forms(rng, rows, ncols):
+    """The matrix of `rows` built from its flat entries and from sparse
+    rows, each row dict listing its columns in a shuffled order."""
+    dense = Matrix(len(rows), ncols, [x for row in rows for x in row])
+    sparse = []
+    for row in rows:
+        cols = [j for j, x in enumerate(row) if x]
+        rng.shuffle(cols)
+        sparse.append({j: as_scalar(row[j]) for j in cols})
+    return dense, Matrix._of_rows(ncols, sparse)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_flat_and_sparse_built_matrices_agree(gaussian):
+    rng = random.Random(5150 + gaussian)
+    cases = [random_sparse_rows(rng, nrows, ncols, gaussian)
+             for nrows, ncols in ((rng.randint(1, 6), rng.randint(1, 6))
+                                  for _ in range(40))]
+    # full squares, mostly invertible
+    cases += [[[random_sparse_scalar(rng, gaussian, 1.0) for _ in range(n)]
+               for _ in range(n)] for n in (1, 2, 3, 4) for _ in range(5)]
+    shapes = [(len(rows), len(rows[0])) for rows in cases]
+    # 0 x n and n x 0
+    cases += [[], [], [[]] * 3, [[]]]
+    shapes += [(0, 0), (0, 4), (3, 0), (1, 0)]
+    inverted = 0
+    for rows, (nrows, ncols) in zip(cases, shapes):
+        dense, sparse = both_forms(rng, rows, ncols)
+        before = [dict(row) for row in sparse.sparse_rows()]
+        assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols) == (
+            nrows, ncols)
+        assert dense == sparse and sparse == dense
+        assert hash(dense) == hash(sparse)
+        assert dense.entries() == sparse.entries()
+        assert dense.sparse_rows() == sparse.sparse_rows() == before
+        (R, pivots), (S, spivots) = dense.rref(), sparse.rref()
+        assert (R, pivots) == (S, spivots)
+        assert R.entries() == S.entries()
+        assert R.sparse_rows() == S.sparse_rows()
+        assert dense.rank() == sparse.rank() == len(pivots)
+        assert dense.kernel_basis() == sparse.kernel_basis()
+        if nrows == ncols and len(pivots) == nrows:
+            inverse = sparse.inverse()
+            assert dense.inverse() == inverse
+            assert sparse * inverse == Matrix.identity(nrows)
+            inverted += 1
+        elif nrows == ncols:
+            for m in (dense, sparse):
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+        # elimination works on copies: the sparse-built rows are unchanged
+        assert sparse.sparse_rows() == before
+    assert inverted >= 15
 
 
 # -- no float ever enters the exact layer ---------------------------------

@@ -76,13 +76,6 @@ def unit_cochain(action: LinearAction) -> EquivariantCochain:
     return constant_cochain(action, term(action.g_dim, action.m, 1.0))
 
 
-def abelian_point(g_dim: int) -> LinearAction:
-    """An abelian algebra acting on a point (m = 0): the degeneration
-    where the whole geometric differential d + iota vanishes."""
-    return LinearAction(f"abelian rank {g_dim} on a point",
-                        [np.zeros((0, 0))] * g_dim)
-
-
 # -- polynomial forms ---------------------------------------------------------
 
 
@@ -595,17 +588,6 @@ class TestLinearAction:
             assert np.array_equal(ga, gb)
             assert abs(np.linalg.det(ga)) > 1e-8
 
-    def test_point_action_has_no_coordinates(self):
-        point = abelian_point(2)
-        assert point.m == 0
-        g = GroupSampler(point, seed=0).draw()
-        assert g.shape == (0, 0)
-        assert point.inverse(g).shape == (0, 0)
-        assert point.coefficients(np.zeros((0, 0))) == [0.0, 0.0]
-        one = term(2, 0, 1.0)
-        c = EquivariantCochain(point, 1, lambda gs: one)
-        assert op_ibar(c)(()).is_zero()
-
 
 # -- cochains ------------------------------------------------------------------
 
@@ -1066,29 +1048,6 @@ def degree_shift_check() -> dict:
     return {"shifts": table, "ok": all(table.values())}
 
 
-def abelian_point_check(g_dim: int = 1) -> dict:
-    """Abelian algebra on a point: the geometric differential d + iota is
-    identically zero on generator polynomials, and the coboundary of any
-    0-cochain vanishes because the trivial group acts trivially."""
-    action = abelian_point(g_dim)
-    rng = random.Random(0)
-    terms = {}
-    for _ in range(4):
-        omega = [0] * g_dim
-        for _ in range(rng.randint(0, 3)):
-            omega[rng.randrange(g_dim)] += 1
-        terms[(tuple(omega), (), ())] = rng.uniform(-1.0, 1.0)
-    cochain = constant_cochain(action, PolyForm(g_dim, 0, terms))
-    geometric = (op_d(cochain) + op_iota(cochain))(())
-    empty = np.zeros((0, 0))
-    bar = op_dbar(cochain)((empty,))
-    return {
-        "geometric_zero": geometric.is_zero(),
-        "bar_zero": bar.is_zero(),
-        "ok": geometric.is_zero() and bar.is_zero(),
-    }
-
-
 # -- the total differential ----------------------------------------------------
 
 
@@ -1122,12 +1081,6 @@ class TestTotalDifferential:
         assert report["dbar_residual"] == 0.0
         assert report["total_bar_residual"] == 0.0
         assert report["cartan_match"]
-
-    def test_point_action_kills_the_geometric_pair(self):
-        report = abelian_point_check(g_dim=2)
-        assert report["ok"]
-        assert report["geometric_zero"]
-        assert report["bar_zero"]
 
     def test_geometric_component_matches_the_public_operators_bitwise(self):
         c = random_cochain(SL2, random.Random(51), 1)

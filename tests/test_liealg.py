@@ -26,7 +26,6 @@ from liegauge.liealg import (
     invariant_polynomial_dimension,
     killing_form,
     make_classical,
-    sparse_rows,
     structure_constants,
     symmetric_power_dimension,
 )
@@ -250,7 +249,7 @@ def test_invariant_polynomial_resource_guard():
 def bracket(x: Matrix, y: Matrix) -> Matrix:
     """[x, y] = xy - yx through the sparse path the structure layer runs."""
     n = x.rows
-    return Matrix(n, n, bracket_entries(sparse_rows(x), sparse_rows(y), n))
+    return Matrix(n, n, bracket_entries(x.sparse_rows(), y.sparse_rows(), n))
 
 
 def test_bracket_antisymmetry_matrix_level():
