@@ -2,7 +2,8 @@
 
 Subpackages and modules:
 
-  exact       rational/Gaussian-rational scalars and dense exact matrices
+  exact       rational/Gaussian-rational scalars, exact matrices with
+              sparse-row elimination, and sparse joint kernels
   liealg      classical matrix Lie algebras, structure constants,
               invariant polynomial dimensions
   wzw         noncommutative trace-word engine, gauge identities, and the

@@ -5,10 +5,10 @@ a pair of rational parts).  A rational with denominator 1 is a Python
 `int`, any other is a `fractions.Fraction`, and the parts of a
 `GaussianRational` follow the same int-first rule.  `as_scalar` owns that
 rule, and maps a Gaussian rational on the real axis to its rational part,
-so no matrix entry, trace or vector this module returns is one.  Almost
-every entry of the classical bases and their structure data is a small
-integer, and integer arithmetic is several times faster than Fraction
-arithmetic.
+so no matrix entry, trace or kernel coordinate this module returns is
+one.  Almost every entry of the classical bases and their structure data
+is a small integer, and integer arithmetic is several times faster than
+Fraction arithmetic.
 Division goes through `divide`, which returns an exact Fraction where
 `int / int` would return a float.  Everything downstream that must be
 exact (structure constants, Killing forms, anomaly matrices, kernel
@@ -23,9 +23,11 @@ it, so a pivot visits only the rows it meets rather than every row.  The
 pivot of a column is the first unused row in its index with a nonzero
 entry; the reduced row echelon form of a matrix is unique, so
 that rule decides the order of the work only, never R or the pivots.
-The operators of `joint_kernel` are indexed by column for the same
-reason.  Results are deterministic and reproducible across runs and
-platforms.
+`joint_kernel`, the one kernel routine, takes its operators as sparse
+`(row, column, value)` triples, indexes them by column for the same
+reason, and hands its kernel vectors back sparse, as `{index: value}`
+dicts of the nonzero coordinates.  Results are deterministic and
+reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
@@ -172,13 +171,6 @@ def divide(a: Scalar, b: Scalar) -> Scalar:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return as_scalar(a / b)
-
-
-def conj(x: Scalar) -> Scalar:
-    x = as_scalar(x)
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    return x
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -253,16 +245,6 @@ class Matrix:
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return cls(r, c, [x for row in rows for x in row])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Scalar]]) -> "Matrix":
-        c = len(cols)
-        r = len(cols[0]) if c else 0
-        return cls(r, c, [cols[j][i] for i in range(r) for j in range(c)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -345,28 +327,11 @@ class Matrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def matvec(self, v: Sequence[Scalar]) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        nonzero = [(t, x) for t, x in enumerate(v) if x]
-        e, n = self.entries(), self.cols
-        out = []
-        for i in range(self.rows):
-            s = 0
-            base = i * n
-            for t, x in nonzero:
-                s = s + e[base + t] * x
-            out.append(as_scalar(s))
-        return tuple(out)
-
     def transpose(self) -> "Matrix":
         e = self.entries()
         return Matrix(self.cols, self.rows,
                       [e[i * self.cols + j]
                        for j in range(self.cols) for i in range(self.rows)])
-
-    def conjugate(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [conj(a) for a in self.entries()])
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -469,21 +434,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> list[tuple]:
-        """Basis of the right kernel, as tuples of length self.cols.
-
-        Deterministic: one vector per free column, in column order, with a 1
-        in the free position.
-        """
-        basis = []
-        for j, entries in _free_columns(*self.rref()).items():
-            v = [0] * self.cols
-            v[j] = 1
-            for pj, x in entries:
-                v[pj] = x
-            basis.append(tuple(v))
-        return basis
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
@@ -499,12 +449,9 @@ class Matrix:
 
 
 def _columns(op, dim: int) -> list[list]:
-    """The nonzero entries of a Matrix or triple-list operator, grouped by
-    input column: column j holds (i, value) pairs, repeated triples summed
-    and each value normalized once."""
-    if isinstance(op, Matrix):
-        n = op.cols
-        op = [(t // n, t % n, x) for t, x in enumerate(op.entries()) if x]
+    """The nonzero entries of an [(i, j, value)] triple-list operator,
+    grouped by input column: column j holds (i, value) pairs, repeated
+    triples summed and each value normalized once."""
     by_col: list[dict] = [{} for _ in range(dim)]
     for i, j, val in op:
         col = by_col[j]
@@ -539,10 +486,10 @@ def _free_columns(R: Matrix, pivots: list[int]) -> dict:
     return free
 
 
-def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
+def joint_kernel(dim: int, ops: Sequence) -> list[dict]:
     """Intersection of the kernels of several operators on a dim-space.
 
-    Each op is a Matrix (dim x dim) or a sparse [(i, j, value)] triple list.
+    Each op is a sparse [(i, j, value)] triple list, rows i < dim.
     Works by iterative restriction: the running kernel basis is refined one
     operator at a time, so early operators with small kernels keep later
     eliminations cheap.  The basis is kept sparse and each operator is
@@ -551,7 +498,11 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
     columns of one Matrix per operator, built from its sparse rows and
     reduced by one `Matrix.rref`, and the next basis is read from the free
     columns of R, a free column with no entries keeping its basis vector
-    as it is.  Returns basis vectors (tuples of length dim).
+    as it is.  Returns the basis vectors as they were kept: `{index:
+    value}` dicts of the nonzero coordinates, values normalized by
+    `as_scalar`.  With one operator the basis is that of the operator's
+    right kernel read from its reduced row echelon form: one vector per
+    free column, in column order, with a 1 at the free column.
     """
     basis: list[dict] = [{j: 1} for j in range(dim)]
     for op in ops:
@@ -569,4 +520,4 @@ def joint_kernel(dim: int, ops: Sequence) -> list[tuple]:
                               + [(x, basis[p].items()) for p, x in entries])
                  if entries else basis[j]
                  for j, entries in free.items()]
-    return [tuple(v.get(i, 0) for i in range(dim)) for v in basis]
+    return basis

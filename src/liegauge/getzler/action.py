@@ -21,7 +21,6 @@ CONVENTIONS.md, section W4.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,19 +35,18 @@ FIELD_SIGN = 1.0
 
 
 class LinearAction:
-    def __init__(self, name: str, basis):
-        self.name = name
-        mats = [np.asarray(b, dtype=float) for b in basis]
-        if not mats:
-            raise ValueError("cannot infer the ambient dimension")
-        m = mats[0].shape[0]
-        for b in mats:
-            if b.shape != (m, m):
-                raise ValueError(f"basis matrix of shape {b.shape}, "
-                                 f"expected ({m}, {m})")
+    """An exact MatrixLieAlgebra with rational entries, as float matrices
+    acting on R^m in its defining representation; the action keeps the
+    algebra as `algebra`."""
+
+    def __init__(self, alg):
+        if alg.scalar != "rational":
+            raise ValueError(
+                f"{alg.name} has non-real entries; no real ambient action")
+        m = alg.matrix_size
+        mats = [np.array(b.to_lists(), dtype=float) for b in alg.basis]
         self.m = m
-        # the exact algebra of the basis, when built from one
-        self.algebra = None
+        self.algebra = alg
         self.g_dim = len(mats)
         self.basis = tuple(mats)
         # fields[a]: the matrix V of the fundamental field x -> V x of
@@ -69,32 +67,17 @@ class LinearAction:
     @classmethod
     def sl2(cls) -> "LinearAction":
         """sl(2) on R^2, on the classical basis (h, e, f)."""
-        return cls.from_exact_algebra(make_classical("sl", 2))
-
-    @classmethod
-    def from_exact_algebra(cls, alg) -> "LinearAction":
-        """Float image of an exact MatrixLieAlgebra in its defining
-        representation; rational scalars only.  The action keeps the
-        algebra as `algebra`."""
-        if alg.scalar != "rational":
-            raise ValueError(
-                f"{alg.name} has non-real entries; no real ambient action")
-        mats = [[[float(b[i, j]) for j in range(alg.matrix_size)]
-                 for i in range(alg.matrix_size)] for b in alg.basis]
-        action = cls(f"{alg.name} on R^{alg.matrix_size}", mats)
-        action.algebra = alg
-        return action
+        return cls(make_classical("sl", 2))
 
     # -- exact dual frame -----------------------------------------------------
 
     def _dual_frame(self):
         """Left inverse P of the flattened basis, so that coefficients of a
         matrix M inside the span are P @ vec(M).  Computed with rationals:
-        P = (F^T F)^(-1) F^T for F the m^2-by-g_dim basis matrix."""
-        cols = [[Fraction(float(b[i, j])) for i in range(self.m)
-                 for j in range(self.m)] for b in self.basis]
-        F = Matrix.from_columns(cols)
-        Ft = F.transpose()
+        P = (F^T F)^(-1) F^T for F the m^2-by-g_dim basis matrix, read
+        from the exact algebra's entries."""
+        Ft = Matrix.from_rows([b.entries() for b in self.algebra.basis])
+        F = Ft.transpose()
         try:
             P = (Ft * F).inverse() * Ft
         except ValueError:
@@ -109,9 +92,6 @@ class LinearAction:
         return [float(row @ vec) for row in self._dual]
 
     # -- group plumbing ---------------------------------------------------------
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.m)
 
     def is_identity(self, h) -> bool:
         return np.array_equal(np.asarray(h), self._eye)

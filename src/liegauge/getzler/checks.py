@@ -67,8 +67,6 @@ DYADIC_SL2_SAMPLES = (
 def killing_quadratic_cochain(action: LinearAction):
     """The invariant 0-cochain B(X, X) for B the Killing form of the
     action's exact algebra; coefficients are exact dyadic floats."""
-    if action.algebra is None:
-        raise ValueError(f"{action.name} has no exact algebra")
     B = killing_form(action.algebra)
     terms = {}
     g_dim = action.g_dim

@@ -280,9 +280,6 @@ class PolyForm:
             return self
         return self._like({k: v * c for k, v in self._terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def norm(self) -> float:
         """Largest absolute coefficient; the residual measure used in
         checks, NaN when any coefficient is NaN."""
@@ -309,10 +306,6 @@ class PolyForm:
         return "PolyForm(" + " + ".join(bits) + ")"
 
     # -- grading -----------------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        """Polynomial degrees 2|Omega| + |dx| present among the terms."""
-        return {2 * sum(omega) + len(dx) for omega, _, dx in self.terms}
 
     def twist(self, l: int) -> "PolyForm":
         """Multiply each term by (-1)^(l * degree); the cup-product sign."""

@@ -180,12 +180,17 @@ def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None
         raise ValueError(
             "restricted Killing form is degenerate "
             f"(radical dimension {radical})")
-    p_coords = Matrix.from_rows(pairing_rows).kernel_basis()
-    # p = sum_r v[r] g.basis[r]: the flattened basis times the coordinates
+    p_coords = joint_kernel(g.dim, [[
+        (i, s, x) for i, row in enumerate(pairing_rows)
+        for s, x in enumerate(row) if x]])
+    # p = sum_r v[r] g.basis[r], over the nonzero coordinates of v
     n = g.matrix_size
-    flat = Matrix.from_columns([b.entries() for b in g.basis])
+    flat = [[(t, x) for t, x in enumerate(b.entries()) if x]
+            for b in g.basis]
     pair = ReductivePair(g=g, k=k, p_basis=tuple(
-        Matrix(n, n, flat.matvec(v)) for v in p_coords))
+        Matrix(n, n, [p.get(t, 0) for t in range(n * n)])
+        for p in (_combination((x, flat[r]) for r, x in v.items())
+                  for v in p_coords)))
     c, kd = pair.split.structure_constants, k.dim
     for a in range(kd):
         for b in range(a + 1, kd):
@@ -212,12 +217,13 @@ def _check_ceiling(m: int, q: int) -> None:
             f"ceiling {WEDGE_CEILING}")
 
 
-def invariant_wedge_basis(pair: ReductivePair, q: int) -> list[tuple]:
+def invariant_wedge_basis(pair: ReductivePair, q: int) -> list[dict]:
     """Coordinate vectors (in the sorted-subset basis) spanning the
-    subalgebra-invariant part of the q-wedge of the dual complement; the
-    plain complex has no acting rows, so every vector is invariant.  Each
-    call computes the kernel afresh; the pair's action on the q-wedge is
-    built on the first call for q and kept
+    subalgebra-invariant part of the q-wedge of the dual complement, as
+    `joint_kernel` returns them: `{subset index: value}` dicts of the
+    nonzero coordinates.  The plain complex has no acting rows, so every
+    vector is invariant.  Each call computes the kernel afresh; the pair's
+    action on the q-wedge is built on the first call for q and kept
     (`ReductivePair.subalgebra_action`)."""
     m = pair.p_dim
     if q < 0 or q > m:
@@ -279,7 +285,7 @@ def relative_ce_cohomology(pair: ReductivePair) -> tuple[int, ...]:
             continue
         cols = _columns(pair.differential(q), math.comb(m, q))
         ranks[q + 1] = Matrix._of_rows(math.comb(m, q + 1), [
-            _combination((x, cols[j]) for j, x in enumerate(w) if x)
+            _combination((x, cols[j]) for j, x in w.items())
             for w in invariants[q]]).rank()
     return tuple(len(invariants[q]) - ranks[q] - ranks[q + 1]
                  for q in range(m + 1))

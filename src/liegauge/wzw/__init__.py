@@ -16,7 +16,6 @@ from .ops import (
     lambda_form,
     lie_derivative,
     mu,
-    power,
     quadratic_expected_constant,
     theta,
     wzw_form,
@@ -26,6 +25,6 @@ from .words import C, DG, G, GINV, FormExpression, Term
 __all__ = [
     "C", "DG", "G", "GINV", "FormExpression", "Term", "PiValue",
     "IdentityResult", "SuiteReport", "contract", "differential", "evaluate",
-    "lambda_commutator", "lambda_form", "lie_derivative", "mu", "power",
+    "lambda_commutator", "lambda_form", "lie_derivative", "mu",
     "quadratic_expected_constant", "run_identity_suite", "theta", "wzw_form",
 ]

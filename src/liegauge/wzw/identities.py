@@ -27,6 +27,7 @@ from .ops import (
     lambda_commutator,
     lambda_form,
     mu,
+    powers,
     quadratic_expected_constant,
     theta,
     wzw_form,
@@ -73,14 +74,6 @@ class _FixedForms:
     theta_contraction: FormExpression    # T_L(a) - g T_R(a) g^-1
 
 
-def _powers(x: FormExpression, n: int) -> tuple:
-    """x^0 .. x^n, each power one product from the previous one."""
-    out = [FormExpression.one()]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return tuple(out)
-
-
 @functools.cache
 def _fixed_forms() -> _FixedForms:
     """The suite's fixed inputs, built on first use and shared by every
@@ -89,8 +82,8 @@ def _fixed_forms() -> _FixedForms:
         omega=wzw_form(),
         lam_a=lambda_form("a"),
         lam_b=lambda_form("b"),
-        mu=_powers(mu(), 6),
-        theta=_powers(theta(), 6),
+        mu=powers(mu(), 6),
+        theta=powers(theta(), 6),
         lam_ab=lambda_commutator("a", "b"),
         lam_ba=lambda_commutator("b", "a"),
         quadratic_constant=quadratic_expected_constant("a", "b"),

@@ -103,16 +103,17 @@ def theta() -> FormExpression:
     return FormExpression.word((DG, GINV))
 
 
-def power(x: FormExpression, n: int) -> FormExpression:
-    out = FormExpression.one()
+def powers(x: FormExpression, n: int) -> tuple:
+    """x^0 .. x^n, each power one product from the previous one."""
+    out = [FormExpression.one()]
     for _ in range(n):
-        out = out * x
-    return out
+        out.append(out[-1] * x)
+    return tuple(out)
 
 
 def wzw_form() -> FormExpression:
     """(1/12) pi^-1 Tr((g^-1 dg)^3)."""
-    return power(mu(), 3).trace().scale(Fraction(1, 12), -1)
+    return powers(mu(), 3)[3].trace().scale(Fraction(1, 12), -1)
 
 
 def lambda_form(label) -> FormExpression:

@@ -209,14 +209,6 @@ class FormExpression:
     def degrees(self) -> set[int]:
         return {t.degree() for t in self.terms}
 
-    def components(self) -> dict[int, "FormExpression"]:
-        """Split by form degree."""
-        by_deg: dict[int, list[Term]] = {}
-        for t in self.terms:
-            by_deg.setdefault(t.degree(), []).append(t)
-        return {d: FormExpression._of(self.kind, tuple(ts), self._canonical)
-                for d, ts in sorted(by_deg.items())}
-
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other: "FormExpression") -> "FormExpression":

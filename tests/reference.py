@@ -11,10 +11,16 @@ computes another way, so a test can check the two against each other.
   verify_jacobi              the structure constants of `liealg`
   trace_form                 Tr(e_a e_b) through matrix products, the
                              multiple of the Killing form on simple algebras
+
+Below them sit the dense helpers the tests share and no command needs: a
+zero matrix, a matrix from its columns, a matrix applied to a vector,
+entrywise complex conjugation, a matrix's nonzero triples, a sparse
+vector made dense, and the right kernel of any matrix through
+`exact.joint_kernel`.
 """
 
 from liegauge.anomaly import GaugeEmbedding
-from liegauge.exact import Matrix
+from liegauge.exact import GaussianRational, Matrix, as_scalar, joint_kernel
 from liegauge.liealg import MatrixLieAlgebra
 from liegauge.wzw import contract, evaluate, lambda_form
 
@@ -70,3 +76,59 @@ def trace_form(alg: MatrixLieAlgebra) -> Matrix:
     dim = alg.dim
     return Matrix(dim, dim, [(alg.basis[a] * alg.basis[b]).trace()
                              for a in range(dim) for b in range(dim)])
+
+
+# -- dense helpers -----------------------------------------------------------
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [0] * (rows * cols))
+
+
+def from_columns(cols) -> Matrix:
+    """The matrix whose columns are the given sequences."""
+    c = len(cols)
+    r = len(cols[0]) if c else 0
+    return Matrix(r, c, [cols[j][i] for i in range(r) for j in range(c)])
+
+
+def densify(v: dict, dim: int) -> tuple:
+    """A `{index: value}` vector as a tuple of length dim."""
+    return tuple(v.get(i, 0) for i in range(dim))
+
+
+def matvec(m: Matrix, v) -> tuple:
+    """m times a vector, given as a sequence of m.cols scalars or as an
+    `{index: value}` dict; entries normalized by `as_scalar`."""
+    if isinstance(v, dict):
+        v = densify(v, m.cols)
+    e, n = m.entries(), m.cols
+    return tuple(as_scalar(sum((e[i * n + t] * x for t, x in enumerate(v)),
+                               0)) for i in range(m.rows))
+
+
+def conjugate(m: Matrix) -> Matrix:
+    """The entrywise complex conjugate."""
+    return Matrix(m.rows, m.cols, [
+        GaussianRational(x.re, -x.im) if type(x) is GaussianRational else x
+        for x in m.entries()])
+
+
+def triples(m: Matrix) -> list:
+    """The nonzero entries of m as (row, column, value) triples."""
+    return [(i, j, x) for i, row in enumerate(m.sparse_rows())
+            for j, x in row.items()]
+
+
+def kernel(m: Matrix) -> list[tuple]:
+    """The right kernel of m as dense tuples, from `joint_kernel` on the
+    triples of m's rows taken m.cols at a time (an operator on an n-space
+    has rows below n).  The basis does not depend on the blocks: it is the
+    one that has a 1 at each free column of the reduced row echelon form
+    and 0 at the others, in column order."""
+    n, entries = m.cols, triples(m)
+    if not n:
+        return []
+    ops = [[(i - b, j, x) for i, j, x in entries if b <= i < b + n]
+           for b in range(0, m.rows, n)]
+    return [densify(v, n) for v in joint_kernel(n, ops)]

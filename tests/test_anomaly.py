@@ -12,18 +12,18 @@ from liegauge.anomaly import GaugeEmbedding, anomaly_form, verdict
 from liegauge.exact import Matrix
 from liegauge.liealg import make_classical
 from liegauge.lgio import load_embedding, matrix_from_json, parse_label
-from reference import quadratic_form_via_words, trace_form
+from reference import quadratic_form_via_words, trace_form, zero_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SL2 = make_classical("sl", 2)
 SL3 = make_classical("sl", 3)
-Z2 = Matrix.zero(2, 2)
-Z3 = Matrix.zero(3, 3)
+Z2 = zero_matrix(2, 2)
+Z3 = zero_matrix(3, 3)
 
 
 def left_only(alg):
-    zero = Matrix.zero(alg.matrix_size, alg.matrix_size)
+    zero = zero_matrix(alg.matrix_size, alg.matrix_size)
     return GaugeEmbedding(alg, alg.matrix_size, alg.basis,
                           tuple(zero for _ in alg.basis))
 
@@ -85,7 +85,7 @@ def _first_bracket_failure(domain, images):
                 residual = residual - images[k].scale(x)
             if not residual.is_zero():
                 return (a, b), residual
-    return None, Matrix.zero(n, n)
+    return None, zero_matrix(n, n)
 
 
 @pytest.mark.parametrize("index, delta", [
@@ -275,7 +275,7 @@ def _seeded_embeddings():
             s = random_invertible(rng, n)
             sinv = s.inverse()
             left = tuple(s * t * sinv for t in alg.basis)
-            zero = Matrix.zero(n, n)
+            zero = zero_matrix(n, n)
             right = alg.basis if rng.random() < 0.5 else tuple(
                 zero for _ in alg.basis)
             yield GaugeEmbedding(alg, n, left, right)

@@ -6,6 +6,7 @@ kernel/inverse results, so no expected value below depends on the
 implementation under test.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,11 +16,14 @@ from liegauge.exact import (
     GaussianRational,
     I,
     Matrix,
+    _columns,
+    _combination,
     as_scalar,
     joint_kernel,
     rational_from_string,
     scalar_from_json,
 )
+from reference import conjugate, densify, from_columns, kernel, matvec, triples
 
 
 def bareiss_rank(rows):
@@ -92,7 +96,6 @@ def test_gaussian_field_ops():
     assert a * b - b * a == GaussianRational(0, 0)
     assert (a / b) * b == a
     assert I * I == -1
-    assert a.conjugate().conjugate() == a
 
 
 def test_field_axioms_random_triples():
@@ -214,13 +217,13 @@ def test_kernel_vectors_annihilate():
     for gaussian in (False, True):
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), gaussian)
-            basis = m.kernel_basis()
+            basis = kernel(m)
             assert len(basis) == m.cols - m.rank()  # rank-nullity
             for v in basis:
-                assert all(not x for x in m.matvec(v))
+                assert all(not x for x in matvec(m, v))
             # independence of the kernel basis
             if basis:
-                K = Matrix.from_columns(basis)
+                K = from_columns(basis)
                 assert K.rank() == len(basis)
 
 
@@ -246,7 +249,7 @@ def test_matrix_ring_ops():
     assert (a - a).is_zero()
     assert a.transpose().transpose() == a
     c = Matrix(2, 2, [I, 1 + 0 * I, 0, I])
-    assert c.conjugate()[0, 0] == -I
+    assert conjugate(c)[0, 0] == -I
 
 
 def test_joint_kernel_matches_stacked_kernel():
@@ -254,23 +257,23 @@ def test_joint_kernel_matches_stacked_kernel():
     for _ in range(15):
         dim = rng.randint(2, 5)
         ops = [random_matrix(rng, dim, dim) for _ in range(rng.randint(1, 3))]
-        # force some shared kernel occasionally
+        # force a shared kernel vector v half the time: op - (op v) w^T
+        # with w . v = 1 maps v to zero
         if rng.random() < 0.5:
             v = [random_fraction(rng) for _ in range(dim)]
-            ops = [op - Matrix.from_columns([op.matvec(v)]) *
-                   Matrix.from_rows([v]).scale(0) for op in ops]  # no-op, keep generic
-        got = joint_kernel(dim, ops)
-        stacked = Matrix.from_rows(
-            [row for op in ops for row in op.to_lists()])
-        want = stacked.kernel_basis()
-        assert len(got) == len(want)
-        # spans agree: ranks of unions match
-        if got:
-            both = Matrix.from_columns(list(got) + list(want))
-            assert both.rank() == len(got)
+            vv = sum(x * x for x in v)
+            if vv:
+                w = Matrix.from_rows([[x / vv for x in v]])
+                ops = [op - from_columns([matvec(op, v)]) * w for op in ops]
+        got = [densify(v, dim)
+               for v in joint_kernel(dim, [triples(op) for op in ops])]
+        stacked = [row for op in ops for row in op.to_lists()]
+        # the restriction keeps the basis normalized at the free columns
+        # of the stacked matrix, so the vectors themselves agree
+        assert got == [tuple(v) for v in ref_kernel(stacked, dim)]
         for v in got:
             for op in ops:
-                assert all(not x for x in op.matvec(v))
+                assert all(not x for x in matvec(op, v))
 
 
 def test_joint_kernel_sparse_operator():
@@ -278,8 +281,8 @@ def test_joint_kernel_sparse_operator():
     p0 = [(0, 0, Fraction(1))]
     p2 = [(0, 2, Fraction(1))]
     basis = joint_kernel(3, [p0, p2])
-    assert len(basis) == 1
-    assert basis[0] == (Fraction(0), Fraction(1), Fraction(0))
+    assert basis == [{1: 1}]
+    assert type(basis[0][1]) is int
 
 
 def test_as_scalar_rejects_floats():
@@ -353,12 +356,9 @@ def ref_joint_kernel(dim, ops):
     for op in ops:
         if not basis:
             return []
-        if isinstance(op, Matrix):
-            dense = op.to_lists()
-        else:
-            dense = [[0] * dim for _ in range(dim)]
-            for i, j, val in op:
-                dense[i][j] = dense[i][j] + val
+        dense = [[0] * dim for _ in range(dim)]
+        for i, j, val in op:
+            dense[i][j] = dense[i][j] + val
         images = [[sum(dense[i][j] * v[j] for j in range(dim))
                    for i in range(dim)] for v in basis]
         coeffs = ref_kernel([[img[i] for img in images] for i in range(dim)],
@@ -456,48 +456,69 @@ def test_sparse_rref_matches_dense_reference(gaussian):
             assert_normalized(x)
         # a reduced form is its own reduced form
         assert R.rref() == (R, pivots)
-        assert [list(v) for v in m.kernel_basis()] == ref_kernel(rows, ncols)
+        assert [list(v) for v in kernel(m)] == ref_kernel(rows, ncols)
 
 
 def _random_ops(rng, dim, gaussian):
     ops = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.3:
-            ops.append(Matrix.from_rows(
-                random_sparse_rows(rng, dim, dim, gaussian)))
+            ops.append(triples(Matrix.from_rows(
+                random_sparse_rows(rng, dim, dim, gaussian))))
             continue
-        triples = [(rng.randrange(dim), rng.randrange(dim),
-                    random_sparse_scalar(rng, gaussian, 1.0))
-                   for _ in range(rng.randint(0, 2 * dim))]
-        if triples and rng.random() < 0.3:     # repeated (i, j) entries
-            triples.append(triples[0])
-        ops.append(triples)
+        op = [(rng.randrange(dim), rng.randrange(dim),
+               random_sparse_scalar(rng, gaussian, 1.0))
+              for _ in range(rng.randint(0, 2 * dim))]
+        if op and rng.random() < 0.3:     # repeated (i, j) entries
+            op.append(op[0])
+        ops.append(op)
     return ops
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_sparse_joint_kernel_matches_dense_reference(gaussian):
+    # kernel vectors are zero-free {index: value} dicts of normalized
+    # scalars that densify to the dense reference's vectors
+    from liegauge.liealg import make_classical
+
     rng = random.Random(77 + gaussian)
     cases = []
     for trial in range(60):
         dim = rng.randint(1, 7)
         ops = _random_ops(rng, dim, gaussian)
         if trial % 5 == 0:
-            ops.insert(0, Matrix.zero(dim, dim))
+            ops.insert(0, [])      # the zero operator
         cases.append((dim, ops))
     # restriction sums fractions to the integer -1 in the kernel vector
-    cases.append((5, [Matrix.from_rows([[0, Fraction(1, 2), -1, 0, 0],
-                                        [0, Fraction(-2, 3), -2, -3, 0]]
-                                       + [[0] * 5] * 3),
-                      [(4, 4, 1), (4, 2, 2)]]))
+    cases.append((5, [triples(Matrix.from_rows(
+        [[0, Fraction(1, 2), -1, 0, 0], [0, Fraction(-2, 3), -2, -3, 0]]
+        + [[0] * 5] * 3)), [(4, 4, 1), (4, 2, 2)]]))
+    # the coadjoint derivations of classical algebras on Sym^d, whose
+    # joint kernel is the invariant polynomials, scaled so that Fractions
+    # or Gaussian rationals occur
+    factor = Fraction(1, 3) * (I if gaussian else 1)
+    for family, n, degree in (("sl", 2, 4), ("so", 4, 2), ("su", 2, 2),
+                              ("gl", 2, 3)):
+        alg = make_classical(family, n)
+        cases.append((math.comb(alg.dim + degree - 1, degree), [
+            [(i, j, factor * x) for i, j, x in op]
+            for op in alg.coadjoint_derivations(degree)]))
     for dim, ops in cases:
         got = joint_kernel(dim, ops)
-        want = ref_joint_kernel(dim, ops)
-        assert [list(v) for v in got] == want
+        assert [list(densify(v, dim)) for v in got] == ref_joint_kernel(
+            dim, ops)
         for v in got:
-            assert len(v) == dim
-            for x in v:
-                assert_normalized(x)
+            assert_sparse_vector(v, dim)
+
+
+def assert_sparse_vector(v, dim):
+    """v is a `{index: value}` dict of nonzero normalized scalars."""
+    assert type(v) is dict
+    for i, x in v.items():
+        assert type(i) is int and 0 <= i < dim
+        assert x
+        assert_normalized(x)
+
 
 
 # -- a matrix built from flat entries and from sparse rows -------------------
@@ -543,7 +564,7 @@ def test_flat_and_sparse_built_matrices_agree(gaussian):
         assert R.entries() == S.entries()
         assert R.sparse_rows() == S.sparse_rows()
         assert dense.rank() == sparse.rank() == len(pivots)
-        assert dense.kernel_basis() == sparse.kernel_basis()
+        assert kernel(dense) == kernel(sparse)
         if nrows == ncols and len(pivots) == nrows:
             inverse = sparse.inverse()
             assert dense.inverse() == inverse
@@ -562,9 +583,13 @@ def test_flat_and_sparse_built_matrices_agree(gaussian):
 
 
 def exact_leaves(value):
-    """Every scalar inside matrices and nested tuples/lists of results."""
+    """Every scalar inside matrices, nested tuples/lists and the
+    `{index: value}` dicts of kernel vectors, whose keys are ints."""
     if isinstance(value, Matrix):
         yield from value.entries()
+    elif isinstance(value, dict):
+        assert all(type(i) is int for i in value), value
+        yield from value.values()
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from exact_leaves(item)
@@ -622,9 +647,9 @@ def test_exact_results_hold_no_floats():
                         structure_constants(alg), 0), alg.dim, 2,
                         alternating=False)]
     m = Matrix.from_rows([[2, 4, 1], [1, 3, 0], [0, 1, 5]])
-    results += [m.inverse(), m.rref()[0], Matrix.from_rows(
-        [[3, 1, 2], [6, 2, 4]]).kernel_basis()]
-    results.append(joint_kernel(3, [[(0, 0, 2), (0, 1, 3)], m]))
+    results += [m.inverse(), m.rref()[0], joint_kernel(3, [triples(
+        Matrix.from_rows([[3, 1, 2], [6, 2, 4]]))])]
+    results.append(joint_kernel(3, [[(0, 0, 2), (0, 1, 3)], triples(m)]))
     results.append(joint_kernel(3, [[(0, 0, 2), (0, 1, 3)]]))
 
     leaves = list(exact_leaves(results))
@@ -650,11 +675,14 @@ def test_no_exact_value_is_a_gaussian_on_the_real_axis():
     for alg in (su2, su3):
         results += [alg.basis, alg.structure_constants, killing_form(alg)]
     results.append(cartan_complement(su3, make_classical("so", 3)).p_basis)
-    # a Gaussian matrix whose kernel has real and non-real entries
+    # a Gaussian matrix whose kernel has real and non-real entries, and a
+    # combination of its columns whose second entry I * I - 1 is -2
     m = Matrix.from_rows([[1, I, GaussianRational(2, 0), 0],
                           [I, -1, GaussianRational(0, 2), 3]])
-    results += [m.kernel_basis(), m.matvec((I, 1, 0, 0)),
-                su2.basis[0].trace()]
+    cols = _columns(triples(m), 4)
+    image = _combination([(I, cols[0]), (1, cols[1])])
+    assert image == {0: 2 * I, 1: -2}
+    results += [joint_kernel(4, [triples(m)]), image, su2.basis[0].trace()]
     results += [scalar_from_json(["1", "0"]), scalar_from_json(["0", "0"]),
                 as_scalar(GaussianRational(Fraction(4, 2), 0))]
 
