@@ -16,7 +16,7 @@ identical inputs; the default text form is line oriented.
 
 Each classical algebra comes from `lgio.classical` and each classical pair
 from `_classical_pair`, both built once per process, so repeated in-process
-calls share their structure data; a one-shot run builds them as before.
+calls share their structure data; a one-shot run builds them once.
 Answers are never cached: every call recomputes its report.
 """
 
@@ -191,8 +191,7 @@ def cmd_invariants(algebra_label: str, max_degree: int) -> RunReport:
 def cmd_series(n: int, truncate: int) -> RunReport:
     check_series_size(n, truncate)
     first = e1_page_series(n, truncate)
-    cancelled = koszul_cancellation(
-        transgression_pairs(n), survivor_degrees(n), truncate)
+    cancelled = koszul_cancellation(first, transgression_pairs(n))
     target = series_graded_algebra([], survivor_degrees(n), truncate)
     match = cancelled.coeffs == target.coeffs
     digest = inputs_digest({"command": "series", "n": n,

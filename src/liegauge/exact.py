@@ -126,9 +126,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
@@ -272,6 +269,9 @@ class Matrix:
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(
+                f"index ({i}, {j}) outside a {self.rows} x {self.cols} matrix")
         return self.entries()[i * self.cols + j]
 
     def to_lists(self) -> list:
@@ -323,9 +323,6 @@ class Matrix:
                         s = s + x * b[t * m + j]
                 out.append(s)
         return Matrix(n, m, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def transpose(self) -> "Matrix":
         e = self.entries()

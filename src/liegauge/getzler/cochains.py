@@ -125,11 +125,22 @@ def _exponents(rng, size: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _normalized_cochain(action: LinearAction, arity: int, terms: dict
-                        ) -> EquivariantCochain:
+def _random_normalized_cochain(action: LinearAction, rng, arity: int,
+                               count: int, omega_count, dx_count
+                               ) -> EquivariantCochain:
+    """The term loop of both generators: each of `count` terms draws
+    omega_count() generator factors, up to two coordinate factors,
+    dx_count() differentials and a coefficient, in that order."""
+    terms = {}
+    for _ in range(count):
+        omega = _exponents(rng, action.g_dim, omega_count())
+        x = _exponents(rng, action.m, rng.randint(0, 2))
+        dx = tuple(sorted(rng.sample(range(action.m), dx_count())))
+        key = (omega, x, dx)
+        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
     form = PolyForm(action.g_dim, action.m, terms)
     if arity == 0:
-        return EquivariantCochain(action, 0, lambda gs: form)
+        return constant_cochain(action, form)
     return EquivariantCochain(
         action, arity, lambda gs: form.scale(vanish_factor(gs)))
 
@@ -140,16 +151,9 @@ def random_cochain(action: LinearAction, rng, arity: int
     vanish-at-identity factor of the arguments.  The form has four terms,
     each with up to two generator factors, up to two coordinate factors,
     any set of differentials and a coefficient in [-1, 1]."""
-    m = action.m
-    terms = {}
-    for _ in range(4):
-        omega = _exponents(rng, action.g_dim, rng.randint(0, 2))
-        x = _exponents(rng, m, rng.randint(0, 2) if m else 0)
-        dx = tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) \
-            if m else ()
-        key = (omega, x, dx)
-        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
-    return _normalized_cochain(action, arity, terms)
+    return _random_normalized_cochain(
+        action, rng, arity, 4, lambda: rng.randint(0, 2),
+        lambda: rng.randint(0, action.m))
 
 
 def random_homogeneous_cochain(action: LinearAction, rng, arity: int,
@@ -160,17 +164,10 @@ def random_homogeneous_cochain(action: LinearAction, rng, arity: int,
     (the Leibniz sign, degree shifts).  The form has three terms, each with
     omega_deg generator factors, up to two coordinate factors, dx_deg
     differentials and a coefficient in [-1, 1]."""
-    m = action.m
-    if dx_deg > m:
+    if dx_deg > action.m:
         raise ValueError("cannot wedge more differentials than coordinates")
-    terms = {}
-    for _ in range(3):
-        omega = _exponents(rng, action.g_dim, omega_deg)
-        x = _exponents(rng, m, rng.randint(0, 2) if m else 0)
-        dx = tuple(sorted(rng.sample(range(m), dx_deg)))
-        key = (omega, x, dx)
-        terms[key] = terms.get(key, 0.0) + rng.uniform(-1.0, 1.0)
-    return _normalized_cochain(action, arity, terms)
+    return _random_normalized_cochain(
+        action, rng, arity, 3, lambda: omega_deg, lambda: dx_deg)
 
 
 class CochainFamily:
@@ -179,16 +176,12 @@ class CochainFamily:
     def __init__(self, components=None):
         self.components: dict[int, EquivariantCochain] = {}
         for c in components or ():
-            self._accumulate(c)
+            held = self.components.get(c.arity)
+            self.components[c.arity] = c if held is None else held + c
 
     @classmethod
     def of(cls, cochain: EquivariantCochain) -> "CochainFamily":
         return cls([cochain])
-
-    def _accumulate(self, cochain: EquivariantCochain) -> None:
-        held = self.components.get(cochain.arity)
-        self.components[cochain.arity] = \
-            cochain if held is None else held + cochain
 
     def arities(self) -> list[int]:
         return sorted(self.components)
@@ -197,12 +190,8 @@ class CochainFamily:
         return self.components.get(arity)
 
     def __add__(self, other: "CochainFamily") -> "CochainFamily":
-        out = CochainFamily()
-        for c in self.components.values():
-            out._accumulate(c)
-        for c in other.components.values():
-            out._accumulate(c)
-        return out
+        return CochainFamily([*self.components.values(),
+                              *other.components.values()])
 
     def scale(self, factor: float) -> "CochainFamily":
         return CochainFamily(

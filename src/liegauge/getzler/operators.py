@@ -131,14 +131,13 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
 def total_differential(x, step: float = 1e-3) -> CochainFamily:
     """d_G = d + iota + dbar + ibar, assembled arity by arity."""
     family = x if isinstance(x, CochainFamily) else CochainFamily.of(x)
-    out = CochainFamily()
+    parts = []
     for arity in family.arities():
         c = family.component(arity)
-        out = out + CochainFamily.of(op_dbar(c))
-        out = out + CochainFamily.of(op_d(c) + op_iota(c))
+        parts += [op_dbar(c), op_d(c) + op_iota(c)]
         if arity >= 1:
-            out = out + CochainFamily.of(op_ibar(c, step))
-    return out
+            parts.append(op_ibar(c, step))
+    return CochainFamily(parts)
 
 
 def square_residual(x, sampler: GroupSampler, samples: int,
@@ -174,8 +173,5 @@ def cup(a: EquivariantCochain, b: EquivariantCochain) -> EquivariantCochain:
 
 
 def cup_family(a: CochainFamily, b: CochainFamily) -> CochainFamily:
-    out = CochainFamily()
-    for k in a.arities():
-        for l in b.arities():
-            out = out + CochainFamily.of(cup(a.component(k), b.component(l)))
-    return out
+    return CochainFamily([cup(a.component(k), b.component(l))
+                          for k in a.arities() for l in b.arities()])

@@ -4,10 +4,10 @@ The spectral-page model used here: the first page is an exterior algebra on
 odd generators tensored with a polynomial algebra on even generators.  Each
 transgressive pair (odd degree h, even degree h+1) contributes a Koszul
 complex whose cohomology is one-dimensional, so its series factor
-(1 + t^h)/(1 - t^(h+1)) collapses to 1.  The cancellation routine performs
-that division on truncated series; callers compare its result with the
-survivor algebra's series built directly, so a cancellation is checked by
-two independent routes rather than assumed.
+(1 + t^h)/(1 - t^(h+1)) collapses to 1.  The cancellation routine divides
+a given first page by those factors on truncated series; callers compare
+the quotient with the survivor algebra's series built directly, so the
+page they report is checked against the survivors rather than assumed.
 
 All coefficients are integers and all arithmetic is truncated polynomial
 arithmetic, so equality checks are exact.
@@ -89,14 +89,13 @@ def series_graded_algebra(odd_degrees, even_degrees, truncation: int
     return PoincareSeries(truncation, tuple(out))
 
 
-def koszul_cancellation(pairs, survivors, truncation: int) -> PoincareSeries:
-    """Collapse transgressive pairs out of the page series by division.
+def koszul_cancellation(page: PoincareSeries, pairs) -> PoincareSeries:
+    """Collapse transgressive pairs out of a page series by division.
 
-    pairs: (odd degree h, even degree h+1) couples; survivors: the even
-    generator degrees that remain.  The full page series is divided by
-    each pair's Koszul factor.  This is one route; callers check it
-    coefficient for coefficient against the other, the survivor polynomial
-    algebra series_graded_algebra([], survivors, truncation).
+    pairs: (odd degree h, even degree h+1) couples.  The page is divided by
+    each pair's Koszul factor (1 + t^h)/(1 - t^(h+1)).  Callers check the
+    quotient coefficient for coefficient against the polynomial algebra on
+    the page's unpaired even generators, built by series_graded_algebra.
     """
     pairs = list(pairs)
     for h, c in pairs:
@@ -105,17 +104,13 @@ def koszul_cancellation(pairs, survivors, truncation: int) -> PoincareSeries:
                 f"transgression must raise degree by one, got ({h}, {c})")
         if h < 1:
             raise ValueError(f"odd generator degree {h} must be positive")
-    full = series_graded_algebra(
-        [h for h, _ in pairs],
-        [c for _, c in pairs] + list(survivors),
-        truncation)
-    divided = list(full.coeffs)
+    divided = list(page.coeffs)
     for h, c in pairs:
         _times_binomial(divided, c, -1)
         _over_binomial(divided, h, -1)
     # no sign check: a faulty division is a failed match, not bad input
     out = PoincareSeries.__new__(PoincareSeries)
-    out.__dict__.update(truncation=truncation, coeffs=tuple(divided))
+    out.__dict__.update(truncation=page.truncation, coeffs=tuple(divided))
     return out
 
 
@@ -123,9 +118,11 @@ def check_series_size(n: int, truncation: int) -> None:
     """Fail fast when the `series` command for rank n - 1 is too large.
 
     The command lists each first-page generator (2i for 2 <= i <= n, 2i - 1
-    for odd 3 <= i <= n) a bounded number of times, and every series it
-    builds is at most two O(truncation) factor passes per generator of
-    degree <= truncation.  Every generator, whatever its degree, also costs
+    for odd 3 <= i <= n) a bounded number of times.  It builds the first
+    page, divides it by the Koszul factors and builds the survivor algebra,
+    so each generator of degree <= truncation costs two O(truncation)
+    factor passes: one on the page, and one in the division or in the
+    survivor algebra.  Every generator, whatever its degree, also costs
     list entries, loop steps and report text, measured at about four
     coefficient updates.  The work, truncation times one more than the
     generators of degree <= truncation, plus four per generator, must stay
@@ -159,6 +156,8 @@ def e1_page_series(n: int, truncation: int) -> PoincareSeries:
     Closed form: exterior generators of degree 2i-1 for odd i in 3..n,
     polynomial generators of degree 2i for i in 2..n.  The exterior factor
     is the relative cohomology of sl(n)/so(n); the tests compare the two.
+    The `series` command reports this page and divides it by the Koszul
+    factors of transgression_pairs(n).
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("closed form needs odd n >= 3")

@@ -30,12 +30,11 @@ a `fractions.Fraction`, in every expression the engine builds; a float
 coefficient is a TypeError.
 
 Canonicalization happens in one place, `_normalize_terms`, which cancels
-and rotates each distinct word once per build.  Expressions whose terms
-are canonical skip it: the sum of two only merges like words, and the
-product of two matrix expressions only cancels at each junction of the
-concatenated words.  Terms given with `normalized=True` (such as raw
-Leibniz expansions) are kept as given but are not treated as canonical,
-so anything built from them is normalized in full.
+and rotates each distinct word once per build; every product of matrix
+expressions is normalized there.  The sum of two canonical expressions
+skips it and only merges like words.  Terms given with `normalized=True`
+(such as raw Leibniz expansions) are kept as given but are not treated as
+canonical, so any sum built from them is normalized in full.
 
 The empty word stands for the identity matrix; its trace is the (unbound)
 size of the matrices and is only given a number by the pointwise evaluator.
@@ -105,15 +104,6 @@ def _cancel_adjacent(letters, cyclic: bool) -> tuple:
         while hi - lo >= 2 and _inverse_pair(out[hi - 1], out[lo]):
             lo, hi = lo + 1, hi - 1
     return tuple(out[lo:hi])
-
-
-def _join(u: tuple, v: tuple) -> tuple:
-    """Free reduction of the concatenation u.v of two reduced linear
-    words: only pairs meeting at the junction can cancel."""
-    i, j = len(u), 0
-    while i and j < len(v) and _inverse_pair(u[i - 1], v[j]):
-        i, j = i - 1, j + 1
-    return u[:i] + v[j:]
 
 
 def _canonical_rotation(letters: tuple) -> tuple[int, tuple]:
@@ -248,18 +238,9 @@ class FormExpression:
             raise ValueError(
                 "traced scalars do not multiply; only matrix words form "
                 "products (take .trace() at the end)")
-        if not (self._canonical and other._canonical):
-            return FormExpression("matrix", [
-                Term(s.coeff * t.coeff, s.pi + t.pi, s.letters + t.letters)
-                for s in self.terms for t in other.terms])
-        # reduced words: only the letters meeting at a junction can cancel
-        acc: dict = {}
-        for s in self.terms:
-            for t in other.terms:
-                key = (s.pi + t.pi, _join(s.letters, t.letters))
-                c = s.coeff * t.coeff
-                acc[key] = acc[key] + c if key in acc else c
-        return FormExpression._of("matrix", _collect(acc))
+        return FormExpression("matrix", [
+            Term(s.coeff * t.coeff, s.pi + t.pi, s.letters + t.letters)
+            for s in self.terms for t in other.terms])
 
     def trace(self) -> "FormExpression":
         if self.kind == "trace":

@@ -31,6 +31,7 @@ from liegauge.liealg import (
 )
 from liegauge.relcoh import cartan_complement, relative_ce_cohomology
 from liegauge.series import (
+    e1_page_series,
     koszul_cancellation,
     series_graded_algebra,
     survivor_degrees,
@@ -250,7 +251,7 @@ def test_c09_koszul_cancelled_series_match_survivor_algebras():
     page series, and the survivor algebra is built here independently."""
     for n in (3, 5, 7):
         cancelled = koszul_cancellation(
-            transgression_pairs(n), survivor_degrees(n), 40)
+            e1_page_series(n, 40), transgression_pairs(n))
         direct = series_graded_algebra([], survivor_degrees(n), 40)
         assert cancelled == direct, f"series mismatch at size {n}"
 

@@ -428,6 +428,22 @@ class TestSeriesCommand:
         assert any(c.startswith("-")
                    for c in report["results"]["cancelled_page"])
 
+    def test_printed_first_page_is_the_one_divided(self, monkeypatch,
+                                                    capsys):
+        # a first page missing the degree-4 generator must fail the match:
+        # the verdict divides the page the report prints, not a copy
+        def short_page(n, truncate):
+            return series.series_graded_algebra([5, 9], [6, 8, 10], truncate)
+
+        monkeypatch.setattr(cli, "e1_page_series", short_page)
+        assert cli.main(["series", "--n", "5", "--truncate", "40",
+                         "--output", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["match"] is False
+        assert report["verdict"] == "fail"
+        assert report["results"]["first_page"] == [
+            str(c) for c in short_page(5, 40).coeffs]
+
     def test_even_rank_is_invalid_input(self, capsys):
         assert cli.main(["series", "--n", "4", "--truncate", "20"]) == 2
         capsys.readouterr()

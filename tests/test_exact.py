@@ -252,6 +252,18 @@ def test_matrix_ring_ops():
     assert conjugate(c)[0, 0] == -I
 
 
+def test_matrix_index_is_bounds_checked():
+    flat = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    sparse = Matrix._of_rows(3, [{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}])
+    for m in (flat, sparse):
+        assert [m[i, j] for i in range(2) for j in range(3)] == \
+            [1, 2, 3, 4, 5, 6]
+        # a column past either end used to wrap into the flat entries
+        for ij in ((0, 3), (0, -1), (1, 3), (2, 0), (-1, 0), (5, 5)):
+            with pytest.raises(IndexError):
+                m[ij]
+
+
 def test_joint_kernel_matches_stacked_kernel():
     rng = random.Random(42)
     for _ in range(15):

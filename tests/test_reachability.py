@@ -6,9 +6,11 @@ An AST scan over `src/liegauge` reports two kinds of dead code:
     function is referenced by a name, an attribute or an identifier string,
     a method by an attribute or an identifier string, anywhere in `src/`
     or `bench/` outside the definition's own body, import lines and
-    `__all__`.  A definition referenced only from inside dead ones is dead
-    too, so the scan runs to a fixed point.  Dunder methods are called by
-    the language and are never reported.
+    `__all__`.  An attribute read through the bare name of a class that
+    `src/` defines, `X.name`, references only `X.name`.  A definition
+    referenced only from inside dead ones is dead too, so the scan runs to
+    a fixed point.  Dunder methods are called by the language and are never
+    reported.
   * a module-level import that its own module never reads.  `__init__.py`
     files re-export what they import and are skipped.
 
@@ -48,9 +50,11 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item, True
 
 
-def _references(tree):
-    """Each (name, is_bare_name, enclosing function nodes) the tree reads;
-    import lines and `__all__` are skipped."""
+def _references(tree, classes):
+    """Each (name, is_bare_name, class, enclosing function nodes) the tree
+    reads, where class is X for an attribute `X.name` read through the bare
+    name X of one of `classes`, else None; import lines and `__all__` are
+    skipped."""
     out = []
 
     def walk(node, enclosing):
@@ -59,12 +63,14 @@ def _references(tree):
         if isinstance(node, FUNCTION):
             enclosing = enclosing + (node,)
         if isinstance(node, ast.Name):
-            out.append((node.id, True, enclosing))
+            out.append((node.id, True, None, enclosing))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, False, enclosing))
+            owner = node.value.id if (isinstance(node.value, ast.Name)
+                                      and node.value.id in classes) else None
+            out.append((node.attr, False, owner, enclosing))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
-            out.append((node.value, False, enclosing))
+            out.append((node.value, False, None, enclosing))
         for child in ast.iter_child_nodes(node):
             walk(child, enclosing)
 
@@ -98,16 +104,20 @@ def scan(src_root: Path, other_roots=()):
              for p in visited + others}
     defs = [(p, q, node, method) for p in visited
             for q, node, method in _definitions(trees[p])]
-    refs = [r for tree in trees.values() for r in _references(tree)]
+    classes = {node.name for p in visited for node in trees[p].body
+               if isinstance(node, ast.ClassDef)}
+    refs = [r for tree in trees.values() for r in _references(tree, classes)]
     dead: set = set()
     changed = True
     while changed:
         changed = False
         for p, q, node, method in defs:
+            owner = q.split(".")[0] if method else None
             if node not in dead and not any(
                     name == node.name and not (method and bare)
+                    and cls in (None, owner)
                     and node not in enc and dead.isdisjoint(enc)
-                    for name, bare, enc in refs):
+                    for name, bare, cls, enc in refs):
                 dead.add(node)
                 changed = True
     findings = [f"{p}: unreferenced {q}" for p, q, node, _ in defs
@@ -157,3 +167,32 @@ def test_scan_reports_a_planted_dead_function_and_import(tmp_path):
     assert findings == [f"{module}: unread import json (line 1)",
                         f"{module}: unreferenced unused"]
     assert live == {"planted.used"}
+
+
+def test_scan_reads_a_class_qualified_reference_as_that_class_only(
+        tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "class Left:\n"
+        "    @staticmethod\n"
+        "    def build():\n"
+        "        return 1\n"
+        "\n"
+        "\n"
+        "class Right:\n"
+        "    @staticmethod\n"
+        "    def build():\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "def main():\n"
+        "    return Left.build()\n"
+        "\n"
+        "\n"
+        "main()\n",
+        encoding="utf-8")
+    findings, live, visited = scan(tmp_path)
+    assert visited == [module]
+    # read as a bare method name, Left.build would keep Right.build alive
+    assert findings == [f"{module}: unreferenced Right.build"]
+    assert live == {"planted.main", "planted.Left.build"}

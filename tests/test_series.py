@@ -94,7 +94,7 @@ def test_pair_and_survivor_tables():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_koszul_cancellation_matches_survivor_algebra(n):
-    out = koszul_cancellation(transgression_pairs(n), survivor_degrees(n), 40)
+    out = koszul_cancellation(e1_page_series(n, 40), transgression_pairs(n))
     direct = series_graded_algebra([], survivor_degrees(n), 40)
     assert out.coeffs == direct.coeffs
     for d in range(41):
@@ -102,15 +102,16 @@ def test_koszul_cancellation_matches_survivor_algebra(n):
 
 
 def test_koszul_cancellation_empty_is_constant():
-    out = koszul_cancellation([], [], 10)
+    out = koszul_cancellation(series_graded_algebra([], [], 10), [])
     assert out.coeffs == (1,) + (0,) * 10
 
 
 def test_koszul_cancellation_rejects_bad_pairs():
+    page = series_graded_algebra([], [], 10)
     with pytest.raises(ValueError, match="raise degree by one"):
-        koszul_cancellation([(5, 7)], [], 10)
+        koszul_cancellation(page, [(5, 7)])
     with pytest.raises(ValueError, match="positive"):
-        koszul_cancellation([(0, 1)], [], 10)
+        koszul_cancellation(page, [(0, 1)])
 
 
 # -- the first page ----------------------------------------------------------------
