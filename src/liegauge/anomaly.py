@@ -9,9 +9,8 @@ quadratic form
 
 carried here exactly, with its physical normalization 1/2 * pi^-1 kept as a
 symbolic tag so the vanishing test is a statement about rational numbers.
-Each trace is a pairing Tr(AB) = sum A[i, j] B[j, i] over the nonzero
-entries of A, so no product matrix is formed, and the symmetry
-Tr(AB) = Tr(BA) halves the work.
+Each trace form is `liealg.trace_pairings`, the routine behind the
+Killing form too.
 
 The embedding constructor is deliberately strict: images that fail the
 bracket relations are rejected up front with the offending basis pair and
@@ -25,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conventions import warning
-from .exact import Matrix
+from .exact import GaussianRational, Matrix
 from .liealg import (
     MatrixLieAlgebra,
     ad_invariance_failure,
     bracket_entries,
     structure_constants,
+    trace_pairings,
 )
 
 __all__ = [
@@ -140,31 +140,11 @@ class Verdict:
 def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
     """Exact anomaly quadratic form with an invariance check.
 
-    Each entry is a difference of trace pairings, Tr(T_L(a) T_L(b)) -
-    Tr(T_R(a) T_R(b)), summed over the nonzero entries of the images with
-    no product matrix; Tr(AB) = Tr(BA), so only a <= b is computed and the
-    lower triangle mirrors it.
+    Q is `trace_pairings` of T_L minus `trace_pairings` of T_R.
     """
-    dim, n = emb.dim, emb.target_size
-    flat = [0] * (dim * dim)
-    for images, sign in ((emb.T_L, 1), (emb.T_R, -1)):
-        entries = [m.entries() for m in images]
-        # A[i, j] with the flat index of B[j, i] it pairs with
-        pairs = [[((t % n) * n + t // n, x) for t, x in enumerate(e) if x]
-                 for e in entries]
-        for a in range(dim):
-            pa = pairs[a]
-            for b in range(a, dim):
-                be = entries[b]
-                s = 0
-                for t, x in pa:
-                    s += x * be[t]
-                if s:
-                    flat[a * dim + b] += sign * s
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            flat[b * dim + a] = flat[a * dim + b]
-    Q = Matrix(dim, dim, flat)
+    n = emb.target_size
+    Q = (trace_pairings([m.entries() for m in emb.T_L], n)
+         - trace_pairings([m.entries() for m in emb.T_R], n))
     failure = ad_invariance_failure(structure_constants(emb.domain), Q)
     if failure is not None:
         raise ValueError(
@@ -174,11 +154,13 @@ def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
 
 def _special_linear_rank(alg: MatrixLieAlgebra):
     """n when the domain is exactly the traceless n x n matrices over the
-    rationals, else None.  Recognized structurally, not by name."""
-    if alg.scalar != "rational":
-        return None
+    rationals, else None.  Recognized structurally, not by name or by the
+    declared scalar field: a real entry is never a `GaussianRational`."""
     n = alg.matrix_size
     if alg.dim != n * n - 1:
+        return None
+    if any(type(x) is GaussianRational
+           for b in alg.basis for x in b.entries()):
         return None
     if any(b.trace() != 0 for b in alg.basis):
         return None

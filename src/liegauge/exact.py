@@ -305,9 +305,7 @@ class Matrix:
                       [unit[a] if type(a) is int and -1 <= a <= 1 else c * a
                        for a in self.entries()])
 
-    def __mul__(self, other) -> "Matrix":
-        if not isinstance(other, Matrix):
-            return self.scale(other)
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, m, k = self.rows, other.cols, self.cols

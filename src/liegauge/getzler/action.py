@@ -53,7 +53,6 @@ class LinearAction:
         # direction a, orientation sign included, with its row table
         self.fields = tuple(Substitution((FIELD_SIGN * b).tolist())
                             for b in mats)
-        self._eye = np.eye(m)
         self._dual = self._dual_frame()
         # None, or the scope an outermost EquivariantCochain call holds open:
         # values by (cochain, argument bytes), transports by element bytes
@@ -92,9 +91,6 @@ class LinearAction:
         return [float(row @ vec) for row in self._dual]
 
     # -- group plumbing ---------------------------------------------------------
-
-    def is_identity(self, h) -> bool:
-        return np.array_equal(np.asarray(h), self._eye)
 
     def inverse(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -143,9 +139,7 @@ class LinearAction:
     def group_action(self, h, form):
         """The left action of a group element on a form value: substitute
         the generators by Ad(h^(-1)) and pull the form back along
-        x -> h^(-1) x.  Exact skip when h is the identity."""
-        if self.is_identity(h):
-            return form
+        x -> h^(-1) x."""
         omega, pullback = self.transport(h)
         return form.substitute_omega(omega).pullback_linear(pullback)
 

@@ -98,13 +98,10 @@ def dg_square_check(arity: int, samples: int = 100, step: float = 1e-3,
     ratio = residual / halved if halved != 0.0 else math.inf
     return {
         "arity": arity,
-        "samples": samples,
-        "step": step,
         "residual": residual,
         "halved_step_residual": halved,
         "reduction_ratio": ratio,
         "tolerance": TOL_SQUARE,
-        "min_ratio": MIN_STEP_RATIO,
         "ok": residual <= TOL_SQUARE and ratio >= MIN_STEP_RATIO,
     }
 
@@ -152,7 +149,7 @@ def leibniz_check(step: float = 1e-3, seed: int = 0) -> dict:
             for _ in range(25):
                 worst = max_residual(
                     (worst, component(sampler.draw_tuple(arity)).norm()))
-    return {"residual": worst, "step": step, "tolerance": TOL_LEIBNIZ,
+    return {"residual": worst, "tolerance": TOL_LEIBNIZ,
             "ok": worst <= TOL_LEIBNIZ}
 
 

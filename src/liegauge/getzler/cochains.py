@@ -23,8 +23,6 @@ one cochain per arity, missing arities meaning zero.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .action import LinearAction
@@ -74,20 +72,13 @@ class EquivariantCochain:
         return EquivariantCochain(
             self.action, self.arity, lambda gs: self(gs).scale(c))
 
-    def _pointwise(self, other: "EquivariantCochain", op
-                   ) -> "EquivariantCochain":
+    def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         if self.arity != other.arity:
             raise ValueError("cannot add cochains of different arity")
         if self.action is not other.action:
             raise ValueError("cochains belong to different actions")
         return EquivariantCochain(
-            self.action, self.arity, lambda gs: op(self(gs), other(gs)))
-
-    def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
-        return self._pointwise(other, operator.add)
-
-    def __sub__(self, other: "EquivariantCochain") -> "EquivariantCochain":
-        return self._pointwise(other, operator.sub)
+            self.action, self.arity, lambda gs: self(gs) + other(gs))
 
 
 def constant_cochain(action: LinearAction, form: PolyForm

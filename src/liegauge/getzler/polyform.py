@@ -290,9 +290,6 @@ class PolyForm:
                 and self._layout is other._layout
                 and self._terms == other._terms)
 
-    def __hash__(self):
-        return hash((self.g_dim, self.m, frozenset(self._terms.items())))
-
     def __repr__(self):
         if not self._terms:
             return "PolyForm(0)"

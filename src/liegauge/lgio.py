@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from .anomaly import GaugeEmbedding, check_image_count
-from .exact import Matrix, scalar_from_json
+from .exact import GaussianRational, Matrix, scalar_from_json
 from .liealg import MatrixLieAlgebra, classical_dimension, make_classical
 
 __all__ = [
@@ -94,7 +94,7 @@ def matrix_from_json(obj, size: int, where: str = "matrix",
 
 def algebra_from_json(obj, literals: dict) -> MatrixLieAlgebra:
     """An algebra object, its basis matrices parsed through `literals` as
-    by `matrix_from_json`."""
+    by `matrix_from_json`; a "rational" algebra has no non-real entry."""
     if not isinstance(obj, dict):
         raise ValueError("algebra: expected an object")
     for key in ("name", "matrix_size", "basis"):
@@ -109,6 +109,11 @@ def algebra_from_json(obj, literals: dict) -> MatrixLieAlgebra:
     basis = [matrix_from_json(b, size=n, where=f"algebra basis[{i}]",
                               literals=literals)
              for i, b in enumerate(obj["basis"])]
+    if scalar == "rational":
+        for i, b in enumerate(basis):
+            if any(type(x) is GaussianRational for x in b.entries()):
+                raise ValueError(f"algebra basis[{i}]: non-real entry, "
+                                 "but scalar is 'rational'")
     return MatrixLieAlgebra(str(obj["name"]), n, tuple(basis), scalar)
 
 

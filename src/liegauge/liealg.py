@@ -2,19 +2,19 @@
 
 A MatrixLieAlgebra is a finite basis of square matrices over the rationals
 or Gaussian rationals, closed under the commutator bracket.  On top of the
-basis this module computes structure constants, the Killing form (defined
-through adjoint traces, never through matrix traces), the ad-invariance
-test of a bilinear form, and dimensions of invariant polynomials in the
-symmetric algebra of the dual.
+basis this module computes structure constants, the Killing form (the
+trace form of ad, by `trace_pairings`, which gives `anomaly`'s form too),
+the ad-invariance test of a bilinear form, and dimensions of invariant
+polynomials in the symmetric algebra of the dual.
 
 One Leibniz builder, `graded_derivations`, gives the derivations of
 symmetric and exterior powers as sparse triples: here the coadjoint action
 on Sym^d g*, whose joint kernel is the invariant polynomials, and in
 `relcoh` the action on wedges of p* and the relative differential.  The
 operators depend only on the algebra (or pair) and the degree, so each
-object builds them once per degree, on first request, and keeps them as
-tuples (`MatrixLieAlgebra.coadjoint_derivations`); every kernel is still
-computed on each call.
+object holds a cached builder (`MatrixLieAlgebra.coadjoint_derivations`)
+that closes over its generator images, never the object, and builds the
+tuples once per degree; every kernel is still computed on each call.
 
 The structure layer is sparse end to end: an algebra takes the sparse rows
 of its basis matrices once, when it builds its structure constants, and
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -108,21 +108,18 @@ class MatrixLieAlgebra:
         return tuple(c)
 
     @cached_property
-    def _coadjoint_derivations(self) -> dict:
-        return {}
+    def coadjoint_derivations(self):
+        """Cached builder: `coadjoint_derivations(degree)` is one tuple of
+        `graded_derivations` triples per basis element on Sym^degree g*,
+        built on first request from images built once per algebra; tuples
+        throughout, so one caller cannot alter a shared algebra's."""
+        images, dim = coadjoint_images(structure_constants(self), 0), self.dim
 
-    def coadjoint_derivations(self, degree: int) -> tuple:
-        """The coadjoint derivations on Sym^degree g*, one tuple of
-        `graded_derivations` triples per basis element, built once per
-        algebra and degree, on first request; tuples throughout, so a
-        shared algebra's operators cannot be altered by one caller."""
-        memo = self._coadjoint_derivations
-        ops = memo.get(degree)
-        if ops is None:
-            ops = memo[degree] = tuple(map(tuple, graded_derivations(
-                coadjoint_images(structure_constants(self), 0), self.dim,
-                degree, alternating=False)))
-        return ops
+        @cache
+        def build(degree: int) -> tuple:
+            return tuple(map(tuple, graded_derivations(
+                images, dim, degree, alternating=False)))
+        return build
 
 
 def bracket_entries(xr: list, yr: list, n: int) -> list:
@@ -250,19 +247,35 @@ def structure_constants(alg: MatrixLieAlgebra):
     return alg.structure_constants
 
 
+def trace_pairings(images: Sequence[Sequence[Scalar]], n: int) -> Matrix:
+    """The matrix Tr(A_a A_b) of n x n matrices A_a given by their flat
+    row-major entries: each trace the sum A[i, j] B[j, i] over the nonzero
+    entries of A, with no product matrix, for a <= b only and mirrored."""
+    dim = len(images)
+    # A[i, j] with the flat index of B[j, i] it pairs with
+    pairs = [[((t % n) * n + t // n, x) for t, x in enumerate(e) if x]
+             for e in images]
+    flat = [0] * (dim * dim)
+    for a, pa in enumerate(pairs):
+        for b in range(a, dim):
+            be = images[b]
+            s = 0
+            for t, x in pa:
+                s += x * be[t]
+            flat[a * dim + b] = flat[b * dim + a] = s
+    return Matrix(dim, dim, flat)
+
+
 def killing_form(alg: MatrixLieAlgebra) -> Matrix:
     """B_ab = trace(ad e_a . ad e_b), computed from structure constants.
 
-    With (ad e_a)[m, l] = c[a][l][m] the trace is the sum over l, m of
-    c[a][l][m] c[b][m][l].  This is the definition; comparisons against
-    multiples of the matrix trace form live in tests, not here.
+    `trace_pairings` of the adjoint images (ad e_a)[m, l] = c[a][l][m].
+    This is the definition; comparisons against multiples of the matrix
+    trace form live in tests, not here.
     """
     c = structure_constants(alg)
-    dim = alg.dim
-    nonzero = [[(l, m, x) for l in range(dim) for m, x in enumerate(c[a][l])
-                if x] for a in range(dim)]
-    return Matrix(dim, dim, [sum(x * c[b][m][l] for l, m, x in nonzero[a])
-                             for a in range(dim) for b in range(dim)])
+    return trace_pairings([[x for row in zip(*ca) for x in row] for ca in c],
+                          alg.dim)
 
 
 def ad_invariance_failure(c, q: Matrix):

@@ -18,17 +18,18 @@ action, from the coadjoint images on the split table, and the
 differential, from the images d xi_l of the dual generators, so the
 joint-invariant computation stays within the iterative kernel refinement
 of `exact.joint_kernel`.  Both depend only on the pair and the wedge
-degree, so a pair builds each once per degree, on first request, from
-generator images it builds once, and keeps it as tuples
-(`ReductivePair.subalgebra_action`, `ReductivePair.differential`); every
-kernel and rank is still computed on each call.
+degree, so a pair holds a cached builder of each
+(`ReductivePair.subalgebra_action`, `ReductivePair.differential`) that
+closes over generator images built once per pair, never the pair, and
+builds the tuples once per degree; every kernel and rank is still
+computed on each call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exact import (
     GaussianRational,
@@ -101,46 +102,33 @@ class ReductivePair:
         return tuple(tuple(col[kd:] for col in row[kd:]) for row in c[kd:])
 
     @cached_property
-    def _action_images(self) -> list:
-        c, kd = self.split.structure_constants, self.k_dim
-        return coadjoint_images(c[:kd], kd)
-
-    @cached_property
-    def _d_images(self) -> list:
-        return _differential_images(self)
-
-    @cached_property
-    def _subalgebra_actions(self) -> dict:
-        return {}
-
-    @cached_property
-    def _differentials(self) -> dict:
-        return {}
-
-    def subalgebra_action(self, q: int) -> tuple:
-        """The subalgebra's action on the q-wedge of the dual complement,
-        one tuple of `graded_derivations` triples per subalgebra basis
-        element (none for the plain complex), built once per pair and
-        degree, on first request.  Tuples throughout, like
+    def subalgebra_action(self):
+        """Cached builder: `subalgebra_action(q)` is the subalgebra's
+        action on the q-wedge of the dual complement, one tuple of
+        `graded_derivations` triples per subalgebra basis element (none
+        for the plain complex).  Tuples throughout, like
         `projected_constants`."""
-        memo = self._subalgebra_actions
-        ops = memo.get(q)
-        if ops is None:
-            ops = memo[q] = tuple(map(tuple, graded_derivations(
-                self._action_images, self.p_dim, q, alternating=True)))
-        return ops
+        c, kd, m = self.split.structure_constants, self.k_dim, self.p_dim
+        images = coadjoint_images(c[:kd], kd)
 
-    def differential(self, q: int) -> tuple:
-        """The relative differential from the q-wedge to the (q+1)-wedge of
-        the dual complement as a tuple of `graded_derivations` triples,
-        built once per pair and degree, on first request."""
-        memo = self._differentials
-        d = memo.get(q)
-        if d is None:
-            (d,) = graded_derivations(self._d_images, self.p_dim,
-                                      q, alternating=True)
-            d = memo[q] = tuple(d)
-        return d
+        @cache
+        def build(q: int) -> tuple:
+            return tuple(map(tuple, graded_derivations(
+                images, m, q, alternating=True)))
+        return build
+
+    @cached_property
+    def differential(self):
+        """Cached builder: `differential(q)` is the relative differential
+        from the q-wedge to the (q+1)-wedge of the dual complement as a
+        tuple of `graded_derivations` triples."""
+        images, m = _differential_images(self), self.p_dim
+
+        @cache
+        def build(q: int) -> tuple:
+            (d,) = graded_derivations(images, m, q, alternating=True)
+            return tuple(d)
+        return build
 
 
 def cartan_complement(g: MatrixLieAlgebra, k: MatrixLieAlgebra | None

@@ -10,7 +10,7 @@ import pytest
 
 from liegauge.anomaly import GaugeEmbedding, anomaly_form, verdict
 from liegauge.exact import Matrix
-from liegauge.liealg import make_classical
+from liegauge.liealg import MatrixLieAlgebra, make_classical
 from liegauge.lgio import load_embedding, matrix_from_json, parse_label
 from reference import quadratic_form_via_words, trace_form, zero_matrix
 
@@ -203,6 +203,16 @@ def test_verdict_sl2_flag_present_even_when_free():
     assert "Cartan-model obstruction vanishes" in v.statements
     assert all("extension" not in s for s in v.statements)
     assert [w["id"] for w in v.warnings] == ["W5"]
+
+
+def test_verdict_reads_realness_from_the_entries():
+    # su(3) declared over the rationals has the shape of sl(3, R) but not
+    # its entries, so its verdict makes no special linear statement
+    su3 = make_classical("su", 3)
+    v = verdict(left_only(MatrixLieAlgebra("su3", 3, su3.basis)))
+    assert not v.anomaly_free
+    assert all("extension" not in s for s in v.statements)
+    assert v.warnings == ()
 
 
 def test_verdict_downgraded_for_non_special_linear_domain():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from liegauge import cli, lgio, relcoh, series
+from liegauge.exact import GaussianRational
 from liegauge.report import RunReport, canonical_json, inputs_digest
 from liegauge.series import check_series_size
 from liegauge.wzw import identities, ops
@@ -164,6 +165,32 @@ class TestAnomalyCommand:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "error:" in err and field in err
+
+    def test_a_declared_scalar_field_does_not_decide_an_sl_statement(
+            self, tmp_path, capsys):
+        # su(3) is 8 traceless 3 x 3 matrices, the shape of sl(3, R), but
+        # its entries are not real: declared "rational" it is rejected,
+        # declared "gaussian" it gets no special linear statement
+        def literal(x):
+            if isinstance(x, GaussianRational):
+                return [str(x.re), str(x.im)]
+            return str(x)
+        basis = [[literal(x) for x in b.entries()]
+                 for b in lgio.classical("su", 3).basis]
+        path = tmp_path / "embedding.json"
+        for scalar, code in (("rational", 2), ("gaussian", 1)):
+            path.write_text(json.dumps({
+                "domain": {"name": "su3", "matrix_size": 3,
+                           "scalar": scalar, "basis": basis},
+                "target_size": 3, "T_L": basis,
+                "T_R": [["0"] * 9] * 8}))
+            assert cli.main(["anomaly", str(path)]) == code
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert "error:" in err and "scalar" in err
+            else:
+                assert "anomalous" in out
+                assert "extension" not in out
 
 
 # -- symbolic suite subcommand -------------------------------------------------
@@ -340,9 +367,10 @@ class TestRelcohCommand:
 
     def test_differential_ceiling_fails_up_front(self, capsys):
         # sl4's plain complex passes the wedge ceiling (C(15, 7) = 6435),
-        # but the dense image matrix of its differential from degree 3,
-        # which is ranked, has C(15, 3) * C(15, 4) = 621075 entries;
-        # building it used to exhaust memory
+        # but its differential from degree 3 has C(15, 3) * C(15, 4) =
+        # 621075 entries if dense; the images of the invariant cochains
+        # are ranked as sparse rows, and a complex this large is refused
+        # before any invariant work
         start = time.perf_counter()
         assert cli.main(["relcoh", "--pair", "sl4"]) == 2
         assert time.perf_counter() - start < 1.0

@@ -575,7 +575,7 @@ class TestLinearAction:
 
     def test_identity_action_returns_the_form_unchanged(self):
         form = term(3, 2, 1.5, omega_exp=(0, 1, 0), dx=(0,))
-        assert SL2.group_action(np.eye(2), form) is form
+        assert SL2.group_action(np.eye(2), form) == form
 
     def test_dyadic_inverse_is_exact(self):
         for g in dyadic_samples():

@@ -7,8 +7,10 @@ sparse differential is validated entry by entry against the dense
 reference it replaced, and the Betti numbers against closed forms.
 """
 
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -532,3 +534,25 @@ def test_equal_objects_build_their_own_operators(monkeypatch):
     assert actions[0] == actions[1] and actions[0] is not actions[1]
     assert differentials[0] == differentials[1]
     assert built == [1, 1, 1, 1]
+
+
+def test_operator_builders_hold_no_reference_to_their_object():
+    # with the cycle collector off, an object is freed when its last
+    # reference goes only if nothing it holds (a builder closing over
+    # the object, say) refers back to it
+    from liegauge.liealg import invariant_polynomial_dimension
+    gc.disable()
+    try:
+        alg = make_classical("sl", 2)
+        assert invariant_polynomial_dimension(alg, 2) == 1
+        pairs = [cartan_complement(make_classical("sl", 3),
+                                   make_classical("so", 3)),
+                 cartan_complement(make_classical("sl", 2), None)]
+        assert [relative_ce_cohomology(pair) for pair in pairs] == [
+            (1, 0, 0, 0, 0, 1), (1, 0, 0, 1)]
+        refs = [weakref.ref(alg)] + [weakref.ref(pair) for pair in pairs]
+        refs += [weakref.ref(pair.split) for pair in pairs]
+        del alg, pairs
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
