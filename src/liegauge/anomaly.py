@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conventions import warning
-from .exact import GaussianRational, Matrix
+from .exact import Matrix
 from .liealg import (
     MatrixLieAlgebra,
     ad_invariance_failure,
@@ -155,14 +155,10 @@ def anomaly_form(emb: GaugeEmbedding) -> AnomalyReport:
 def _special_linear_rank(alg: MatrixLieAlgebra):
     """n when the domain is exactly the traceless n x n matrices over the
     rationals, else None.  Recognized structurally, not by name or by the
-    declared scalar field: a real entry is never a `GaussianRational`."""
+    declared scalar field."""
     n = alg.matrix_size
-    if alg.dim != n * n - 1:
-        return None
-    if any(type(x) is GaussianRational
-           for b in alg.basis for x in b.entries()):
-        return None
-    if any(b.trace() != 0 for b in alg.basis):
+    if (alg.dim != n * n - 1 or not alg.is_real()
+            or any(b.trace() != 0 for b in alg.basis)):
         return None
     return n
 

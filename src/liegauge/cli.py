@@ -217,8 +217,8 @@ def _json_float(x: float):
 def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
                       samples: int = 100, step: float = 1e-3,
                       seed: int = 0) -> RunReport:
-    # numpy and scipy load only for this command.  Its tiny matmuls and
-    # expm calls only lose time to extra BLAS threads, so pin one thread
+    # numpy loads only for this command.  Its tiny matmuls, inside expm
+    # too, only lose time to extra BLAS threads, so pin one thread
     # before they load, keeping any value already set.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")

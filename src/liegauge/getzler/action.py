@@ -3,7 +3,7 @@
 A LinearAction packages a Lie algebra basis acting on the ambient space as
 m-by-m float matrices.  Group elements are invertible m-by-m matrices (the
 represented group itself), so adjoint conjugation and pullbacks are plain
-matrix arithmetic.
+matrix arithmetic, and `expm` (numpy only) makes them from the algebra.
 
 Expansion of a matrix in the basis goes through a dual frame computed once
 with exact rational arithmetic and then converted to floats; for bases with
@@ -20,27 +20,51 @@ CONVENTIONS.md, section W4.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..exact import Matrix
 from ..liealg import make_classical
 from .polyform import Substitution
 
-__all__ = ["FIELD_SIGN", "LinearAction", "GroupSampler"]
+__all__ = ["FIELD_SIGN", "LinearAction", "GroupSampler", "expm"]
 
 FIELD_SIGN = 1.0
 
+# _TAYLOR[j][i] = 1/(4j + i)!, exp's Taylor coefficients through degree 15
+_TAYLOR = np.array([[1 / math.factorial(4 * j + i) for i in range(4)]
+                    for j in range(4)])
+
+
+def expm(Z) -> np.ndarray:
+    """exp(Z): Z scaled by 2^-s to a 1-norm below 1/2, the degree-15 Taylor
+    polynomial there in Paterson-Stockmeyer blocks (one product of _TAYLOR
+    with I, A, A^2, A^3, then Horner's rule in A^4), squared s times.  The
+    dropped tail, under 2^-60 in norm, is below 2^-53 relative to exp(A),
+    whose norm is at least e^(-1/2)."""
+    A = np.asarray(Z, dtype=float)
+    s = max(0, math.frexp(np.abs(A).sum(axis=0).max())[1] + 1)
+    A = A / 2.0 ** s
+    A2 = A @ A
+    A4 = A2 @ A2
+    powers = np.array([np.eye(len(A)), A, A2, A2 @ A])
+    *blocks, E = (_TAYLOR @ powers.reshape(4, -1)).reshape(powers.shape)
+    for B in reversed(blocks):
+        E = E @ A4 + B
+    for _ in range(s):
+        E = E @ E
+    return E
+
 
 class LinearAction:
-    """An exact MatrixLieAlgebra with rational entries, as float matrices
-    acting on R^m in its defining representation; the action keeps the
-    algebra as `algebra`."""
+    """An exact MatrixLieAlgebra with rational entries (whatever its declared
+    `scalar`), as float matrices acting on R^m in its defining
+    representation; the action keeps the algebra as `algebra`."""
 
     def __init__(self, alg):
-        if alg.scalar != "rational":
+        if not alg.is_real():
             raise ValueError(
                 f"{alg.name} has non-real entries; no real ambient action")
         m = alg.matrix_size
@@ -101,15 +125,14 @@ class LinearAction:
                              [-h[1, 0] / det, h[0, 0] / det]])
         return np.linalg.inv(h)
 
-    def ad_matrix(self, h) -> list[list[float]]:
+    def ad_matrix(self, h, hinv=None) -> list[list[float]]:
         """Rows a, columns b with Ad(h)[a][b] = coefficient a of h A_b h^(-1);
         the argument substitution X -> Ad(h) X acts on coordinates by this
-        matrix."""
+        matrix.  h^(-1) is computed unless given."""
         h = np.asarray(h, dtype=float)
-        hinv = self.inverse(h)
+        hinv = self.inverse(h) if hinv is None else hinv
         columns = [self.coefficients(h @ A @ hinv) for A in self.basis]
-        return [[columns[b][a] for b in range(self.g_dim)]
-                for a in range(self.g_dim)]
+        return [list(row) for row in zip(*columns)]
 
     def keep(self, elements) -> None:
         """Keep the transports of these elements for the action's lifetime
@@ -124,15 +147,11 @@ class LinearAction:
         element's lives as long as the action; any other's is built once
         per element bytes while a scope is open and dropped with it."""
         key = np.asarray(h, float).tobytes()
-        if key in self.kept:
-            table = self.kept
-        elif self.scope is None:
-            table = {}
-        else:
-            table = self.scope
+        table = (self.kept if key in self.kept
+                 else {} if self.scope is None else self.scope)
         if table.get(key) is None:
             hinv = self.inverse(h)
-            table[key] = (Substitution(self.ad_matrix(hinv)),
+            table[key] = (Substitution(self.ad_matrix(hinv, h)),
                           Substitution(hinv))
         return table[key]
 

@@ -23,9 +23,7 @@ sign above; see the checks module.
 
 from __future__ import annotations
 
-from scipy.linalg import expm
-
-from .action import GroupSampler
+from .action import GroupSampler, expm
 from .cochains import CochainFamily, EquivariantCochain
 from .polyform import PolyForm, max_residual
 
@@ -92,10 +90,10 @@ def op_dbar(c: EquivariantCochain) -> EquivariantCochain:
 def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
     """Group-direction contraction, arity k -> k-1, by central differences.
 
-    The inserted argument runs over exp(+-step * A_b) per basis direction;
-    the directional derivatives recombine against the coordinates of the
-    adjoint-transported symbolic argument, so the only approximation is the
-    O(step^2) finite-difference error.
+    The inserted argument runs over `expm`'s exp(+-step * A_b) per basis
+    direction; the directional derivatives recombine against the
+    coordinates of the adjoint-transported symbolic argument, so the only
+    approximation is the O(step^2) finite-difference error.
     """
     if c.arity < 1:
         raise ValueError("group contraction needs arity at least 1")

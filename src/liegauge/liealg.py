@@ -46,6 +46,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .exact import (
+    GaussianRational,
     I,
     Matrix,
     Scalar,
@@ -72,6 +73,12 @@ class MatrixLieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def is_real(self) -> bool:
+        """True when no basis entry is a `GaussianRational`; `scalar` is
+        not read."""
+        return not any(type(x) is GaussianRational
+                       for b in self.basis for x in b.entries())
 
     @cached_property
     def expansion_solver(self) -> "ExpansionSolver":

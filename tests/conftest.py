@@ -1,9 +1,9 @@
 """Pin BLAS and OpenMP to one thread before any test imports numpy, and
 share the `solver_builds` fixture.
 
-The getzler layer multiplies 2x2 matrices and calls `expm` on them;
-extra BLAS threads only add start-up and contention.  Variables already
-set in the environment are kept.
+The getzler layer multiplies 2x2 matrices, in its numpy-only `expm`
+too; extra BLAS threads only add start-up and contention.  Variables
+already set in the environment are kept.
 """
 
 import os

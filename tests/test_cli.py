@@ -603,18 +603,18 @@ class TestOutputContract:
         # bytes of a reference build: a change in the order of float sums
         # anywhere in the getzler layer changes them
         assert hashlib.sha256(first.encode()).hexdigest() == (
-            "84f432b936c38b34f06d176077134c1522c1bbb87dfec89324db2dbaf4cd3c33")
+            "7c2d2677fb3e6d3bf1d26313602dbae0e2817c5b6e05423351fa593193047fb9")
         parsed = json.loads(first)
         assert set(parsed) == {"command", "inputs_digest", "results",
                                "verdict", "warnings"}
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["--arity", "2", "--samples", "10"], 0,
-         "0de9d2228fecb849e2736a9d324fdcc19b5c12c4717f9a50c8472b94bf2fece7"),
+         "ff251e033edc1abecc32ad5801312e66f938463b03022ecfaeea859ea7bffb48"),
         # a known failure: its bytes and its exit code are pinned too
         (["--arity", "0", "--samples", "3", "--seed", "20"], 1,
-         "193b06ee249c74917445013f3e8acea4644b70b6043db14940d3cf126164658e"),
-    ])
+         "b7bedabb0a2e77c11e9204a88c5257d5093790d773476e69dbc4994e741beb52"),
+    ], ids=["arity2-passes", "arity0-seed20-fails"])
     def test_getzler_reports_keep_their_bytes(self, capsys, argv, code,
                                               digest):
         assert cli.main(["getzler-check", *argv,
@@ -638,6 +638,35 @@ class TestOutputContract:
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
         assert json.loads(runs[0].stdout)["command"] == "series"
+
+    def test_the_numeric_path_runs_without_scipy(self):
+        # with a finder that refuses scipy, every module imports but
+        # `__main__` (which runs the command line), and getzler-check runs
+        script = ("import importlib, pkgutil, sys\n"
+                  "class Refuse:\n"
+                  "    def find_spec(self, name, path=None, target=None):\n"
+                  "        if name.partition('.')[0] == 'scipy':\n"
+                  "            raise ImportError('scipy is refused')\n"
+                  "sys.meta_path.insert(0, Refuse())\n"
+                  "import liegauge\n"
+                  "for m in pkgutil.walk_packages(liegauge.__path__,\n"
+                  "                               'liegauge.'):\n"
+                  "    if m.name != 'liegauge.__main__':\n"
+                  "        importlib.import_module(m.name)\n"
+                  "from liegauge import cli\n"
+                  "code = cli.main(['getzler-check', '--arity', '0',\n"
+                  "                 '--samples', '2', '--output',\n"
+                  "                 'structured'])\n"
+                  "assert 'scipy' not in sys.modules\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["command"] == "getzler-check"
 
     def test_getzler_check_pins_blas_threads(self):
         # in a fresh interpreter with the thread variables unset, the

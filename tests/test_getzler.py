@@ -14,6 +14,7 @@ three buckets:
     step, witnessed by the reduction ratio under step halving.
 """
 
+import cmath
 import gc
 import math
 import random
@@ -23,7 +24,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from liegauge.getzler.action import FIELD_SIGN, GroupSampler, LinearAction
+from liegauge.getzler.action import (
+    FIELD_SIGN,
+    GroupSampler,
+    LinearAction,
+    expm,
+)
 from liegauge.getzler.cochains import (
     CochainFamily,
     EquivariantCochain,
@@ -593,6 +599,19 @@ class TestLinearAction:
         with pytest.raises(ValueError, match="non-real"):
             LinearAction(make_classical("su", 2))
 
+    def test_a_gaussian_basis_declared_rational_is_refused_by_name(self):
+        # realness is read from the entries, not the declared scalar
+        su2 = make_classical("su", 2)
+        with pytest.raises(ValueError, match="su2 has non-real"):
+            LinearAction(MatrixLieAlgebra("su2", 2, su2.basis))
+
+    def test_a_real_basis_declared_gaussian_acts(self):
+        sl2 = make_classical("sl", 2)
+        built = LinearAction(MatrixLieAlgebra("sl2", 2, sl2.basis,
+                                              "gaussian"))
+        for ours, theirs in zip(SL2.basis, built.basis):
+            assert np.array_equal(ours, theirs)
+
     def test_sampler_is_deterministic_and_invertible(self):
         a = GroupSampler(SL2, seed=9)
         b = GroupSampler(SL2, seed=9)
@@ -603,6 +622,51 @@ class TestLinearAction:
 
 
 # -- cochains ------------------------------------------------------------------
+
+
+def _assert_close(got, want):
+    """Entrywise within 1e-14 of the largest entry of the closed form."""
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestExpm:
+    """`expm` against closed forms.  Each case includes an input of 1-norm
+    above 1/2, where the scaling and squaring branch runs."""
+
+    @pytest.mark.parametrize("t", [0.25, -0.7, 3.0, 1e3])
+    def test_nilpotent_generators_exactly(self, t):
+        _, e, f = SL2.basis
+        for A in (e, f):
+            assert np.array_equal(expm(t * A), np.eye(2) + t * A)
+
+    @pytest.mark.parametrize("t", [0.2, -1.5, 3.25])
+    def test_diagonal_generator(self, t):
+        h = SL2.basis[0]
+        _assert_close(expm(t * h), np.diag(np.exp(t * np.diag(h))))
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.1, 0.2, -0.3),    # det Z > 0: a rotation-like element
+        (0.3, 0.1, 0.4),     # det Z < 0
+        (1.2, -0.8, 0.5),    # det Z < 0, scaled
+        (0.2, 1.5, -2.0),    # det Z > 0, scaled
+    ])
+    def test_traceless_two_by_two(self, a, b, c):
+        h, e, f = SL2.basis
+        Z = a * h + b * e + c * f
+        delta = cmath.sqrt(-np.linalg.det(Z))
+        want = (cmath.cosh(delta).real * np.eye(2)
+                + (cmath.sinh(delta) / delta).real * Z)
+        _assert_close(expm(Z), want)
+
+    @pytest.mark.parametrize("w", [(0.1, -0.2, 0.15), (1.0, 2.0, -0.5),
+                                   (-2.5, 0.3, 1.1)])
+    def test_rotations_by_rodrigues(self, w):
+        so3 = LinearAction(make_classical("so", 3))
+        K = sum(x * B for x, B in zip(w, so3.basis))
+        theta = math.sqrt(-np.trace(K @ K) / 2)
+        want = (np.eye(3) + math.sin(theta) / theta * K
+                + (1 - math.cos(theta)) / theta ** 2 * (K @ K))
+        _assert_close(expm(K), want)
 
 
 def _numpy_vanish_factor(gs) -> float:
@@ -699,9 +763,9 @@ class TestEvaluationScope:
         ad_matrix = action.ad_matrix
         transported = Counter()
 
-        def counted_ad(h):
+        def counted_ad(h, *hinv):
             transported[np.asarray(h).tobytes()] += 1
-            return ad_matrix(h)
+            return ad_matrix(h, *hinv)
 
         monkeypatch.setattr(action, "ad_matrix", counted_ad)
         component = total_differential(total_differential(c)).component(2)
@@ -840,9 +904,9 @@ class TestKeptTransports:
         built = []
         ad_matrix = action.ad_matrix
 
-        def counted_ad(h):
+        def counted_ad(h, *hinv):
             built.append(np.asarray(h).tobytes())
-            return ad_matrix(h)
+            return ad_matrix(h, *hinv)
 
         monkeypatch.setattr(action, "ad_matrix", counted_ad)
         sampler = GroupSampler(action, seed=15)
