@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -217,12 +216,6 @@ def _json_float(x: float):
 def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
                       samples: int = 100, step: float = 1e-3,
                       seed: int = 0) -> RunReport:
-    # numpy loads only for this command.  Its tiny matmuls, inside expm
-    # too, only lose time to extra BLAS threads, so pin one thread
-    # before they load, keeping any value already set.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-
     if group != "sl2" or ambient != 2:
         raise ValueError(
             "only the rank-one special linear group acting on the plane is "

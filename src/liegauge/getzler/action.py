@@ -3,7 +3,8 @@
 A LinearAction packages a Lie algebra basis acting on the ambient space as
 m-by-m float matrices.  Group elements are invertible m-by-m matrices (the
 represented group itself), so adjoint conjugation and pullbacks are plain
-matrix arithmetic, and `expm` (numpy only) makes them from the algebra.
+arithmetic on FloatMatrix rows of Python floats, `matmul` summing each
+entry left to right with no BLAS kernel; `expm` makes them from the algebra.
 
 Expansion of a matrix in the basis goes through a dual frame computed once
 with exact rational arithmetic and then converted to floats; for bases with
@@ -22,40 +23,82 @@ from __future__ import annotations
 
 import math
 import random
-
-import numpy as np
+import struct
+from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add, mul
 
 from ..exact import Matrix
 from ..liealg import make_classical
 from .polyform import Substitution
 
-__all__ = ["FIELD_SIGN", "LinearAction", "GroupSampler", "expm"]
+__all__ = ["FIELD_SIGN", "FloatMatrix", "LinearAction", "GroupSampler",
+           "expm", "matmul"]
 
 FIELD_SIGN = 1.0
 
 # _TAYLOR[j][i] = 1/(4j + i)!, exp's Taylor coefficients through degree 15
-_TAYLOR = np.array([[1 / math.factorial(4 * j + i) for i in range(4)]
-                    for j in range(4)])
+_TAYLOR = tuple(tuple(1 / math.factorial(4 * j + i) for i in range(4))
+                for j in range(4))
 
 
-def expm(Z) -> np.ndarray:
+class FloatMatrix(tuple):
+    """An m-by-m matrix as a tuple of m rows of floats; `of` converts any
+    nested sequence, an array included.  tobytes() is the row-major
+    float64 bytes, numpy's layout, and is the key that tells elements
+    apart: one ulp, or 0.0 against -0.0, is another element."""
+
+    @classmethod
+    def of(cls, rows) -> "FloatMatrix":
+        return rows if isinstance(rows, cls) else cls(
+            [tuple([float(v) for v in row]) for row in rows])
+
+    @cached_property
+    def _bytes(self) -> bytes:
+        return struct.pack(f"{len(self) ** 2}d", *chain.from_iterable(self))
+
+    def tobytes(self) -> bytes:
+        return self._bytes
+
+
+def matmul(a, b) -> FloatMatrix:
+    """The product a b, each entry summed left to right."""
+    cols = tuple(zip(*b))
+    out = []
+    for row in a:
+        entries = []
+        for col in cols:
+            products = map(mul, row, col)
+            total = next(products)
+            for p in products:
+                total += p
+            entries.append(total)
+        out.append(tuple(entries))
+    return FloatMatrix(out)
+
+
+def expm(Z) -> FloatMatrix:
     """exp(Z): Z scaled by 2^-s to a 1-norm below 1/2, the degree-15 Taylor
-    polynomial there in Paterson-Stockmeyer blocks (one product of _TAYLOR
-    with I, A, A^2, A^3, then Horner's rule in A^4), squared s times.  The
-    dropped tail, under 2^-60 in norm, is below 2^-53 relative to exp(A),
-    whose norm is at least e^(-1/2)."""
-    A = np.asarray(Z, dtype=float)
-    s = max(0, math.frexp(np.abs(A).sum(axis=0).max())[1] + 1)
-    A = A / 2.0 ** s
-    A2 = A @ A
-    A4 = A2 @ A2
-    powers = np.array([np.eye(len(A)), A, A2, A2 @ A])
-    *blocks, E = (_TAYLOR @ powers.reshape(4, -1)).reshape(powers.shape)
+    polynomial there in Paterson-Stockmeyer blocks (the rows of _TAYLOR
+    against I, A, A^2, A^3, then Horner's rule in A^4), squared s times.
+    The dropped tail, under 2^-60 in norm, is below 2^-53 relative to
+    exp(A), whose norm is at least e^(-1/2)."""
+    norm = max(reduce(add, map(abs, col)) for col in zip(*Z))
+    s = max(0, math.frexp(norm)[1] + 1)
+    A = [tuple([math.ldexp(v, -s) for v in row]) for row in Z]
+    A2 = matmul(A, A)
+    A4 = matmul(A2, A2)
+    *blocks, E = [[tuple([t0 * (i == j) + t1 * x1 + t2 * x2 + t3 * x3
+                          for j, (x1, x2, x3) in enumerate(zip(*rows))])
+                   for i, rows in enumerate(zip(A, A2, matmul(A2, A)))]
+                  for t0, t1, t2, t3 in _TAYLOR]
     for B in reversed(blocks):
-        E = E @ A4 + B
+        E = [tuple([x + y for x, y in zip(r, q)])
+             for r, q in zip(matmul(E, A4), B)]
     for _ in range(s):
-        E = E @ E
-    return E
+        E = matmul(E, E)
+    return FloatMatrix(E)
 
 
 class LinearAction:
@@ -68,15 +111,15 @@ class LinearAction:
             raise ValueError(
                 f"{alg.name} has non-real entries; no real ambient action")
         m = alg.matrix_size
-        mats = [np.array(b.to_lists(), dtype=float) for b in alg.basis]
+        mats = [FloatMatrix.of(b.to_lists()) for b in alg.basis]
         self.m = m
         self.algebra = alg
         self.g_dim = len(mats)
         self.basis = tuple(mats)
         # fields[a]: the matrix V of the fundamental field x -> V x of
         # direction a, orientation sign included, with its row table
-        self.fields = tuple(Substitution((FIELD_SIGN * b).tolist())
-                            for b in mats)
+        self.fields = tuple(Substitution([[FIELD_SIGN * v for v in row]
+                                          for row in b]) for b in mats)
         self._dual = self._dual_frame()
         # None, or the scope an outermost EquivariantCochain call holds open:
         # values by (cochain, argument bytes), transports by element bytes
@@ -105,33 +148,36 @@ class LinearAction:
             P = (Ft * F).inverse() * Ft
         except ValueError:
             raise ValueError("basis matrices are linearly dependent") from None
-        return np.array([[float(P[a, k]) for k in range(self.m * self.m)]
-                         for a in range(self.g_dim)])
+        return [[float(P[a, k]) for k in range(self.m * self.m)]
+                for a in range(self.g_dim)]
 
     def coefficients(self, M) -> list[float]:
         """Expansion coefficients of an m-by-m matrix in the basis; exact
         when the dual frame and the matrix have dyadic entries."""
-        vec = np.asarray(M, dtype=float).reshape(self.m * self.m)
-        return [float(row @ vec) for row in self._dual]
+        column = [(v,) for row in FloatMatrix.of(M) for v in row]
+        return [total for total, in matmul(self._dual, column)]
 
     # -- group plumbing ---------------------------------------------------------
 
-    def inverse(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
+    def inverse(self, h) -> FloatMatrix:
+        """h^(-1): the adjugate form for m = 2, exact for dyadic entries
+        with unit determinant; else h's exact inverse, rounded once."""
+        h = FloatMatrix.of(h)
         if self.m == 2:
-            # adjugate form: exact for dyadic entries with unit determinant
-            det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-            return np.array([[h[1, 1] / det, -h[0, 1] / det],
-                             [-h[1, 0] / det, h[0, 0] / det]])
-        return np.linalg.inv(h)
+            (a, b), (c, d) = h
+            det = a * d - b * c
+            return FloatMatrix([(d / det, -b / det), (-c / det, a / det)])
+        exact = Matrix.from_rows([[Fraction(v) for v in row] for row in h])
+        return FloatMatrix.of(exact.inverse().to_lists())
 
     def ad_matrix(self, h, hinv=None) -> list[list[float]]:
         """Rows a, columns b with Ad(h)[a][b] = coefficient a of h A_b h^(-1);
         the argument substitution X -> Ad(h) X acts on coordinates by this
         matrix.  h^(-1) is computed unless given."""
-        h = np.asarray(h, dtype=float)
+        h = FloatMatrix.of(h)
         hinv = self.inverse(h) if hinv is None else hinv
-        columns = [self.coefficients(h @ A @ hinv) for A in self.basis]
+        columns = [self.coefficients(matmul(matmul(h, A), hinv))
+                   for A in self.basis]
         return [list(row) for row in zip(*columns)]
 
     def keep(self, elements) -> None:
@@ -139,14 +185,15 @@ class LinearAction:
         (op_ibar's inserted elements, the same in every call); each is
         built on first use."""
         for h in elements:
-            self.kept.setdefault(np.asarray(h, float).tobytes(), None)
+            self.kept.setdefault(FloatMatrix.of(h).tobytes(), None)
 
     def transport(self, h) -> tuple:
         """Substitutions of Ad(h^(-1)) rows and of h^(-1), for acting by h,
         with every row table and expansion built from them so far.  A kept
         element's lives as long as the action; any other's is built once
         per element bytes while a scope is open and dropped with it."""
-        key = np.asarray(h, float).tobytes()
+        h = FloatMatrix.of(h)
+        key = h.tobytes()
         table = (self.kept if key in self.kept
                  else {} if self.scope is None else self.scope)
         if table.get(key) is None:
@@ -173,10 +220,11 @@ class GroupSampler:
         self.scale = scale
         self._rng = random.Random(seed)
 
-    def draw(self) -> np.ndarray:
-        Z = np.zeros((self.action.m, self.action.m))
+    def draw(self) -> FloatMatrix:
+        Z = [[0.0] * self.action.m] * self.action.m
         for A in self.action.basis:
-            Z = Z + self._rng.uniform(-self.scale, self.scale) * A
+            u = self._rng.uniform(-self.scale, self.scale)
+            Z = [[z + u * a for z, a in zip(*rows)] for rows in zip(Z, A)]
         return expm(Z)
 
     def draw_tuple(self, arity: int) -> tuple:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from ..liealg import killing_form
 from .action import GroupSampler, LinearAction
 from .cochains import (
@@ -160,13 +158,13 @@ def inclusion_check() -> dict:
     the geometric part coefficient for coefficient."""
     cochain = killing_quadratic_cochain(LinearAction.sl2())
     dbar = op_dbar(cochain)
-    dbar_worst = max_residual(dbar((np.asarray(g),)).norm()
+    dbar_worst = max_residual(dbar((g,)).norm()
                               for g in DYADIC_SL2_SAMPLES)
     cartan = (op_d(cochain) + op_iota(cochain))(())
     total = total_differential(cochain)
     geometric = total.component(0)(())
     bar_component = total.component(1)
-    bar_worst = max_residual(bar_component((np.asarray(g),)).norm()
+    bar_worst = max_residual(bar_component((g,)).norm()
                              for g in DYADIC_SL2_SAMPLES)
     return {
         "dbar_residual": dbar_worst,

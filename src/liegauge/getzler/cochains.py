@@ -23,9 +23,7 @@ one cochain per arity, missing arities meaning zero.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .action import LinearAction
+from .action import FloatMatrix, LinearAction
 from .polyform import PolyForm
 
 __all__ = [
@@ -50,7 +48,7 @@ class EquivariantCochain:
         self._evaluator = evaluator
 
     def __call__(self, gs) -> PolyForm:
-        gs = tuple([np.asarray(g, float) for g in gs])
+        gs = tuple(map(FloatMatrix.of, gs))
         if len(gs) != self.arity:
             raise ValueError(
                 f"cochain of arity {self.arity} called with {len(gs)} "
@@ -60,7 +58,7 @@ class EquivariantCochain:
         if outermost:
             action.scope = {}
         try:
-            key = (self, *map(np.ndarray.tobytes, gs))
+            key = (self, *map(FloatMatrix.tobytes, gs))
             if key not in action.scope:
                 action.scope[key] = self._evaluator(gs)
             return action.scope[key]
@@ -90,16 +88,14 @@ def constant_cochain(action: LinearAction, form: PolyForm
 
 def vanish_factor(gs) -> float:
     """Product of squared Frobenius distances to the identity, one factor
-    per argument; exactly zero when any argument is the identity.  Each
-    distance is summed in row-major order, as numpy sums fewer than eight
-    terms.  For m >= 3 (nine or more terms) the result may differ in the
-    last bit from numpy's pairwise sum; a pin on such a value is recorded
-    with this sum."""
+    per argument (any nested sequences); exactly zero when any argument is
+    the identity.  Each distance is summed left to right in row-major
+    order, which is numpy's order for fewer than eight terms; for m >= 3
+    numpy sums pairwise, and the two may differ in the last bit."""
     out = 1.0
     for g in gs:
-        rows = g.tolist() if isinstance(g, np.ndarray) else g
         total = 0.0
-        for i, row in enumerate(rows):
+        for i, row in enumerate(g):
             for j, v in enumerate(row):
                 d = float(v) - 1.0 if i == j else float(v)
                 total += d * d

@@ -23,7 +23,7 @@ sign above; see the checks module.
 
 from __future__ import annotations
 
-from .action import GroupSampler, expm
+from .action import GroupSampler, expm, matmul
 from .cochains import CochainFamily, EquivariantCochain
 from .polyform import PolyForm, max_residual
 
@@ -43,11 +43,6 @@ def _parity(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
-def _signed_sum(total: PolyForm, term: PolyForm, k: int) -> PolyForm:
-    """total + (-1)^k term; subtracting is bitwise adding term * -1.0."""
-    return total - term if k % 2 else total + term
-
-
 def op_d(c: EquivariantCochain) -> EquivariantCochain:
     """Exterior derivative on the value, with the arity sign (-1)^k."""
     sign = _parity(c.arity)
@@ -63,11 +58,9 @@ def op_iota(c: EquivariantCochain) -> EquivariantCochain:
 
     def evaluate(gs):
         value = c(gs)
-        total = PolyForm.zero(action.g_dim, action.m)
-        for a in range(action.g_dim):
-            contracted = value.contract_linear_field(action.fields[a])
-            total = total + contracted.multiply_omega(a)
-        return total.scale(sign)
+        return PolyForm.combine(action.g_dim, action.m, [
+            (value.contract_linear_field(field), sign, a)
+            for a, field in enumerate(action.fields)])
 
     return EquivariantCochain(action, c.arity, evaluate)
 
@@ -78,11 +71,12 @@ def op_dbar(c: EquivariantCochain) -> EquivariantCochain:
     k = c.arity
 
     def evaluate(gs):
-        total = action.group_action(gs[0], c(gs[1:]))
+        parts = [(action.group_action(gs[0], c(gs[1:])), 1.0, None)]
         for i in range(1, k + 1):
-            merged = gs[:i - 1] + (gs[i - 1] @ gs[i],) + gs[i + 1:]
-            total = _signed_sum(total, c(merged), i)
-        return _signed_sum(total, c(gs[:k]), k + 1)
+            merged = gs[:i - 1] + (matmul(gs[i - 1], gs[i]),) + gs[i + 1:]
+            parts.append((c(merged), _parity(i), None))
+        parts.append((c(gs[:k]), _parity(k + 1), None))
+        return PolyForm.combine(action.g_dim, action.m, parts)
 
     return EquivariantCochain(action, k + 1, evaluate)
 
@@ -99,29 +93,29 @@ def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
         raise ValueError("group contraction needs arity at least 1")
     action = c.action
     k = c.arity
-    exps = [(expm(step * A), expm(-step * A)) for A in action.basis]
+    exps = [tuple(expm([[t * v for v in row] for row in A])
+                  for t in (step, -step)) for A in action.basis]
     action.keep(h for pair in exps for h in pair)
     half = 1.0 / (2.0 * step)
 
     def evaluate(gs):
-        total = PolyForm.zero(action.g_dim, action.m)
+        parts = []
         for i in range(k):
-            leading = gs[:i]
-            if leading:
-                h = leading[0]
-                for g in leading[1:]:
-                    h = h @ g
+            if i:
+                h = gs[0]
+                for g in gs[1:i]:
+                    h = matmul(h, g)
                 ad = action.transport(h)[0]
             for b in range(action.g_dim):
                 plus, minus = exps[b]
                 diff = (c(gs[:i] + (plus,) + gs[i:])
-                        - c(gs[:i] + (minus,) + gs[i:])).scale(half)
+                        - c(gs[:i] + (minus,) + gs[i:]))
                 # with no leading arguments the transport is the identity,
-                # and the product with a unit row is the shift by Omega^b
-                term = (diff.multiply_omega_linear(ad, b) if leading
-                        else diff.multiply_omega(b))
-                total = _signed_sum(total, term, i)
-        return total
+                # so the term is the scaled difference shifted by Omega^b
+                parts.append(
+                    (diff.scale(half).multiply_omega_linear(ad, b),
+                     _parity(i), None) if i else (diff, half, b))
+        return PolyForm.combine(action.g_dim, action.m, parts)
 
     return EquivariantCochain(action, k - 1, evaluate)
 
@@ -141,11 +135,13 @@ def total_differential(x, step: float = 1e-3) -> CochainFamily:
 def square_residual(x, sampler: GroupSampler, samples: int,
                     step: float = 1e-3) -> float:
     """Largest coefficient of d_G(d_G x) over sampled argument tuples;
-    NaN once any coefficient is NaN."""
+    NaN once any coefficient is NaN.  The arity-0 component, whose tuple
+    is always empty, is evaluated once."""
     squared = total_differential(total_differential(x, step), step)
     return max_residual(
         squared.component(arity)(sampler.draw_tuple(arity)).norm()
-        for arity in squared.arities() for _ in range(samples))
+        for arity in squared.arities()
+        for _ in range(samples if arity else min(samples, 1)))
 
 
 def cup(a: EquivariantCochain, b: EquivariantCochain) -> EquivariantCochain:
@@ -163,7 +159,7 @@ def cup(a: EquivariantCochain, b: EquivariantCochain) -> EquivariantCochain:
         if k > 0:
             gamma = gs[0]
             for g in gs[1:k]:
-                gamma = gamma @ g
+                gamma = matmul(gamma, g)
             right = action.group_action(gamma, right)
         return left.twist(l).wedge(right)
 

@@ -274,6 +274,24 @@ class PolyForm:
             out[key] = out.get(key, 0.0) - c
         return self._like(out)
 
+    @classmethod
+    def combine(cls, g_dim: int, m: int, parts) -> "PolyForm":
+        """Sum of factor * form * Omega^a over (form, factor, a) parts (a
+        None: no Omega), in one dict; bitwise the parts scaled and added
+        one by one, key order included, as each zero sum deletes its key."""
+        out = cls.zero(g_dim, m)
+        layout, acc = out._layout, out._terms
+        for form, factor, a in parts:
+            out._check_compatible(form)
+            unit = 0 if a is None else layout.omega_units[a]
+            for k, c in form._terms.items():
+                k += unit
+                v = acc[k] = acc.get(k, 0.0) + c * factor
+                if not v:
+                    del acc[k]
+        layout.check(acc)
+        return out
+
     def scale(self, c: float) -> "PolyForm":
         c = float(c)
         if c == 1.0:
@@ -330,12 +348,6 @@ class PolyForm:
                 key = k1 + k2
                 out[key] = out.get(key, 0.0) + sign * c1 * c2
         return self._like(layout.check(out))
-
-    def multiply_omega(self, a: int) -> "PolyForm":
-        """Product with the generator Omega^a."""
-        unit = self._layout.omega_units[a]
-        return self._like(self._layout.check(
-            {k + unit: c for k, c in self._terms.items()}))
 
     def multiply_omega_linear(self, M: Substitution, b: int) -> "PolyForm":
         """Product with the linear generator combination

@@ -1,8 +1,9 @@
 """Pin BLAS and OpenMP to one thread before any test imports numpy, and
 share the `solver_builds` fixture.
 
-The getzler layer multiplies 2x2 matrices, in its numpy-only `expm`
-too; extra BLAS threads only add start-up and contention.  Variables
+The package never imports numpy; tests use it as a reference for the
+getzler layer's plain-float arithmetic, on matrices no larger than 3x3,
+where extra BLAS threads only add start-up and contention.  Variables
 already set in the environment are kept.
 """
 

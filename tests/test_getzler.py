@@ -20,6 +20,7 @@ import math
 import random
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from liegauge.getzler.action import (
     GroupSampler,
     LinearAction,
     expm,
+    matmul,
 )
 from liegauge.getzler.cochains import (
     CochainFamily,
@@ -250,7 +252,7 @@ class TestPolyForm:
         onto_x0 = [[1.0, 0.0], [1.0, 0.0]]
         raising = [
             lambda: high_omega.wedge(one_omega),
-            lambda: high_omega.multiply_omega(0),
+            lambda: PolyForm.combine(2, 2, [(high_omega, 1.0, 0)]),
             lambda: high_omega.multiply_omega_linear(
                 Substitution([[1.0, 0.0]]), 0),
             lambda: high_x.contract_linear_field(Substitution(onto_x0)),
@@ -263,7 +265,7 @@ class TestPolyForm:
                 op()
         # below the limit the same operations go through
         swap = [[0.0, 1.0], [1.0, 0.0]]
-        assert not vanishes(high_omega.multiply_omega(1))
+        assert not vanishes(PolyForm.combine(2, 2, [(high_omega, 1.0, 1)]))
         assert not vanishes(high_x.contract_linear_field(
             Substitution(np.eye(2))))
         assert not vanishes(high_x.pullback_linear(Substitution(swap)))
@@ -518,7 +520,8 @@ def test_packed_keys_match_the_tuple_reference_bitwise(g_dim, m):
             same(form.scale(c), ref.scale(c))
         for a in range(g_dim):
             unit = [1.0 if b == a else 0.0 for b in range(g_dim)]
-            same(form.multiply_omega(a), ref.multiply_omega_linear(unit))
+            same(PolyForm.combine(g_dim, m, [(form, 1.0, a)]),
+                 ref.multiply_omega_linear(unit))
         for M in _reference_matrices(rng, g_dim):
             same(form.multiply_omega_linear(Substitution(M), 0),
                  ref.multiply_omega_linear(M[0]))
@@ -533,6 +536,9 @@ def test_packed_keys_match_the_tuple_reference_bitwise(g_dim, m):
         for form2, ref2 in pairs:
             same(form1 + form2, ref1 + ref2)
             same(form1 - form2, ref1 - ref2)
+            same(PolyForm.combine(g_dim, m, [(form1, 1.0, None),
+                                             (form2, -1.0, None)]),
+                 ref1 - ref2)
             same(form1.wedge(form2), ref1.wedge(ref2))
     # the negated pair cancels to the empty form in both
     assert vanishes(pairs[-1][0] + pairs[-2][0])
@@ -541,9 +547,22 @@ def test_packed_keys_match_the_tuple_reference_bitwise(g_dim, m):
 # -- the linear action and its exact plumbing --------------------------------
 
 
+def _adjugate_inverse(a: list) -> list:
+    """The inverse of a 3-by-3 matrix of Fractions, as its adjugate over
+    its determinant."""
+    def minor(i, j):
+        (p, q), (r, t) = [[a[k][l] for l in range(3) if l != j]
+                          for k in range(3) if k != i]
+        return p * t - q * r
+    cof = [[(-1) ** (i + j) * minor(i, j) for j in range(3)]
+           for i in range(3)]
+    det = sum(a[0][j] * cof[0][j] for j in range(3))
+    return [[cof[j][i] / det for j in range(3)] for i in range(3)]
+
+
 class TestLinearAction:
     def test_dual_frame_roundtrip_is_exact(self):
-        h, e, f = SL2.basis
+        h, e, f = map(np.array, SL2.basis)
         M = 2.0 * h + 3.0 * e - 1.0 * f
         assert SL2.coefficients(M) == [2.0, 3.0, -1.0]
 
@@ -593,7 +612,7 @@ class TestLinearAction:
         assert built.algebra is alg
         for ours, theirs, exact in zip(SL2.basis, built.basis, alg.basis):
             assert np.array_equal(ours, theirs)
-            assert theirs.tolist() == exact.to_lists()
+            assert np.array(theirs).tolist() == exact.to_lists()
 
     def test_complex_algebra_rejected(self):
         with pytest.raises(ValueError, match="non-real"):
@@ -611,6 +630,39 @@ class TestLinearAction:
                                               "gaussian"))
         for ours, theirs in zip(SL2.basis, built.basis):
             assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("kind", ["so", "sl"])
+    def test_dyadic_three_by_three_inverse_is_exact(self, kind):
+        # products of elementary I + c E_ij have determinant one and,
+        # with dyadic c, an inverse whose products with g are exact
+        action = LinearAction(make_classical(kind, 3))
+        rng = random.Random(31)
+        eye = [[float(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(20):
+            g = eye
+            for _ in range(4):
+                i, j = rng.sample(range(3), 2)
+                step = [row[:] for row in eye]
+                step[i][j] = rng.choice([-2.0, -0.5, 0.25, 1.0, 1.5])
+                g = matmul(g, step)
+            assert matmul(action.inverse(g), g) == tuple(map(tuple, eye))
+
+    @pytest.mark.parametrize("kind", ["so", "sl"])
+    def test_three_by_three_inverse_rounds_the_exact_inverse(self, kind):
+        action = LinearAction(make_classical(kind, 3))
+        sampler = GroupSampler(action, seed=32)
+        for _ in range(20):
+            g = sampler.draw()
+            want = _adjugate_inverse([[Fraction(v) for v in row]
+                                      for row in g])
+            assert action.inverse(g) == tuple(
+                tuple(float(x) for x in row) for row in want)
+
+    def test_drawn_elements_keep_numpy_bytes(self):
+        for action in (SL2, LinearAction(make_classical("so", 3))):
+            for g in GroupSampler(action, seed=33).draw_tuple(5):
+                assert g.tobytes() == np.array(g).tobytes()
+                assert all(type(v) is float for row in g for v in row)
 
     def test_sampler_is_deterministic_and_invertible(self):
         a = GroupSampler(SL2, seed=9)
@@ -635,13 +687,13 @@ class TestExpm:
 
     @pytest.mark.parametrize("t", [0.25, -0.7, 3.0, 1e3])
     def test_nilpotent_generators_exactly(self, t):
-        _, e, f = SL2.basis
+        _, e, f = map(np.array, SL2.basis)
         for A in (e, f):
             assert np.array_equal(expm(t * A), np.eye(2) + t * A)
 
     @pytest.mark.parametrize("t", [0.2, -1.5, 3.25])
     def test_diagonal_generator(self, t):
-        h = SL2.basis[0]
+        h = np.array(SL2.basis[0])
         _assert_close(expm(t * h), np.diag(np.exp(t * np.diag(h))))
 
     @pytest.mark.parametrize("a, b, c", [
@@ -651,7 +703,7 @@ class TestExpm:
         (0.2, 1.5, -2.0),    # det Z > 0, scaled
     ])
     def test_traceless_two_by_two(self, a, b, c):
-        h, e, f = SL2.basis
+        h, e, f = map(np.array, SL2.basis)
         Z = a * h + b * e + c * f
         delta = cmath.sqrt(-np.linalg.det(Z))
         want = (cmath.cosh(delta).real * np.eye(2)
@@ -662,7 +714,7 @@ class TestExpm:
                                    (-2.5, 0.3, 1.1)])
     def test_rotations_by_rodrigues(self, w):
         so3 = LinearAction(make_classical("so", 3))
-        K = sum(x * B for x, B in zip(w, so3.basis))
+        K = sum(x * np.array(B) for x, B in zip(w, so3.basis))
         theta = math.sqrt(-np.trace(K @ K) / 2)
         want = (np.eye(3) + math.sin(theta) / theta * K
                 + (1 - math.cos(theta)) / theta ** 2 * (K @ K))
@@ -843,16 +895,17 @@ class TestEvaluationScope:
 
         g = GroupSampler(SL2, seed=17).draw()
         EquivariantCochain(SL2, 1, evaluate)((g,))
-        EquivariantCochain(SL2, 1, evaluate)((g.astype(np.float32),))
+        single = np.array(g, dtype=np.float32)
+        EquivariantCochain(SL2, 1, evaluate)((single,))
         assert seen[0] is g
-        assert seen[1].dtype == np.float64
-        assert np.array_equal(seen[1], g.astype(np.float32))
+        assert np.asarray(seen[1]).dtype == np.float64
+        assert np.array_equal(seen[1], single)
 
     def test_list_arguments_give_the_array_values(self):
         c = random_cochain(SL2, random.Random(71), 1)
         squared = total_differential(total_differential(c)).component(2)
         gs = GroupSampler(SL2, seed=14).draw_tuple(2)
-        assert squared([g.tolist() for g in gs]) == squared(gs)
+        assert squared([np.array(g).tolist() for g in gs]) == squared(gs)
 
 
 def _hex_terms(form: PolyForm) -> list:
@@ -1032,7 +1085,7 @@ class TestGroupContraction:
         # raising element, that is Omega^1 P.
         payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
-            SL2, 1, lambda gs: payload.scale(float(gs[0][0, 1])))
+            SL2, 1, lambda gs: payload.scale(float(gs[0][0][1])))
         expected = payload.multiply_omega_linear(
             Substitution([[0.0, 1.0, 0.0]]), 0)
         assert (op_ibar(c)(()) - expected).norm() <= 1e-6
@@ -1048,7 +1101,7 @@ class TestGroupContraction:
         payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
             SL2, 2,
-            lambda gs: payload.scale(float(gs[0][0, 1]) * float(gs[1][1, 0])))
+            lambda gs: payload.scale(float(gs[0][0][1]) * float(gs[1][1][0])))
         g = np.array([[2.0, 0.5], [1.0, 0.75]])
         result = op_ibar(c)((g,))
         expected = payload.multiply_omega_linear(
@@ -1062,7 +1115,7 @@ class TestGroupContraction:
         # shrink the change by a factor of about four.
         payload = term(3, 2, 1.0, x_exp=(1, 0), dx=(1,))
         c = EquivariantCochain(
-            SL2, 1, lambda gs: payload.scale(float(gs[0][0, 0])))
+            SL2, 1, lambda gs: payload.scale(float(gs[0][0][0])))
         coarse = op_ibar(c, step=2e-3)(())
         fine = op_ibar(c, step=1e-3)(())
         finest = op_ibar(c, step=5e-4)(())
@@ -1167,6 +1220,20 @@ class TestTotalDifferential:
         for _ in range(3):
             gs = sampler.draw_tuple(1)
             assert geometric(gs) == reference(gs)
+
+    def test_square_residual_evaluates_an_arity_zero_component_once(self):
+        base = random_cochain(SL2, random.Random(52), 0)
+        runs = []
+
+        def counted(gs):
+            runs.append(gs)
+            return base(gs)
+
+        c = EquivariantCochain(SL2, 0, counted)
+        square_residual(c, GroupSampler(SL2, seed=11), samples=5)
+        # d_G^2 of a 0-cochain has arities 0, 1 and 2; each outermost call
+        # evaluates c once, and only the arity-0 component is not sampled
+        assert runs == [()] * (1 + 2 * 5)
 
     def test_square_residual_matches_direct_recomputation(self):
         c = random_cochain(SL2, random.Random(50), 0)
