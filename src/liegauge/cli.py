@@ -275,7 +275,9 @@ def cmd_getzler_check(group: str = "sl2", ambient: int = 2, arity: int = 2,
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; it holds no per-call
-    state and parsing does not change it."""
+    state and parsing does not change it.  Each subcommand sets `run` to
+    a function of the parsed arguments that looks its cmd_* up by name
+    when called."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "structured"),
                         default="text",
@@ -292,25 +294,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anomaly", parents=[common],
                        help="anomaly verdict for an embedding file")
     p.add_argument("embedding_file")
+    p.set_defaults(run=lambda a: cmd_anomaly(a.embedding_file))
 
-    sub.add_parser("wzw-verify", parents=[common],
-                   help="run the symbolic identity suite")
+    p = sub.add_parser("wzw-verify", parents=[common],
+                       help="run the symbolic identity suite")
+    p.set_defaults(run=lambda a: cmd_wzw_verify())
 
     p = sub.add_parser("relcoh", parents=[common],
                        help="Betti numbers of a relative pair")
     p.add_argument("--pair", required=True,
                    help="classical pair like sl3/so3, or one algebra for "
                         "the plain complex")
+    p.set_defaults(run=lambda a: cmd_relcoh(a.pair))
 
     p = sub.add_parser("invariants", parents=[common],
                        help="invariant polynomial dimensions by degree")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, required=True)
+    p.set_defaults(run=lambda a: cmd_invariants(a.algebra, a.max_degree))
 
     p = sub.add_parser("series", parents=[common],
                        help="page series and the cancellation verdict")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--truncate", type=int, required=True)
+    p.set_defaults(run=lambda a: cmd_series(a.n, a.truncate))
 
     p = sub.add_parser("getzler-check", parents=[common],
                        help="residuals of the equivariant operator checks")
@@ -320,6 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=lambda a: cmd_getzler_check(
+        group=a.group, ambient=a.ambient, arity=a.arity,
+        samples=a.samples, step=a.step, seed=a.seed))
 
     return parser
 
@@ -332,20 +342,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "anomaly":
-            report = cmd_anomaly(args.embedding_file)
-        elif args.command == "wzw-verify":
-            report = cmd_wzw_verify()
-        elif args.command == "relcoh":
-            report = cmd_relcoh(args.pair)
-        elif args.command == "invariants":
-            report = cmd_invariants(args.algebra, args.max_degree)
-        elif args.command == "series":
-            report = cmd_series(args.n, args.truncate)
-        else:
-            report = cmd_getzler_check(
-                group=args.group, ambient=args.ambient, arity=args.arity,
-                samples=args.samples, step=args.step, seed=args.seed)
+        report = args.run(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

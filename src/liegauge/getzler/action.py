@@ -124,9 +124,10 @@ class LinearAction:
         # None, or the scope an outermost EquivariantCochain call holds open:
         # values by (cochain, argument bytes), transports by element bytes
         self.scope = None
-        # transports kept for the action's lifetime, by element bytes;
-        # None until the element is first transported
+        # transports of inserted elements, kept for the action's lifetime
+        # by element bytes; None until the element is first transported
         self.kept: dict = {}
+        self._inserted: dict = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -151,12 +152,6 @@ class LinearAction:
         return [[float(P[a, k]) for k in range(self.m * self.m)]
                 for a in range(self.g_dim)]
 
-    def coefficients(self, M) -> list[float]:
-        """Expansion coefficients of an m-by-m matrix in the basis; exact
-        when the dual frame and the matrix have dyadic entries."""
-        column = [(v,) for row in FloatMatrix.of(M) for v in row]
-        return [total for total, in matmul(self._dual, column)]
-
     # -- group plumbing ---------------------------------------------------------
 
     def inverse(self, h) -> FloatMatrix:
@@ -170,28 +165,31 @@ class LinearAction:
         exact = Matrix.from_rows([[Fraction(v) for v in row] for row in h])
         return FloatMatrix.of(exact.inverse().to_lists())
 
-    def ad_matrix(self, h, hinv=None) -> list[list[float]]:
-        """Rows a, columns b with Ad(h)[a][b] = coefficient a of h A_b h^(-1);
-        the argument substitution X -> Ad(h) X acts on coordinates by this
-        matrix.  h^(-1) is computed unless given."""
-        h = FloatMatrix.of(h)
-        hinv = self.inverse(h) if hinv is None else hinv
-        columns = [self.coefficients(matmul(matmul(h, A), hinv))
+    def ad_matrix(self, h, hinv) -> FloatMatrix:
+        """Ad(h)[a][b], the coefficient a of h A_b hinv for hinv = h^(-1):
+        the dual frame times the matrix of the flattened h A_b hinv by
+        columns.  X -> Ad(h) X acts on coordinates by this matrix."""
+        columns = [tuple(chain.from_iterable(matmul(matmul(h, A), hinv)))
                    for A in self.basis]
-        return [list(row) for row in zip(*columns)]
+        return matmul(self._dual, tuple(zip(*columns)))
 
-    def keep(self, elements) -> None:
-        """Keep the transports of these elements for the action's lifetime
-        (op_ibar's inserted elements, the same in every call); each is
-        built on first use."""
-        for h in elements:
-            self.kept.setdefault(FloatMatrix.of(h).tobytes(), None)
+    def inserted(self, step: float) -> tuple:
+        """The pairs (exp(step A_b), exp(-step A_b)) per basis direction b
+        that op_ibar inserts, built once per step; their transports are
+        kept for the action's lifetime, each built on first use."""
+        if step not in self._inserted:
+            pairs = self._inserted[step] = tuple(
+                tuple(expm([[t * v for v in row] for row in A])
+                      for t in (step, -step)) for A in self.basis)
+            for h in chain.from_iterable(pairs):
+                self.kept.setdefault(h.tobytes(), None)
+        return self._inserted[step]
 
     def transport(self, h) -> tuple:
         """Substitutions of Ad(h^(-1)) rows and of h^(-1), for acting by h,
-        with every row table and expansion built from them so far.  A kept
-        element's lives as long as the action; any other's is built once
-        per element bytes while a scope is open and dropped with it."""
+        with every row table and expansion built from them so far.  An
+        inserted element's live as long as the action; any other's are
+        built once while a scope is open and dropped with it."""
         h = FloatMatrix.of(h)
         key = h.tobytes()
         table = (self.kept if key in self.kept

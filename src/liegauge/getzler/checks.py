@@ -89,9 +89,9 @@ def dg_square_check(arity: int, samples: int = 100, step: float = 1e-3,
     rng = random.Random(seed)
     cochain = random_cochain(action, rng, arity)
     residual = square_residual(
-        cochain, GroupSampler(action, 0.5, seed + 1), samples, step)
+        cochain, GroupSampler(action, seed=seed + 1), samples, step)
     halved = square_residual(
-        cochain, GroupSampler(action, 0.5, seed + 1), samples, step / 2.0)
+        cochain, GroupSampler(action, seed=seed + 1), samples, step / 2.0)
     # a NaN halved residual gives a NaN ratio, which fails the check
     ratio = residual / halved if halved != 0.0 else math.inf
     return {
@@ -115,7 +115,7 @@ def associativity_check(seed: int = 0) -> dict:
         a, b, c = (random_cochain(action, rng, k) for k in arities)
         left = cup(cup(a, b), c)
         right = cup(a, cup(b, c))
-        sampler = GroupSampler(action, 0.5, seed + sum(arities))
+        sampler = GroupSampler(action, seed=seed + sum(arities))
         for _ in range(25):
             gs = sampler.draw_tuple(sum(arities))
             worst = max_residual((worst, (left(gs) - right(gs)).norm()))
@@ -141,7 +141,7 @@ def leibniz_check(step: float = 1e-3, seed: int = 0) -> dict:
             + cup_family(CochainFamily.of(a),
                          total_differential(b, step)).scale(sign)
         diff = lhs - rhs
-        sampler = GroupSampler(action, 0.5, seed + omega_deg + 2 * dx_deg)
+        sampler = GroupSampler(action, seed=seed + omega_deg + 2 * dx_deg)
         for arity in diff.arities():
             component = diff.component(arity)
             for _ in range(25):

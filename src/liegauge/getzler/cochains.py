@@ -6,9 +6,9 @@ in its coordinates.  Evaluators must be pure and PolyForm values are never
 mutated: the outermost call opens a scope on the action that evaluates each
 (cochain, argument bytes) pair once and transports by each group element
 once, and drops it when that call returns.  What lives longer is on the
-action and fixed by its basis: the fundamental fields, and the transports
-by the elements exp(+-step A_b) that op_ibar inserts, each built on first
-use and kept for the action's lifetime.
+action and fixed by its basis: the fundamental fields, the elements
+exp(+-step A_b) that op_ibar inserts, built once per step, and their
+transports, each built on first use and kept for the action's lifetime.
 
 Normalized cochains vanish whenever an argument is the identity; the
 random generators below enforce this with a squared-distance factor per

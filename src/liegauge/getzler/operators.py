@@ -23,7 +23,9 @@ sign above; see the checks module.
 
 from __future__ import annotations
 
-from .action import GroupSampler, expm, matmul
+from functools import reduce
+
+from .action import GroupSampler, matmul
 from .cochains import CochainFamily, EquivariantCochain
 from .polyform import PolyForm, max_residual
 
@@ -84,28 +86,24 @@ def op_dbar(c: EquivariantCochain) -> EquivariantCochain:
 def op_ibar(c: EquivariantCochain, step: float = 1e-3) -> EquivariantCochain:
     """Group-direction contraction, arity k -> k-1, by central differences.
 
-    The inserted argument runs over `expm`'s exp(+-step * A_b) per basis
-    direction; the directional derivatives recombine against the
-    coordinates of the adjoint-transported symbolic argument, so the only
-    approximation is the O(step^2) finite-difference error.
+    The inserted argument runs over exp(+-step * A_b) per basis direction,
+    which the action builds once per step; the directional derivatives
+    recombine against the coordinates of the adjoint-transported symbolic
+    argument, so the only approximation is the O(step^2) finite-difference
+    error.
     """
     if c.arity < 1:
         raise ValueError("group contraction needs arity at least 1")
     action = c.action
     k = c.arity
-    exps = [tuple(expm([[t * v for v in row] for row in A])
-                  for t in (step, -step)) for A in action.basis]
-    action.keep(h for pair in exps for h in pair)
+    exps = action.inserted(step)
     half = 1.0 / (2.0 * step)
 
     def evaluate(gs):
         parts = []
         for i in range(k):
             if i:
-                h = gs[0]
-                for g in gs[1:i]:
-                    h = matmul(h, g)
-                ad = action.transport(h)[0]
+                ad = action.transport(reduce(matmul, gs[:i]))[0]
             for b in range(action.g_dim):
                 plus, minus = exps[b]
                 diff = (c(gs[:i] + (plus,) + gs[i:])
@@ -157,10 +155,7 @@ def cup(a: EquivariantCochain, b: EquivariantCochain) -> EquivariantCochain:
         left = a(gs[:k])
         right = b(gs[k:])
         if k > 0:
-            gamma = gs[0]
-            for g in gs[1:k]:
-                gamma = matmul(gamma, g)
-            right = action.group_action(gamma, right)
+            right = action.group_action(reduce(matmul, gs[:k]), right)
         return left.twist(l).wedge(right)
 
     return EquivariantCochain(action, k + l, evaluate)

@@ -19,12 +19,13 @@ x-exponents and then g_dim fields for the Omega-exponents, each
 EXPONENT_BITS wide plus one guard bit on top.  So multiplying two terms
 adds their keys (the dx masks are disjoint whenever the product is
 nonzero, and each exponent sum fits in its field with the guard bit),
-multiplying by one variable adds that field's unit, and the wedge signs
-come from tables indexed by dx masks, built once per (g_dim, m).  Every
-exponent lies in 0 .. EXPONENT_LIMIT - 1: the constructor rejects any
-other, and an operation whose result would reach EXPONENT_LIMIT raises
-ValueError instead of carrying into the next field.  The public `terms`
-view decodes the keys to (omega, x, dx) tuples in insertion order.
+multiplying by one variable adds that field's unit, and every dx sign is
+read from one table of the signs of dx_left ^ dx_right, built once per
+(g_dim, m).  Every exponent lies in 0 .. EXPONENT_LIMIT - 1: the
+constructor rejects any other, and an operation whose result would reach
+EXPONENT_LIMIT raises ValueError instead of carrying into the next field.
+The public `terms` view decodes the keys to (omega, x, dx) tuples in
+insertion order.
 
 Terms are validated once, in the public constructor: exponent lengths
 match the dimensions, exponents are in range and each dx index set is
@@ -36,7 +37,7 @@ results skip that check and only drop zero coefficients.
 from __future__ import annotations
 
 import operator
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 
 __all__ = ["EXPONENT_LIMIT", "PolyForm", "Substitution", "max_residual"]
 
@@ -72,35 +73,23 @@ class _Layout:
         self.dx_tuples = tuple(
             tuple(i for i in range(m) if mask >> i & 1)
             for mask in range(1 << m))
+        # wedge_sign[(left << m) | right]: sign of dx_left ^ dx_right, 0
+        # when they overlap; each factor of `right` jumps over the larger
+        # factors of `left`
+        self.wedge_sign = [
+            0 if left & right
+            else -1 if sum((left >> (j + 1)).bit_count()
+                           for j in range(m) if right >> j & 1) % 2 else 1
+            for left in range(1 << m) for right in range(1 << m)]
         # insert_sign[mask][i]: sign of dx_i ^ dx_mask, 0 when i is in mask
         self.insert_sign = tuple(
-            tuple(0 if mask >> i & 1
-                  else (-1 if (mask & ((1 << i) - 1)).bit_count() % 2 else 1)
-                  for i in range(m))
+            tuple(self.wedge_sign[(1 << i) << m | mask] for i in range(m))
             for mask in range(1 << m))
-        # slots[mask]: (i, bit, sign) of the t-th factor of dx_mask, (-1)^t
+        # slots[mask]: (i, bit, sign of dx_i ^ the rest) per dx_i in dx_mask
         self.slots = tuple(
-            tuple((i, 1 << i, -1 if t % 2 else 1)
-                  for t, i in enumerate(self.dx_tuples[mask]))
+            tuple((i, 1 << i, self.insert_sign[mask ^ 1 << i][i])
+                  for i in self.dx_tuples[mask])
             for mask in range(1 << m))
-
-    @cached_property
-    def wedge_sign(self) -> list:
-        """wedge_sign[(left << m) | right]: sign of dx_left ^ dx_right, 0
-        when they overlap.  4^m entries, built on first use."""
-        m = self.m
-        table = []
-        for left in range(1 << m):
-            for right in range(1 << m):
-                if left & right:
-                    table.append(0)
-                    continue
-                # each factor of `right` jumps over the larger factors of
-                # `left`
-                swaps = sum((left >> (j + 1)).bit_count()
-                            for j in range(m) if right >> j & 1)
-                table.append(-1 if swaps % 2 else 1)
-        return table
 
     def exponents(self, key: int, shifts) -> list:
         return [(key >> s) & _VALUE_MASK for s in shifts]
@@ -118,17 +107,10 @@ def _layout(g_dim: int, m: int) -> _Layout:
     return _Layout(g_dim, m)
 
 
-def _nonzero_rows(rows, n: int, units) -> list:
-    """Per row i, the (unit, float entry) pairs of its nonzero entries."""
-    out = []
-    for row in rows:
-        pairs = []
-        for j in range(n):
-            v = float(row[j])
-            if v != 0.0:
-                pairs.append((units[j], v))
-        out.append(pairs)
-    return out
+def _nonzero_rows(rows, units) -> list:
+    """Per row, the (units[j], float entry j) pairs of its nonzero entries."""
+    return [[(unit, v) for unit, v in zip(units, map(float, row)) if v != 0.0]
+            for row in rows]
 
 
 def _expand_power(layout: _Layout, exps, rows) -> dict:
@@ -193,9 +175,9 @@ class Substitution:
         self.expansions: dict = {}
         self._rows: dict = {}
 
-    def rows(self, n: int, units: tuple) -> list:
+    def rows(self, units: tuple) -> list:
         if units not in self._rows:
-            self._rows[units] = _nonzero_rows(self.matrix, n, units)
+            self._rows[units] = _nonzero_rows(self.matrix, units)
         return self._rows[units]
 
 
@@ -353,7 +335,7 @@ class PolyForm:
         """Product with the linear generator combination
         sum_a M[b][a] Omega^a, b picking a row of the matrix of M."""
         layout = self._layout
-        row = M.rows(self.g_dim, layout.omega_units)[b]
+        row = M.rows(layout.omega_units)[b]
         out: dict = {}
         for k, c in self._terms.items():
             for unit, ca in row:
@@ -387,7 +369,7 @@ class PolyForm:
         matrix): each dx_i becomes the linear polynomial (V x)_i, extended
         as an antiderivation over the wedge factors."""
         layout = self._layout
-        rows = V.rows(self.m, layout.x_units)
+        rows = V.rows(layout.x_units)
         slots, dx_mask = layout.slots, layout.dx_mask
         out: dict = {}
         for k, c in self._terms.items():
@@ -404,7 +386,7 @@ class PolyForm:
         """Replace each generator: Omega^a -> sum_b M[a][b] Omega^b."""
         layout = self._layout
         below = layout.below_omega
-        rows = M.rows(self.g_dim, layout.omega_units)
+        rows = M.rows(layout.omega_units)
         expansions = M.expansions
         out: dict = {}
         for k, c in self._terms.items():
@@ -423,11 +405,11 @@ class PolyForm:
         """Pull back along the linear map x -> B x: substitute the monomials
         and expand each dx_i into sum_j B[i][j] dx_j with wedge signs."""
         layout = self._layout
-        m, dx_mask = self.m, layout.dx_mask
+        dx_mask = layout.dx_mask
         omega_part = ~layout.below_omega
         x_part = layout.below_omega ^ dx_mask
-        x_rows = B.rows(m, layout.x_units)
-        dx_rows = B.rows(m, layout.dx_units)
+        x_rows = B.rows(layout.x_units)
+        dx_rows = B.rows(layout.dx_units)
         expansions = B.expansions
         out: dict = {}
         for k, c in self._terms.items():

@@ -11,6 +11,11 @@ computes another way, so a test can check the two against each other.
   verify_jacobi              the structure constants of `liealg`
   trace_form                 Tr(e_a e_b) through matrix products, the
                              multiple of the Killing form on simple algebras
+  parity_insert_signs,       the Getzler layer's dx insertion and removal
+  parity_slots               signs by popcount and slot parity, against
+                             the ones it reads from its wedge-sign table
+  ad_matrix_by_columns       Ad(h) expanded one column at a time and
+                             transposed, against `LinearAction.ad_matrix`
 
 Below them sit the dense helpers the tests share and no command needs: a
 zero matrix, a matrix from its columns, a matrix applied to a vector,
@@ -21,6 +26,7 @@ vector made dense, and the right kernel of any matrix through
 
 from liegauge.anomaly import GaugeEmbedding
 from liegauge.exact import GaussianRational, Matrix, as_scalar, joint_kernel
+from liegauge.getzler.action import matmul
 from liegauge.liealg import MatrixLieAlgebra
 from liegauge.wzw import contract, evaluate, lambda_form
 
@@ -76,6 +82,35 @@ def trace_form(alg: MatrixLieAlgebra) -> Matrix:
     dim = alg.dim
     return Matrix(dim, dim, [(alg.basis[a] * alg.basis[b]).trace()
                              for a in range(dim) for b in range(dim)])
+
+
+def parity_insert_signs(m: int) -> tuple:
+    """[mask][i]: the sign of dx_i ^ dx_mask, 0 when i is in mask, else
+    (-1) to the number of factors of dx_mask below i."""
+    return tuple(
+        tuple(0 if mask >> i & 1
+              else (-1 if (mask & ((1 << i) - 1)).bit_count() % 2 else 1)
+              for i in range(m))
+        for mask in range(1 << m))
+
+
+def parity_slots(m: int) -> tuple:
+    """[mask]: (i, 1 << i, (-1)^t) for the t-th factor dx_i of dx_mask."""
+    return tuple(
+        tuple((i, 1 << i, -1 if t % 2 else 1)
+              for t, i in enumerate(j for j in range(m) if mask >> j & 1))
+        for mask in range(1 << m))
+
+
+def ad_matrix_by_columns(action, h, hinv) -> tuple:
+    """Ad(h) one column at a time: column b is the dual frame times the
+    flattened h A_b hinv as a column vector; the columns are then
+    transposed into rows."""
+    columns = []
+    for A in action.basis:
+        vec = [(v,) for row in matmul(matmul(h, A), hinv) for v in row]
+        columns.append([total for total, in matmul(action._dual, vec)])
+    return tuple(zip(*columns))
 
 
 # -- dense helpers -----------------------------------------------------------

@@ -50,14 +50,18 @@ from liegauge.getzler.operators import (
     square_residual,
     total_differential,
 )
+from liegauge.getzler import action as action_module
 from liegauge.getzler import checks
+from liegauge.getzler import operators as operators_module
 from liegauge.getzler.polyform import (
     EXPONENT_LIMIT,
     PolyForm,
     Substitution,
+    _layout,
     max_residual,
 )
 from liegauge.liealg import MatrixLieAlgebra, make_classical
+from reference import ad_matrix_by_columns, parity_insert_signs, parity_slots
 
 SL2 = LinearAction.sl2()
 
@@ -562,9 +566,14 @@ def _adjugate_inverse(a: list) -> list:
 
 class TestLinearAction:
     def test_dual_frame_roundtrip_is_exact(self):
-        h, e, f = map(np.array, SL2.basis)
-        M = 2.0 * h + 3.0 * e - 1.0 * f
-        assert SL2.coefficients(M) == [2.0, 3.0, -1.0]
+        # for dyadic g every g A_b g^(-1) = [[p, q], [r, -p]] is exact, and
+        # its coefficients on (h, e, f) come back as exactly (p, q, r)
+        for g in dyadic_samples():
+            ginv = SL2.inverse(g)
+            ad = SL2.ad_matrix(g, ginv)
+            for b, A in enumerate(SL2.basis):
+                (p, q), (r, _) = g @ np.array(A) @ np.array(ginv)
+                assert [row[b] for row in ad] == [p, q, r]
 
     def test_dependent_basis_rejected(self):
         h, e, _ = SL2.algebra.basis
@@ -575,18 +584,20 @@ class TestLinearAction:
     def test_adjoint_matrix_hand_values(self):
         # At the upper unipotent element the adjoint images of the basis
         # are h - 2e, e, and h - e + f; the matrix stores them by columns.
-        expected = [[1.0, 0.0, 1.0],
-                    [-2.0, 1.0, -1.0],
-                    [0.0, 0.0, 1.0]]
-        assert SL2.ad_matrix(UNIPOTENT_UP) == expected
-        eye = SL2.ad_matrix(np.eye(2))
-        assert eye == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        expected = ((1.0, 0.0, 1.0),
+                    (-2.0, 1.0, -1.0),
+                    (0.0, 0.0, 1.0))
+        up = SL2.ad_matrix(UNIPOTENT_UP, SL2.inverse(UNIPOTENT_UP))
+        assert up == expected
+        eye = SL2.ad_matrix(np.eye(2), SL2.inverse(np.eye(2)))
+        assert eye == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
     def test_adjoint_matrix_is_multiplicative(self):
+        def ad(g):
+            return np.array(SL2.ad_matrix(g, SL2.inverse(g)))
+
         g1, g2 = dyadic_samples()[2:4]
-        lhs = np.array(SL2.ad_matrix(g1 @ g2))
-        rhs = np.array(SL2.ad_matrix(g1)) @ np.array(SL2.ad_matrix(g2))
-        assert np.array_equal(lhs, rhs)
+        assert np.array_equal(ad(g1 @ g2), ad(g1) @ ad(g2))
 
     def test_group_action_is_a_left_action_bitwise(self):
         form = (term(3, 2, 1.0, omega_exp=(1, 0, 1),
@@ -671,6 +682,30 @@ class TestLinearAction:
             ga, gb = a.draw(), b.draw()
             assert np.array_equal(ga, gb)
             assert abs(np.linalg.det(ga)) > 1e-8
+
+
+def _hex_rows(matrix) -> list:
+    return [[v.hex() for v in row] for row in matrix]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_dx_signs_read_from_the_wedge_table_match_parity(m):
+    layout = _layout(1, m)
+    assert len(layout.wedge_sign) == 4 ** m
+    assert layout.insert_sign == parity_insert_signs(m)
+    assert layout.slots == parity_slots(m)
+
+
+@pytest.mark.parametrize("kind, n", [("sl", 2), ("so", 3), ("sl", 3)])
+def test_ad_matrix_matches_the_column_expansion_bitwise(kind, n):
+    action = LinearAction(make_classical(kind, n))
+    for h in GroupSampler(action, seed=34).draw_tuple(8):
+        hinv = action.inverse(h)
+        # both ways round: transports expand Ad(h^(-1)) with h as inverse
+        for g, ginv in ((h, hinv), (hinv, h)):
+            got = action.ad_matrix(g, ginv)
+            assert _hex_rows(got) == _hex_rows(
+                ad_matrix_by_columns(action, g, ginv))
 
 
 # -- cochains ------------------------------------------------------------------
@@ -935,10 +970,17 @@ def _checked_values(seed: int, action_for_call) -> list:
     return out
 
 
+class _KeepsNothing(dict):
+    """A kept-transport table that stores nothing."""
+
+    def setdefault(self, key, default=None):
+        return default
+
+
 def _fresh_unkept_action() -> LinearAction:
     """A new action that keeps no transport: each lives for one call."""
     action = LinearAction.sl2()
-    action.keep = lambda elements: None
+    action.kept = _KeepsNothing()
     return action
 
 
@@ -948,7 +990,42 @@ class TestKeptTransports:
         shared = LinearAction.sl2()
         kept = _checked_values(seed, lambda: shared)
         assert any(v is not None for v in shared.kept.values())
-        assert kept == _checked_values(seed, _fresh_unkept_action)
+        fresh = []
+
+        def unkept():
+            fresh.append(_fresh_unkept_action())
+            return fresh[-1]
+
+        assert kept == _checked_values(seed, unkept)
+        assert fresh and not any(action.kept for action in fresh)
+
+    def test_a_second_op_ibar_reuses_the_inserted_elements(self,
+                                                           monkeypatch):
+        action = LinearAction.sl2()
+        built = []
+
+        def counted_expm(Z):
+            built.append(Z)
+            return expm(Z)
+
+        # the operators module too, should it make its own elements
+        monkeypatch.setattr(action_module, "expm", counted_expm)
+        monkeypatch.setattr(operators_module, "expm", counted_expm,
+                            raising=False)
+        inserted = []
+
+        def evaluate(gs):
+            inserted.append(gs[0])
+            return PolyForm.zero(3, 2)
+
+        c = EquivariantCochain(action, 1, evaluate)
+        for _ in range(2):
+            op_ibar(c, 1e-3)(())
+        per_call = 2 * action.g_dim
+        assert len(inserted) == 2 * per_call
+        assert all(a is b for a, b in zip(inserted[:per_call],
+                                          inserted[per_call:]))
+        assert len(built) <= per_call
 
     def test_a_second_call_builds_no_step_transport(self, monkeypatch):
         action = LinearAction.sl2()
